@@ -22,24 +22,44 @@ are excluded from profile sets and scored as "not selected, utility 0"
 inside best-response evaluation. All reports are canonically ordered
 (agents lexicographic, profiles lexicographic) so results do not depend
 on enumeration order; enumeration may be parallelized freely.
+
+Each operation evaluates a profile at most once, caching outcomes keyed
+by grid positions. A PathGame whose mechanism is fp-path, vcg, x (any
+distribution rule), tradeoff2 or tradeoff3, on a network within
+ENUMERATION_EDGE_GUARD, is compiled once per operation: its loopless
+paths are enumerated a single time and every profile is priced from
+path-cost sums (vcg's excluded detour is the cheapest enumerated path
+without the agent). Every other game, among them single-item games,
+tradeoff1 and larger networks, runs MechanismSpec.run per profile; that
+path is also the reference the compiled one is tested against. Both are
+bounded by PROFILE_GUARD.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import Disconnected, GenerationFailed, GridTooLarge, TieError, TooLarge
-from .graph import Edge, Network, enumerate_paths, validate
+from .errors import (
+    Disconnected,
+    GenerationFailed,
+    GridTooLarge,
+    InsufficientPaths,
+    TieError,
+    TooLarge,
+)
+from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, enumerate_paths, validate
 from .mechanisms import (
     EQUAL_SPLIT,
     DistributionRule,
     MechanismSpec,
     PaymentResult,
     averaged_single,
+    distribute,
     first_price_single,
     group_share_path,
     group_structure,
@@ -179,6 +199,11 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 # Profile evaluation with caching
 # ---------------------------------------------------------------------------
 
+#: Path mechanisms whose profiles the compiled path table prices directly.
+_COMPILED_MECHANISMS = ("fp-path", "vcg", "x", "tradeoff2", "tradeoff3")
+
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class _Outcome:
@@ -187,12 +212,162 @@ class _Outcome:
     selected: frozenset[str]
 
 
+class _PathTable:
+    """A path game compiled once into its loopless paths, priced by sums.
+
+    The set of loopless source-to-sink paths does not depend on the bids,
+    so it is enumerated once and each path kept as the positions of its
+    owners in the sorted agent order. A profile is then priced from path
+    costs summed over integer bids, scaled by the least common denominator
+    of every value in play. The paths are held sorted by edge-id sequence,
+    so a stable sort by cost yields the (cost, edge ids) order of
+    `enumerate_paths` and `iter_ranked_paths`; the tie checks then see the
+    same ranks as MechanismSpec.run and give the same verdicts.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        spec: MechanismSpec,
+        agents: tuple[str, ...],
+        values: tuple[list[Fraction], ...],
+    ):
+        index = {a: i for i, a in enumerate(agents)}
+        # Any positive cost map lists the same paths; their order is set here.
+        some_costs = {a: vs[0] for a, vs in zip(agents, values)}
+        paths = sorted(enumerate_paths(network, some_costs).paths, key=lambda p: p.edges)
+        self.owners = tuple(tuple(index[a] for a in p.owners) for p in paths)
+        self.masks = tuple(sum(1 << i for i in owners) for owners in self.owners)
+        self.mechanism = spec.mechanism
+        self.rule = spec.rule
+        self.agents = agents
+        self.values = values
+        self.true_cost = tuple(network.true_cost[a] for a in agents)
+        scale = math.lcm(*(v.denominator for v in itertools.chain(self.true_cost, *values)))
+        self.scale = scale
+        self.scaled = tuple([v.numerator * (scale // v.denominator) for v in vs] for vs in values)
+        self.true_scaled = tuple(t.numerator * (scale // t.denominator) for t in self.true_cost)
+        self._fractions: dict[int, Fraction] = {}
+
+    def _fraction(self, scaled: int) -> Fraction:
+        hit = self._fractions.get(scaled)
+        if hit is None:
+            hit = self._fractions[scaled] = Fraction(scaled, self.scale)
+        return hit
+
+    def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
+        bids = [vs[p] for vs, p in zip(self.scaled, profile)]
+        costs = [sum([bids[i] for i in owners]) for owners in self.owners]
+        order = sorted(range(len(costs)), key=costs.__getitem__)
+        if self.mechanism in ("fp-path", "vcg"):
+            return self._cheapest_path_outcome(bids, costs, order)
+        return self._group_outcome(profile, bids, costs, order)
+
+    def _cheapest_path_outcome(
+        self, bids: list[int], costs: list[int], order: list[int]
+    ) -> _Outcome | None:
+        """fp-path and vcg: the two cheapest paths must not tie."""
+        cheapest = costs[order[0]]
+        if len(order) > 1 and costs[order[1]] == cheapest:
+            return None
+        winners = self.owners[order[0]]
+        if self.mechanism == "fp-path":
+            return self._scaled_outcome({i: bids[i] for i in winners})
+        pay = {}
+        for i in winners:
+            bit = 1 << i
+            excluded = next((costs[j] for j in order if not self.masks[j] & bit), None)
+            if excluded is None:
+                raise Disconnected(f"removing agent {self.agents[i]} disconnects the network")
+            # The zeroed detour of an agent on the cheapest path P is cost(P) - bid.
+            pay[i] = excluded - (cheapest - bids[i])
+        return self._scaled_outcome(pay)
+
+    def _group_outcome(
+        self, profile: tuple[int, ...], bids: list[int], costs: list[int], order: list[int]
+    ) -> _Outcome | None:
+        """x, tradeoff2 and tradeoff3: each winner's group is the rank of
+        its first absence, and costs must rise strictly up to the deepest."""
+        ranked = [costs[j] for j in order]
+        group_of = {}
+        for i in self.owners[order[0]]:
+            bit = 1 << i
+            group_of[i] = next((r for r, j in enumerate(order) if not self.masks[j] & bit), None)
+        stuck = sorted(self.agents[i] for i, q in group_of.items() if q is None)
+        if stuck:
+            raise InsufficientPaths(f"agents {stuck} appear on every source-to-sink path")
+        if any(ranked[r] == ranked[r + 1] for r in range(max(group_of.values()))):
+            return None
+        if self.mechanism == "tradeoff2":
+            return self._scaled_outcome(
+                {i: bids[i] + ranked[q] - ranked[q - 1] for i, q in group_of.items()}
+            )
+        pay = {}
+        previous = 0
+        for q in sorted(set(group_of.values())):
+            members = sorted(i for i, g in group_of.items() if g == q)
+            group_bids = [(self.agents[i], self.values[i][profile[i]]) for i in members]
+            if self.mechanism == "x":
+                pool = self._fraction(ranked[q] - ranked[previous])
+                shares = distribute(self.rule, group_bids, pool)
+            else:  # tradeoff3
+                share = Fraction(ranked[q] - ranked[0], self.scale * len(members))
+                shares = {agent: share for agent, _ in group_bids}
+            for i, (agent, bid) in zip(members, group_bids):
+                pay[i] = bid + shares[agent]
+            previous = q
+        utilities = [_ZERO] * len(self.agents)
+        for i, amount in pay.items():
+            utilities[i] = amount - self.true_cost[i]
+        return _Outcome(
+            utilities=tuple(utilities),
+            mechanism_utility=-sum(pay.values(), _ZERO),
+            selected=frozenset(self.agents[i] for i in pay),
+        )
+
+    def _scaled_outcome(self, pay: dict[int, int]) -> _Outcome:
+        """The outcome of payments given as integers at the table's scale."""
+        utilities = [_ZERO] * len(self.agents)
+        for i, amount in pay.items():
+            utilities[i] = self._fraction(amount - self.true_scaled[i])
+        return _Outcome(
+            utilities=tuple(utilities),
+            mechanism_utility=self._fraction(-sum(pay.values())),
+            selected=frozenset(self.agents[i] for i in pay),
+        )
+
+
+def _compile(
+    game, agents: tuple[str, ...], values: tuple[list[Fraction], ...]
+) -> _PathTable | None:
+    """The compiled path table of `game`, or None where only MechanismSpec.run applies.
+
+    Compiled: a PathGame whose mechanism is fp-path, vcg, x (any rule),
+    tradeoff2 or tradeoff3, on a network within ENUMERATION_EDGE_GUARD in
+    which each agent owns one edge, with strictly positive bids. Everything
+    else, including the bids the reference rejects, runs the reference.
+    """
+    if not isinstance(game, PathGame) or game.spec.mechanism not in _COMPILED_MECHANISMS:
+        return None
+    network = game.network
+    if len(network.edges) > ENUMERATION_EDGE_GUARD:
+        return None
+    if len({e.owner for e in network.edges}) != len(network.edges):
+        return None
+    if any(v <= 0 for vs in values for v in vs):
+        return None
+    return _PathTable(network, game.spec, agents, values)
+
+
 class _Evaluator:
     """Evaluates full bid profiles once and caches compact outcomes.
 
-    Profiles are tuples aligned with the sorted agent order. An outcome of
-    None means the profile violates the mechanism's preconditions (a cost
-    tie) and is inadmissible.
+    A profile is a tuple of positions aligned with the sorted agent order:
+    entry i indexes `values[i]`, which holds agent i's grid bids followed
+    by any off-grid bid a caller asked about. An outcome of None means the
+    profile violates the mechanism's preconditions (a cost tie) and is
+    inadmissible. Games the compiled path table covers are priced by it;
+    all others by the game's own `run`.
     """
 
     def __init__(self, game, grid: BidGrid):
@@ -201,53 +376,77 @@ class _Evaluator:
         self.game = game
         self.agents: tuple[str, ...] = grid.agents
         self.index = {a: i for i, a in enumerate(self.agents)}
-        self.grids: tuple[tuple[Fraction, ...], ...] = tuple(
-            grid.bids_for[a] for a in self.agents
+        self.values: tuple[list[Fraction], ...] = tuple(
+            list(grid.bids_for[a]) for a in self.agents
         )
-        self._cache: dict[tuple[Fraction, ...], _Outcome | None] = {}
+        self.sizes = tuple(len(vs) for vs in self.values)
+        self._positions = tuple({v: p for p, v in enumerate(vs)} for vs in self.values)
+        self._cache: dict[tuple[int, ...], _Outcome | None] = {}
+        self._table: _PathTable | None = None
+        self._compiled = False
 
     def require_enumerable(self, skip_agent: str | None = None) -> None:
         """Guard any operation that walks a grid product."""
         size = 1
-        for agent, bids in zip(self.agents, self.grids):
+        for agent, n in zip(self.agents, self.sizes):
             if agent != skip_agent:
-                size *= len(bids)
+                size *= n
         if size > PROFILE_GUARD:
             raise GridTooLarge(f"profile space {size} exceeds {PROFILE_GUARD}")
 
-    def outcome(self, profile: tuple[Fraction, ...]) -> _Outcome | None:
+    def position(self, agent: str, bid: Fraction) -> int:
+        """Position of `bid` among the agent's values, appended when off the grid."""
+        i = self.index[agent]
+        pos = self._positions[i].get(bid)
+        if pos is None:
+            pos = self._positions[i][bid] = len(self.values[i])
+            self.values[i].append(bid)
+            self._compiled = False  # the table must be rebuilt to scale the new value
+        return pos
+
+    def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(vs[p] for vs, p in zip(self.values, profile))
+
+    def opponent_bids(self, agent: str, opponents: tuple[int, ...]) -> tuple[Fraction, ...]:
+        others = [vs for a, vs in zip(self.agents, self.values) if a != agent]
+        return tuple(vs[p] for vs, p in zip(others, opponents))
+
+    def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
         hit = self._cache.get(profile)
         if hit is None and profile not in self._cache:
-            try:
-                result = self.game.run(dict(zip(self.agents, profile)))
-            except TieError:
-                hit = None
-            else:
-                hit = _Outcome(
-                    utilities=tuple(result.utilities[a] for a in self.agents),
-                    mechanism_utility=result.mechanism_utility,
-                    selected=frozenset(result.selected),
-                )
-            self._cache[profile] = hit
+            hit = self._cache[profile] = self._evaluate(profile)
         return hit
 
-    def profiles(self) -> Iterator[tuple[Fraction, ...]]:
-        return itertools.product(*self.grids)
+    def _evaluate(self, profile: tuple[int, ...]) -> _Outcome | None:
+        if not self._compiled:
+            self._table = _compile(self.game, self.agents, self.values)
+            self._compiled = True
+        if self._table is not None:
+            return self._table.outcome(profile)
+        try:
+            result = self.game.run(dict(zip(self.agents, self.bids(profile))))
+        except TieError:
+            return None
+        return _Outcome(
+            utilities=tuple(result.utilities[a] for a in self.agents),
+            mechanism_utility=result.mechanism_utility,
+            selected=frozenset(result.selected),
+        )
 
-    def opponent_profiles(self, agent: str) -> Iterator[tuple[tuple[Fraction, ...], ...]]:
-        others = [g for a, g in zip(self.agents, self.grids) if a != agent]
-        return itertools.product(*others)
+    def profiles(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*map(range, self.sizes))
 
-    def assemble(
-        self, agent: str, bid: Fraction, opponents: tuple[Fraction, ...]
-    ) -> tuple[Fraction, ...]:
+    def opponent_profiles(self, agent: str) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*(range(n) for a, n in zip(self.agents, self.sizes) if a != agent))
+
+    def assemble(self, agent: str, pos: int, opponents: tuple[int, ...]) -> tuple[int, ...]:
         i = self.index[agent]
-        return opponents[:i] + (bid,) + opponents[i:]
+        return opponents[:i] + (pos,) + opponents[i:]
 
-    def utility(self, agent: str, profile: tuple[Fraction, ...]) -> Fraction:
+    def utility(self, agent: str, profile: tuple[int, ...]) -> Fraction:
         out = self.outcome(profile)
         if out is None:
-            return Fraction(0)
+            return _ZERO
         return out.utilities[self.index[agent]]
 
 
@@ -263,15 +462,16 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     vector violates the mechanism's preconditions are excluded from the
     count entirely.
     """
-    return _selection_probability(_Evaluator(game, grid), agent, bid)
+    ev = _Evaluator(game, grid)
+    return _selection_probability(ev, agent, ev.position(agent, bid))
 
 
-def _selection_probability(ev: _Evaluator, agent: str, bid: Fraction) -> Fraction:
+def _selection_probability(ev: _Evaluator, agent: str, pos: int) -> Fraction:
     ev.require_enumerable(skip_agent=agent)
     admissible = 0
     selected = 0
     for opponents in ev.opponent_profiles(agent):
-        out = ev.outcome(ev.assemble(agent, bid, opponents))
+        out = ev.outcome(ev.assemble(agent, pos, opponents))
         if out is None:
             continue
         admissible += 1
@@ -293,13 +493,13 @@ def best_response_set(
     others = tuple(a for a in ev.agents if a != agent)
     if set(opponent_profile) != set(others):
         raise ValueError("opponent profile must cover exactly the other agents")
-    opponents = tuple(opponent_profile[a] for a in others)
-    for other, value in zip(others, opponents):
-        if value not in grid.bids_for[other]:
-            raise ValueError(f"bid {value} for {other} is off the grid")
+    for other in others:
+        if opponent_profile[other] not in grid.bids_for[other]:
+            raise ValueError(f"bid {opponent_profile[other]} for {other} is off the grid")
+    opponents = tuple(ev.position(a, opponent_profile[a]) for a in others)
     utilities = {
-        bid: ev.utility(agent, ev.assemble(agent, bid, opponents))
-        for bid in grid.bids_for[agent]
+        bid: ev.utility(agent, ev.assemble(agent, pos, opponents))
+        for pos, bid in enumerate(grid.bids_for[agent])
     }
     best = max(utilities.values())
     return {bid for bid, u in utilities.items() if u == best}
@@ -307,30 +507,28 @@ def best_response_set(
 
 def _utility_vectors(
     ev: _Evaluator, agent: str
-) -> tuple[list[tuple[Fraction, ...]], dict[Fraction, tuple[Fraction, ...]]]:
-    """Per-bid utility vectors over the full ordered opponent product."""
+) -> tuple[list[tuple[int, ...]], list[tuple[Fraction, ...]]]:
+    """Utility vector per grid position over the full ordered opponent product."""
     ev.require_enumerable()
     opponents = list(ev.opponent_profiles(agent))
-    own = ev.grids[ev.index[agent]]
-    vectors = {
-        bid: tuple(ev.utility(agent, ev.assemble(agent, bid, opp)) for opp in opponents)
-        for bid in own
-    }
+    vectors = [
+        tuple(ev.utility(agent, ev.assemble(agent, pos, opp)) for opp in opponents)
+        for pos in range(ev.sizes[ev.index[agent]])
+    ]
     return opponents, vectors
 
 
-def _optimal_bids(ev: _Evaluator, agent: str, mode: str) -> tuple[Fraction, ...]:
+def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]:
     if mode not in MODES:
         raise ValueError(f"unknown strategy mode {mode!r}")
     opponents, vectors = _utility_vectors(ev, agent)
-    own = ev.grids[ev.index[agent]]
-    n_opp = len(opponents)
+    own = range(len(vectors))
 
-    best_anywhere: set[Fraction] = set()
-    best_everywhere: set[Fraction] = set(own)
-    for j in range(n_opp):
-        column_best = max(vectors[bid][j] for bid in own)
-        winners = {bid for bid in own if vectors[bid][j] == column_best}
+    best_anywhere: set[int] = set()
+    best_everywhere: set[int] = set(own)
+    for j in range(len(opponents)):
+        column_best = max(vector[j] for vector in vectors)
+        winners = {pos for pos in own if vectors[pos][j] == column_best}
         best_anywhere |= winners
         best_everywhere &= winners
 
@@ -339,9 +537,9 @@ def _optimal_bids(ev: _Evaluator, agent: str, mode: str) -> tuple[Fraction, ...]
 
     base = best_everywhere if mode == "dominant" else best_anywhere
     survivors = [
-        bid
-        for bid in sorted(base)
-        if not any(_dominates(vectors[other], vectors[bid]) for other in own if other != bid)
+        pos
+        for pos in sorted(base)
+        if not any(_dominates(vectors[other], vectors[pos]) for other in own if other != pos)
     ]
 
     # Bids whose utility vectors are exactly equal are interchangeable on
@@ -349,11 +547,12 @@ def _optimal_bids(ev: _Evaluator, agent: str, mode: str) -> tuple[Fraction, ...]
     # toward the truthful bid, so each equal class keeps only its member
     # closest to the true type.
     truthful = ev.game.types[agent]
-    by_vector: dict[tuple[Fraction, ...], list[Fraction]] = {}
-    for bid in survivors:
-        by_vector.setdefault(vectors[bid], []).append(bid)
+    values = ev.values[ev.index[agent]]
+    by_vector: dict[tuple[Fraction, ...], list[int]] = {}
+    for pos in survivors:
+        by_vector.setdefault(vectors[pos], []).append(pos)
     kept = [
-        min(bids, key=lambda b: (abs(b - truthful), b)) for bids in by_vector.values()
+        min(group, key=lambda p: (abs(values[p] - truthful), p)) for group in by_vector.values()
     ]
     return tuple(sorted(kept))
 
@@ -380,7 +579,9 @@ def agent_optimal_bids(
     bid. "dominant": bids that are best responses to every profile, same
     indifference resolution.
     """
-    return _optimal_bids(_Evaluator(game, grid), agent, mode)
+    ev = _Evaluator(game, grid)
+    values = ev.values[ev.index[agent]]
+    return tuple(values[p] for p in _optimal_positions(ev, agent, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +630,27 @@ def joint_optimal_profiles(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Product of the per-agent optimal bid sets, admissible profiles only."""
     ev = _Evaluator(game, grid)
-    return _joint_optimal(ev, {a: _optimal_bids(ev, a, mode) for a in ev.agents})
+    per_agent = {a: _optimal_positions(ev, a, mode) for a in ev.agents}
+    return tuple(map(ev.bids, _joint_optimal(ev, per_agent)))
 
 
 def _joint_optimal(
-    ev: _Evaluator, per_agent: Mapping[str, tuple[Fraction, ...]]
-) -> tuple[tuple[Fraction, ...], ...]:
+    ev: _Evaluator, per_agent: Mapping[str, tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
     product = itertools.product(*(per_agent[a] for a in ev.agents))
     return tuple(sorted(p for p in product if ev.outcome(p) is not None))
 
 
 def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...], ...]:
     """Admissible profiles maximizing the mechanism's own utility, exactly."""
-    return _mechanism_optimal(_Evaluator(game, grid))
+    ev = _Evaluator(game, grid)
+    return tuple(map(ev.bids, _mechanism_optimal(ev)))
 
 
-def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[Fraction, ...], ...]:
+def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:
     ev.require_enumerable()
     best: Fraction | None = None
-    argmax: list[tuple[Fraction, ...]] = []
+    argmax: list[tuple[int, ...]] = []
     for profile in ev.profiles():
         out = ev.outcome(profile)
         if out is None:
@@ -464,7 +667,7 @@ def alignment_report(game, grid: BidGrid, mode: str = "undominated") -> Consiste
     """Full report: per-agent sets, their product, the mechanism's argmax,
     and the intersection of the two profile sets."""
     ev = _Evaluator(game, grid)
-    per_agent = {a: _optimal_bids(ev, a, mode) for a in ev.agents}
+    per_agent = {a: _optimal_positions(ev, a, mode) for a in ev.agents}
     joint = _joint_optimal(ev, per_agent)
     mech = _mechanism_optimal(ev)
     aligned = tuple(sorted(set(joint) & set(mech)))
@@ -472,14 +675,17 @@ def alignment_report(game, grid: BidGrid, mode: str = "undominated") -> Consiste
         verdict = "inadmissible"
     else:
         verdict = "nonempty" if aligned else "empty"
+    # Grid positions sort as their bids do, so the orders carry over.
     return ConsistencyReport(
         agents=ev.agents,
         mode=mode,
         grid={a: grid.bids_for[a] for a in ev.agents},
-        agent_optimal=per_agent,
-        joint_optimal=joint,
-        mechanism_optimal=mech,
-        aligned=aligned,
+        agent_optimal={
+            a: tuple(ev.values[ev.index[a]][p] for p in per_agent[a]) for a in ev.agents
+        },
+        joint_optimal=tuple(map(ev.bids, joint)),
+        mechanism_optimal=tuple(map(ev.bids, mech)),
+        aligned=tuple(map(ev.bids, aligned)),
         verdict=verdict,
     )
 
@@ -555,26 +761,25 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
     for agent in ev.agents:
         truthful = game.types[agent]
         own = grid.bids_for[agent]
-        probs = {bid: _selection_probability(ev, agent, bid) for bid in own}
-        top = max(probs.values())
-        if truthful not in own or probs.get(truthful) != top:
+        probs = [_selection_probability(ev, agent, pos) for pos in range(len(own))]
+        if truthful not in own or probs[own.index(truthful)] != max(probs):
             counterexamples.append(
                 ("selection probability not maximal at truthful bid", agent)
             )
-        for b1, b2 in zip(own, own[1:]):
-            if probs[b2] > probs[b1]:
+        for pos in range(len(own) - 1):
+            if probs[pos + 1] > probs[pos]:
                 counterexamples.append(
-                    ("selection probability rises with the bid", agent, b1, b2)
+                    ("selection probability rises with the bid", agent, own[pos], own[pos + 1])
                 )
     for profile in ev.profiles():
         out = ev.outcome(profile)
         if out is None:
             continue
-        for agent in out.selected:
+        for agent in sorted(out.selected):
             u = out.utilities[ev.index[agent]]
             if u <= 0:
                 counterexamples.append(
-                    ("selected agent with nonpositive utility", agent, profile, u)
+                    ("selected agent with nonpositive utility", agent, ev.bids(profile), u)
                 )
     verdict = "holds" if not counterexamples else "fails"
     return PropertyReport(
@@ -717,15 +922,17 @@ def check_vcg_truthful(game, grid: BidGrid) -> PropertyReport:
     """Exhaustively confirm the truthful bid is a best response everywhere."""
     ev = _Evaluator(game, grid)
     ev.require_enumerable()
+    # Off-grid truthful bids join the value lists before any profile is
+    # priced, so the compiled table is built once with every value in play.
+    truthful = {a: ev.position(a, game.types[a]) for a in ev.agents}
     counterexamples = []
     for agent in ev.agents:
-        truthful = game.types[agent]
         own = grid.bids_for[agent]
         for opponents in ev.opponent_profiles(agent):
-            truthful_u = ev.utility(agent, ev.assemble(agent, truthful, opponents))
-            for bid in own:
-                if ev.utility(agent, ev.assemble(agent, bid, opponents)) > truthful_u:
-                    counterexamples.append((agent, bid, opponents))
+            truthful_u = ev.utility(agent, ev.assemble(agent, truthful[agent], opponents))
+            for pos, bid in enumerate(own):
+                if ev.utility(agent, ev.assemble(agent, pos, opponents)) > truthful_u:
+                    counterexamples.append((agent, bid, ev.opponent_bids(agent, opponents)))
     return PropertyReport(
         name="vcg-truthful",
         verdict="holds" if not counterexamples else "fails",

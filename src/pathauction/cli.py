@@ -224,7 +224,6 @@ def cmd_validate(args) -> int:
 def cmd_rank(args) -> int:
     network = _load_graph(args.graph)
     ranked = rank_paths(network, None, k=args.k)
-    tie = False
     for i, path in enumerate(ranked, start=1):
         print(f"{i:<4}{' '.join(path.edges):<40}{format_cost(path.cost)}")
     costs = ranked.costs

@@ -423,13 +423,16 @@ def vcg_path(network: Network, bids: Mapping[str, Fraction] | None = None) -> Pa
 
     Each selected agent is paid the cost of the cheapest path avoiding its
     edge minus the cost of the cheapest path with its edge priced at zero.
-    Unselected agents are paid nothing.
+    Unselected agents are paid nothing. For an agent on the cheapest path P
+    the zeroed detour is cost(P) - bid in closed form: zeroing the bid
+    lowers every path by at most the bid, and P, the cheapest, by exactly
+    that.
     """
     resolved = _resolve_bids(network, bids)
     chosen = _top_two(network, resolved)
     pay = {
         agent: detour_cost(network, agent, "excluded", resolved)
-        - detour_cost(network, agent, "zeroed", resolved)
+        - (chosen.cost - resolved[agent])
         for agent in chosen.owners
     }
     return _path_result(network, chosen, pay)

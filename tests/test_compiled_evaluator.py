@@ -1,0 +1,180 @@
+"""The compiled path table against MechanismSpec.run, profile by profile.
+
+Grids use half-unit steps over integer costs, so path costs tie on many
+profiles and the tie verdicts are exercised alongside the payments.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from pathauction import (
+    BidGrid,
+    Disconnected,
+    DistributionRule,
+    Edge,
+    InsufficientPaths,
+    MechanismSpec,
+    Network,
+    PathGame,
+    TieError,
+    alignment_report,
+    best_response_set,
+    check_partly_truthful,
+    check_vcg_truthful,
+    fixture,
+    random_network,
+    selection_probability,
+)
+from pathauction import analysis
+
+HALF = F(1, 2)
+
+SPECS = (
+    MechanismSpec("fp-path"),
+    MechanismSpec("vcg"),
+    MechanismSpec("x"),
+    MechanismSpec("x", rule=DistributionRule("reverse-rank")),
+    MechanismSpec("x", rule=DistributionRule("waterfall", HALF)),
+    MechanismSpec("x", rule=DistributionRule("compound", HALF)),
+    MechanismSpec("tradeoff2"),
+    MechanismSpec("tradeoff3"),
+)
+
+RANDOM_NETS = [
+    random_network(seed, node_budget=5 + seed % 2, edge_budget=5 + seed % 3)
+    for seed in range(50)
+]
+
+
+def _half_grid(net):
+    """Half-unit steps above each type, at most about a hundred profiles."""
+    cap = 2 if len(net.agents) <= 4 else 1
+    return BidGrid.procurement(net.true_cost, HALF, cap)
+
+
+def _reference(spec, net, bids):
+    try:
+        result = spec.run(net, bids)
+    except TieError:
+        return None
+    return (
+        tuple(result.utilities[a] for a in sorted(bids)),
+        result.mechanism_utility,
+        frozenset(result.selected),
+    )
+
+
+def _assert_matches_reference(net, spec):
+    ev = analysis._Evaluator(PathGame(net, spec), _half_grid(net))
+    ties = 0
+    for profile in ev.profiles():
+        out = ev.outcome(profile)
+        want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
+        got = None if out is None else (out.utilities, out.mechanism_utility, out.selected)
+        assert got == want, (spec, ev.bids(profile))
+        ties += out is None
+    assert ev._table is not None
+    return ties
+
+
+def _net(rows):
+    edges = tuple(Edge(eid, tail, head, eid) for eid, tail, head, _ in rows)
+    costs = {eid: F(c) for eid, _, _, c in rows}
+    nodes = tuple(sorted({n for _, tail, head, _ in rows for n in (tail, head)}))
+    return Network(nodes, edges, "X", "Y", costs, dict(costs))
+
+
+def _boundary_tie_network():
+    """Winners a, b; at truthful bids a-e (without b), c-b (without a) and
+    d (without both) tie at cost 3.
+
+    The grouping prefix stops at the first path that leaves out the last
+    winner still present, so which of the tied paths ranks first decides
+    whether the prefix ends before a tie or runs into it. Half-unit bids
+    make pairs of these paths tie in both label orders.
+    """
+    return _net(
+        [
+            ("a", "X", "M", 1),
+            ("b", "M", "Y", 1),
+            ("c", "X", "M", 2),
+            ("d", "X", "Y", 3),
+            ("e", "M", "Y", 2),
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", ["fig2", "xsmall", "fig3", "boundary-tie"])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+def test_fixture_outcomes_match_reference(name, spec):
+    net = _boundary_tie_network() if name == "boundary-tie" else fixture(name)
+    _assert_matches_reference(net, spec)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+def test_random_outcomes_match_reference(spec):
+    ties = sum(_assert_matches_reference(net, spec) for net in RANDOM_NETS)
+    assert ties > 0
+
+
+def test_off_grid_bid_after_evaluation():
+    """A value with a new denominator, added after the table was built."""
+    net = fixture("xsmall")
+    spec = MechanismSpec("x")
+    ev = analysis._Evaluator(PathGame(net, spec), BidGrid.procurement(net.true_cost, F(1), 1))
+    first = next(ev.profiles())
+    ev.outcome(first)
+    agent = ev.agents[0]
+    profile = ev.assemble(agent, ev.position(agent, F(7, 3)), first[1:])
+    out = ev.outcome(profile)
+    want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
+    assert (out.utilities, out.mechanism_utility, out.selected) == want
+
+
+# Agent a's edge is a cut: vcg cannot price a, and x cannot group it.
+_CUT = [("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 2)]
+_NO_PATH = [("a", "X", "M", 1), ("b", "Y", "M", 1)]
+
+
+@pytest.mark.parametrize(
+    "rows, mechanism, error",
+    [(_CUT, "vcg", Disconnected), (_CUT, "x", InsufficientPaths), (_NO_PATH, "x", Disconnected)],
+)
+def test_errors_match_reference(monkeypatch, rows, mechanism, error):
+    net = _net(rows)
+    game = PathGame(net, MechanismSpec(mechanism))
+    grid = BidGrid.procurement(net.true_cost, F(1), 1)
+    with pytest.raises(error):
+        check_vcg_truthful(game, grid)
+    monkeypatch.setattr(analysis, "_compile", lambda *args: None)
+    with pytest.raises(error):
+        check_vcg_truthful(game, grid)
+
+
+def _analysis_results(net, spec):
+    game = PathGame(net, spec)
+    grid = _half_grid(net)
+    # A custom grid that leaves out every truthful type.
+    off_grid = BidGrid({a: tuple(t + HALF + i for i in range(2)) for a, t in net.true_cost.items()})
+    agent = net.agents[0]
+    opponents = {a: grid.bids_for[a][-1] for a in net.agents if a != agent}
+    return (
+        alignment_report(game, grid),
+        alignment_report(game, grid, "all"),
+        check_vcg_truthful(game, grid),
+        check_vcg_truthful(game, off_grid),
+        check_partly_truthful(game, grid),
+        check_partly_truthful(game, off_grid),
+        [selection_probability(game, grid, a, b) for a in net.agents for b in grid.bids_for[a]],
+        [selection_probability(game, off_grid, a, t) for a, t in net.true_cost.items()],
+        best_response_set(game, grid, agent, opponents),
+    )
+
+
+@pytest.mark.parametrize("spec", SPECS[:3] + SPECS[-2:], ids=lambda s: s.mechanism)
+def test_analysis_is_unchanged_without_the_table(monkeypatch, spec):
+    nets = [fixture("fig2"), _boundary_tie_network(), *RANDOM_NETS[:4]]
+    compiled = [_analysis_results(net, spec) for net in nets]
+    monkeypatch.setattr(analysis, "_compile", lambda *args: None)
+    assert [_analysis_results(net, spec) for net in nets] == compiled

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathauction import (
     Disconnected,
@@ -10,6 +12,7 @@ from pathauction import (
     TooLarge,
     detour_cost,
     enumerate_paths,
+    iter_ranked_paths,
     network_from_json,
     network_to_json,
     rank_paths,
@@ -110,6 +113,53 @@ def test_enumerate_counts(example1, fig2, fig3):
     assert len(enumerate_paths(example1, example1.true_cost)) == 6
     assert len(enumerate_paths(fig2, fig2.true_cost)) == 2
     assert len(enumerate_paths(fig3, fig3.true_cost)) == 2
+
+
+def _multigraph(n_nodes, rows):
+    nodes = [f"v{i}" for i in range(n_nodes)]
+    edges = tuple(Edge(eid, t, h, eid) for eid, t, h, _ in rows)
+    costs = {eid: Fraction(c) for eid, _, _, c in rows}
+    return Network(tuple(nodes), edges, nodes[0], nodes[-1], costs, dict(costs))
+
+
+@st.composite
+def _multigraphs(draw):
+    """Up to ten edges on up to five nodes: parallel edges, cycles, self
+    loops, and costs drawn from 0..3, so ties and zero costs are common."""
+    n_nodes = draw(st.integers(2, 5))
+    endpoint = st.sampled_from([f"v{i}" for i in range(n_nodes)])
+    rows = [
+        (f"e{i:02d}", draw(endpoint), draw(endpoint), draw(st.integers(0, 3)))
+        for i in range(draw(st.integers(1, 10)))
+    ]
+    return _multigraph(n_nodes, rows)
+
+
+# Two stages of parallel zero-cost edges: every path ties, and only the
+# edge-id order can rank the candidates.
+_ALL_TIED = _multigraph(
+    3,
+    [
+        ("e00", "v0", "v1", 0),
+        ("e01", "v0", "v1", 0),
+        ("e02", "v1", "v2", 0),
+        ("e03", "v1", "v2", 0),
+    ],
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_multigraphs())
+@example(_ALL_TIED)
+def test_ranking_yields_the_enumeration_order(net):
+    """Tie verdicts that read the ranked order depend on this equality."""
+    try:
+        every = enumerate_paths(net).paths
+    except Disconnected:
+        with pytest.raises(Disconnected):
+            next(iter_ranked_paths(net))
+        return
+    assert tuple(iter_ranked_paths(net)) == every
 
 
 def test_enumerate_guard():

@@ -3,15 +3,18 @@
 import pytest
 
 from pathauction import (
+    FIXTURES,
     GenerationFailed,
     detour_cost,
     enumerate_paths,
+    fixture,
     group_share_path,
     network_to_json,
     random_network,
     rank_paths,
     shortest_path,
     validate,
+    vcg_path,
 )
 
 
@@ -55,15 +58,19 @@ def test_shortest_is_the_enumeration_minimum(random_nets_200):
 
 
 def test_zeroed_detour_identity(random_nets_200):
-    """Zeroing an agent on the unique best path shaves exactly its own cost;
-    zeroing anyone never makes things dearer."""
-    for net in random_nets_200[:80]:
+    """Zeroing an agent on the unique best path shaves exactly its own cost,
+    the closed form vcg_path prices with; zeroing anyone never makes things
+    dearer."""
+    for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200:
         best = shortest_path(net, net.true_cost)
+        marginal = vcg_path(net, net.true_cost)
         for agent in net.agents:
             zeroed = detour_cost(net, agent, "zeroed", net.true_cost)
             assert zeroed <= best.cost
             if agent in best.owner_set:
                 assert zeroed == best.cost - net.true_cost[agent]
+                excluded = detour_cost(net, agent, "excluded", net.true_cost)
+                assert marginal.payments[agent] == excluded - zeroed
 
 
 def test_group_index_satisfies_the_membership_definition(random_nets_200):

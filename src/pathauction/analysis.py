@@ -63,8 +63,9 @@ from .mechanisms import (
     first_price_single,
     group_share_path,
     group_structure,
-    vcg_path,
     vickrey_single,
+    _group_share_payments,
+    _resolve_bids,
 )
 from .rational import format_cost
 
@@ -830,9 +831,9 @@ def check_strongly_critical(
     remaining cheapest-path agents, and one more unit must make that
     substitute affordable.
     """
-    result = group_share_path(network, bids, rule)
-    resolved = dict(network.bid if bids is None else bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    resolved = _resolve_bids(network, bids)
+    ranked, assignment, pools = group_structure(network, resolved)
+    pay = _group_share_payments(resolved, assignment, pools, rule)
     costs = ranked.costs
     rows = []
     failures = []
@@ -840,7 +841,7 @@ def check_strongly_critical(
         prefix_groups = assignment.present_groups[: j + 1]
         prefix_agents = [a for a, g in assignment.group_of.items() if g in prefix_groups]
         beyond_agents = [a for a in assignment.group_of if a not in prefix_agents]
-        lhs = sum((result.payments[a] for a in prefix_agents), Fraction(0))
+        lhs = sum((pay[a] for a in prefix_agents), Fraction(0))
         beyond_bids = sum((resolved[a] for a in beyond_agents), Fraction(0))
         rhs = costs[q] - beyond_bids
         substitute_affordable = costs[q] <= lhs + unit + beyond_bids
@@ -945,8 +946,8 @@ def check_degenerate_vickrey(
 ) -> PropertyReport:
     """On a network whose cheapest path is a single edge, group sharing,
     marginal pricing and a reverse second-price award must coincide."""
-    resolved = dict(network.bid if bids is None else bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    resolved = _resolve_bids(network, bids)
+    ranked, assignment, pools = group_structure(network, resolved)
     chosen = ranked.paths[0]
     if len(chosen.edges) != 1:
         return PropertyReport(
@@ -954,19 +955,20 @@ def check_degenerate_vickrey(
             verdict="fails",
             detail="cheapest path is not a single edge",
         )
-    shared = group_share_path(network, resolved)
-    marginal = vcg_path(network, resolved)
-    runner_up = ranked.costs[1]
+    costs = ranked.costs
     winner = chosen.owners[0]
-    ok = (
-        shared.payments == marginal.payments
-        and shared.payments[winner] == runner_up
-    )
+    shared = _group_share_payments(resolved, assignment, pools, EQUAL_SPLIT)[winner]
+    # The cheapest path avoiding the winner is the first ranked path without
+    # it, so the excluded detour is costs[group]; the zeroed one is
+    # cost(P) - bid in closed form, as in vcg_path.
+    marginal = costs[assignment.group_of[winner]] - (chosen.cost - resolved[winner])
+    runner_up = costs[1]
+    ok = shared == marginal and shared == runner_up
     return PropertyReport(
         name="degenerate-vickrey",
         verdict="holds" if ok else "fails",
-        witnesses=((winner, shared.payments[winner], runner_up),),
-        detail=f"winner {winner} paid {format_cost(shared.payments[winner])}",
+        witnesses=((winner, shared, runner_up),),
+        detail=f"winner {winner} paid {format_cost(shared)}",
     )
 
 

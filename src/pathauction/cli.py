@@ -11,6 +11,7 @@ Exit codes: 0 success (or property holds), 1 failure or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .analysis import (
     check_vcg_truthful,
     alignment_report,
 )
-from .errors import FormatError, GridTooLarge, PathAuctionError, TieError
+from .errors import FormatError, GridTooLarge, PathAuctionError, TieError, TooLarge
 from .fixtures import FIXTURES, fixture
 from .graph import (
     Network,
@@ -59,6 +60,9 @@ PROPERTIES = (
 )
 
 
+# Built on the first main() call, once per process: building costs more
+# than most requests, and parse_args leaves the parser unchanged.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathauction",
@@ -346,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except TieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TIE
-    except GridTooLarge as exc:
+    except (GridTooLarge, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (PathAuctionError, OSError, ValueError) as exc:

@@ -10,8 +10,9 @@ This module provides:
 * validation of the model invariants (including that no single agent's
   edge is a cut between source and sink),
 * deterministic shortest and k-shortest loopless path computation
-  (Dijkstra plus Yen-style deviations, ties broken by the
-  lexicographically smallest edge-id sequence),
+  (Dijkstra plus Yen-style deviations with Lawler's refinement, ties
+  broken by the lexicographically smallest edge-id sequence), run in
+  integers scaled by the cost map's least common denominator,
 * a brute-force enumeration oracle for all loopless paths, used to
   cross-check the ranking algorithms on small instances,
 * detour costs (cheapest path avoiding an agent, cheapest path with an
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -248,20 +250,60 @@ def _resolve_costs(network: Network, costs: Mapping[str, Fraction] | None) -> Ma
     return resolved
 
 
+def _scaled_costs(
+    network: Network, costs: Mapping[str, Fraction] | None
+) -> tuple[dict[str, int], int]:
+    """The validated cost map in integers, and the scale it was multiplied by.
+
+    The scale is the least common denominator of the map, so a sum of
+    scaled costs over the scale is the exact rational sum. Searches add and
+    compare these integers; the paths they return carry
+    `Fraction(cost, scale)`.
+    """
+    resolved = _resolve_costs(network, costs)
+    scale = math.lcm(*(value.denominator for value in resolved.values()))
+    scaled = {
+        agent: value.numerator * (scale // value.denominator)
+        for agent, value in resolved.items()
+    }
+    return scaled, scale
+
+
+# A search result in scaled integers: (cost, edge ids, owners).
+_Route = tuple[int, tuple[str, ...], tuple[str, ...]]
+
+
+def _path(route: _Route, scale: int) -> Path:
+    cost, edges, owners = route
+    return Path(edges, owners, Fraction(cost, scale))
+
+
 def _distance_to_sink(
     network: Network,
-    costs: Mapping[str, Fraction],
+    costs: Mapping[str, int],
     excluded_edges: frozenset[str],
     excluded_nodes: frozenset[str],
-) -> dict[str, Fraction]:
-    """Dijkstra over reversed edges: exact min cost from each node to the sink."""
-    dist: dict[str, Fraction] = {}
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), network.sink)]
+    origin: str,
+) -> dict[str, int]:
+    """Dijkstra over reversed edges: exact min cost from each node to the sink.
+
+    The search stops once `origin` and every node no farther from the sink
+    are settled; a tight-edge walk from `origin` reaches no other node. It
+    goes on while the heap minimum equals the origin's distance, because
+    zero-cost edges can lead to more nodes at that distance.
+    """
+    dist: dict[str, int] = {}
+    heap: list[tuple[int, str]] = [(0, network.sink)]
+    limit: int | None = None
     while heap:
         d, node = heapq.heappop(heap)
+        if limit is not None and d > limit:
+            break
         if node in dist:
             continue
         dist[node] = d
+        if node == origin:
+            limit = d
         for edge in network.in_edges(node):
             if edge.id in excluded_edges or edge.tail in excluded_nodes or edge.tail in dist:
                 continue
@@ -271,11 +313,11 @@ def _distance_to_sink(
 
 def _best_path(
     network: Network,
-    costs: Mapping[str, Fraction],
+    costs: Mapping[str, int],
     excluded_edges: frozenset[str] = frozenset(),
     excluded_nodes: frozenset[str] = frozenset(),
     start: str | None = None,
-) -> Path | None:
+) -> _Route | None:
     """Minimum-cost loopless path, lexicographically smallest edge ids among ties.
 
     Works by computing exact distances to the sink and then greedily walking
@@ -286,7 +328,7 @@ def _best_path(
     origin = network.source if start is None else start
     if origin in excluded_nodes or network.sink in excluded_nodes:
         return None
-    dist = _distance_to_sink(network, costs, excluded_edges, excluded_nodes)
+    dist = _distance_to_sink(network, costs, excluded_edges, excluded_nodes, origin)
     if origin not in dist:
         return None
     edges: list[str] = []
@@ -306,26 +348,14 @@ def _best_path(
                 break
         if chosen is None:
             # Only reachable through a zero-cost cycle; fall back to brute force.
-            return _best_path_by_enumeration(network, costs, excluded_edges, excluded_nodes, origin)
+            return min(
+                _walk_all(network, costs, excluded_edges, excluded_nodes, origin), default=None
+            )
         edges.append(chosen.id)
         owners.append(chosen.owner)
         visited.add(chosen.head)
         node = chosen.head
-    return Path(tuple(edges), tuple(owners), dist[origin])
-
-
-def _best_path_by_enumeration(
-    network: Network,
-    costs: Mapping[str, Fraction],
-    excluded_edges: frozenset[str],
-    excluded_nodes: frozenset[str],
-    start: str,
-) -> Path | None:
-    best: Path | None = None
-    for path in _walk_all(network, costs, excluded_edges, excluded_nodes, start):
-        if best is None or (path.cost, path.edges) < (best.cost, best.edges):
-            best = path
-    return best
+    return dist[origin], tuple(edges), tuple(owners)
 
 
 def shortest_path(network: Network, costs: Mapping[str, Fraction] | None = None) -> Path:
@@ -337,11 +367,11 @@ def shortest_path(network: Network, costs: Mapping[str, Fraction] | None = None)
 
     Raises Disconnected when the sink is unreachable.
     """
-    resolved = _resolve_costs(network, costs)
-    path = _best_path(network, resolved)
-    if path is None:
+    scaled, scale = _scaled_costs(network, costs)
+    route = _best_path(network, scaled)
+    if route is None:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
-    return path
+    return _path(route, scale)
 
 
 def iter_ranked_paths(
@@ -352,48 +382,47 @@ def iter_ranked_paths(
     The iterator is exhaustive: run to completion it produces every loopless
     source-to-sink path exactly once. Candidate deviations are ordered by
     (cost, edge-id sequence), matching the enumeration oracle's sort.
+
+    Lawler's refinement: a path that deviated from an earlier one at index
+    d shares that path's first d edges, and those roots were spurred when
+    the earlier path was yielded, so spurs start at d. A candidate found
+    again from a later root keeps its first, smaller index. `branches` maps
+    each root (edge-id prefix) to the next edges of the yielded paths
+    through it, which the spur from that root must avoid.
     """
-    resolved = _resolve_costs(network, costs)
-    first = _best_path(network, resolved)
+    scaled, scale = _scaled_costs(network, costs)
+    first = _best_path(network, scaled)
     if first is None:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
-    yield first
-    accepted: list[Path] = [first]
-    accepted_keys = {first.edges}
-    candidates: dict[tuple[str, ...], Path] = {}
-    while True:
-        prev = accepted[-1]
-        prev_nodes = _node_sequence(network, prev)
-        root_cost = Fraction(0)
-        for i in range(len(prev.edges)):
-            spur_node = prev_nodes[i]
-            root_edges = prev.edges[:i]
-            removed_edges = {
-                p.edges[i]
-                for p in accepted
-                if len(p.edges) > i and p.edges[:i] == root_edges
-            }
-            removed_nodes = frozenset(prev_nodes[:i])
+    # Heap entries: route fields, then the deviation index. Edge sequences
+    # are unique in the heap, so entries never compare past them.
+    heap: list[tuple[int, tuple[str, ...], tuple[str, ...], int]] = [(*first, 0)]
+    seen = {first[1]}
+    branches: dict[tuple[str, ...], set[str]] = {}
+    while heap:
+        cost, edges, owners, deviation = heapq.heappop(heap)
+        yield Path(edges, owners, Fraction(cost, scale))
+        nodes = _node_sequence(network, edges)
+        root_cost = sum(scaled[owner] for owner in owners[:deviation])
+        for i in range(deviation, len(edges)):
+            root = edges[:i]
+            removed = branches.setdefault(root, set())
+            removed.add(edges[i])
             spur = _best_path(
                 network,
-                resolved,
-                excluded_edges=frozenset(removed_edges),
-                excluded_nodes=removed_nodes,
-                start=spur_node,
+                scaled,
+                excluded_edges=frozenset(removed),
+                excluded_nodes=frozenset(nodes[:i]),
+                start=nodes[i],
             )
             if spur is not None:
-                edges = root_edges + spur.edges
-                if edges not in accepted_keys and edges not in candidates:
-                    owners = prev.owners[:i] + spur.owners
-                    candidates[edges] = Path(edges, owners, root_cost + spur.cost)
-            root_cost += resolved[prev.owners[i]]
-        if not candidates:
-            return
-        best_key = min(candidates, key=lambda e: (candidates[e].cost, e))
-        nxt = candidates.pop(best_key)
-        accepted.append(nxt)
-        accepted_keys.add(nxt.edges)
-        yield nxt
+                candidate = root + spur[1]
+                if candidate not in seen:
+                    seen.add(candidate)
+                    heapq.heappush(
+                        heap, (root_cost + spur[0], candidate, owners[:i] + spur[2], i)
+                    )
+            root_cost += scaled[owners[i]]
 
 
 def rank_paths(
@@ -410,9 +439,9 @@ def rank_paths(
     return RankedPaths(tuple(out))
 
 
-def _node_sequence(network: Network, path: Path) -> tuple[str, ...]:
+def _node_sequence(network: Network, edges: tuple[str, ...]) -> tuple[str, ...]:
     nodes = [network.source]
-    for edge_id in path.edges:
+    for edge_id in edges:
         nodes.append(network.edge(edge_id).head)
     return tuple(nodes)
 
@@ -424,18 +453,18 @@ def _node_sequence(network: Network, path: Path) -> tuple[str, ...]:
 
 def _walk_all(
     network: Network,
-    costs: Mapping[str, Fraction],
+    costs: Mapping[str, int],
     excluded_edges: frozenset[str],
     excluded_nodes: frozenset[str],
     start: str,
-) -> Iterator[Path]:
+) -> Iterator[_Route]:
     sink = network.sink
 
     def recurse(
-        node: str, visited: set[str], edges: list[str], owners: list[str], cost: Fraction
-    ) -> Iterator[Path]:
+        node: str, visited: set[str], edges: list[str], owners: list[str], cost: int
+    ) -> Iterator[_Route]:
         if node == sink:
-            yield Path(tuple(edges), tuple(owners), cost)
+            yield cost, tuple(edges), tuple(owners)
             return
         for edge in network.out_edges(node):
             if edge.id in excluded_edges or edge.head in excluded_nodes or edge.head in visited:
@@ -449,7 +478,7 @@ def _walk_all(
             visited.remove(edge.head)
 
     if start not in excluded_nodes:
-        yield from recurse(start, {start}, [], [], Fraction(0))
+        yield from recurse(start, {start}, [], [], 0)
 
 
 def enumerate_paths(
@@ -465,14 +494,11 @@ def enumerate_paths(
             f"{len(network.edges)} edges exceeds the enumeration guard of "
             f"{ENUMERATION_EDGE_GUARD}"
         )
-    resolved = _resolve_costs(network, costs)
-    paths = sorted(
-        _walk_all(network, resolved, frozenset(), frozenset(), network.source),
-        key=lambda p: (p.cost, p.edges),
-    )
-    if not paths:
+    scaled, scale = _scaled_costs(network, costs)
+    routes = sorted(_walk_all(network, scaled, frozenset(), frozenset(), network.source))
+    if not routes:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
-    return RankedPaths(tuple(paths))
+    return RankedPaths(tuple(_path(route, scale) for route in routes))
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +518,20 @@ def detour_cost(
     not own a cut). mode "zeroed": the agent's edge is kept but priced at
     zero.
     """
-    resolved = _resolve_costs(network, costs)
+    scaled, scale = _scaled_costs(network, costs)
     if mode == "excluded":
-        path = _best_path(
-            network, resolved, excluded_edges=frozenset({network.edge_of(agent).id})
+        route = _best_path(
+            network, scaled, excluded_edges=frozenset({network.edge_of(agent).id})
         )
-        if path is None:
+        if route is None:
             raise Disconnected(f"removing agent {agent} disconnects the network")
-        return path.cost
+        return Fraction(route[0], scale)
     if mode == "zeroed":
-        zeroed = dict(resolved)
-        zeroed[agent] = Fraction(0)
-        path = _best_path(network, zeroed)
-        if path is None:
+        scaled[agent] = 0
+        route = _best_path(network, scaled)
+        if route is None:
             raise Disconnected(f"no path {network.source} -> {network.sink}")
-        return path.cost
+        return Fraction(route[0], scale)
     raise ValueError(f"unknown detour mode {mode!r}")
 
 

@@ -463,13 +463,24 @@ def group_share_path(
     """
     resolved = _resolve_bids(network, bids)
     ranked, assignment, pools = group_structure(network, resolved)
+    pay = _group_share_payments(resolved, assignment, pools, rule)
+    return _path_result(network, ranked.paths[0], pay, groups=assignment.group_of)
+
+
+def _group_share_payments(
+    bids: Mapping[str, Fraction],
+    assignment: GroupAssignment,
+    pools: GroupProfits,
+    rule: DistributionRule,
+) -> dict[str, Fraction]:
+    """Group-sharing payment of each cheapest-path agent, from its group structure."""
     pay: dict[str, Fraction] = {}
     for q in assignment.present_groups:
         members = assignment.members(q)
-        shares = distribute(rule, [(a, resolved[a]) for a in members], pools.by_group[q])
+        shares = distribute(rule, [(a, bids[a]) for a in members], pools.by_group[q])
         for agent in members:
-            pay[agent] = resolved[agent] + shares[agent]
-    return _path_result(network, ranked.paths[0], pay, groups=assignment.group_of)
+            pay[agent] = bids[agent] + shares[agent]
+    return pay
 
 
 def savings_switch_path(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pathauction import cli
 from pathauction.cli import main
 
 
@@ -165,6 +166,48 @@ def test_check_exit_codes(ex1_file, fig3_file, capsys):
     assert main(["check", fig3_file, "--property", "degenerate-vickrey"]) == 0
     assert main(["check", ex1_file, "--property", "group-truthful",
                  "--trials", "20", "--seed", "3"]) == 0
+
+
+def test_enumeration_guard_exits_3(tmp_path, capsys):
+    """TooLarge, the 24-edge enumeration guard, exits 3 like the profile guard."""
+    edges = ", ".join(
+        f'{{"id": "e{i:02d}", "from": "X", "to": "Y", "owner": "e{i:02d}",'
+        f' "true_cost": "{i + 1}"}}'
+        for i in range(25)
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(f'{{"nodes": ["X", "Y"], "edges": [{edges}], "source": "X", "sink": "Y"}}')
+    assert main(["check", str(path), "--property", "critical"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _call(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused(ex1_file, capsys):
+    """Consecutive requests in one process answer as each would answer first,
+    also after argparse rejected a request."""
+    sequences = [
+        [["run", ex1_file, "--mechanism", "x", "--rule", "waterfall", "--delta", "1/2"],
+         ["run", ex1_file, "--mechanism", "x"]],
+        [["run", ex1_file, "--mechanism", "bogus"],
+         ["run", ex1_file, "--mechanism", "vcg", "--format", "json"]],
+    ]
+    for sequence in sequences:
+        first = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            first.append(_call(argv, capsys))
+        cli._build_parser.cache_clear()
+        assert [_call(argv, capsys) for argv in sequence] == first
+        assert cli._build_parser.cache_info().misses == 1
+    assert first[0][0] == 2 and first[1][0] == 0
 
 
 def test_check_vcg_truthful_on_small(fig3_file):

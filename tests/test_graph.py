@@ -1,13 +1,17 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathauction import graph as graph_module
 from pathauction import (
     Disconnected,
     Edge,
     FormatError,
+    MechanismSpec,
     Network,
     TooLarge,
     detour_cost,
@@ -92,6 +96,15 @@ def test_shortest_path_tie_breaks_lexicographically():
     assert shortest_path(net).edges == ("a",)
 
 
+def test_search_settles_nodes_at_the_origin_distance():
+    """M is as far from the sink as the source A but sorts after it, so the
+    reverse search settles it after A; the zero-cost edge a still leads to
+    the lexicographically smallest cheapest path."""
+    net = _net([("a", "A", "M", 0), ("c", "M", "Y", 5), ("b", "A", "Y", 5)], "A", "Y")
+    assert shortest_path(net).edges == ("a", "c")
+    assert [p.edges for p in rank_paths(net, k=2)] == [("a", "c"), ("b",)]
+
+
 def test_rank_paths_example1(example1):
     ranked = rank_paths(example1, example1.true_cost, k=6)
     assert ranked.costs == (6, 7, 9, 10, 15, 16)
@@ -125,11 +138,15 @@ def _multigraph(n_nodes, rows):
 @st.composite
 def _multigraphs(draw):
     """Up to ten edges on up to five nodes: parallel edges, cycles, self
-    loops, and costs drawn from 0..3, so ties and zero costs are common."""
+    loops, and costs n/d with n drawn from 0..3, so ties and zero costs are
+    common. Each graph draws one to three denominators from 1..6, so the
+    searches' integer scale (their least common multiple) is often not 1."""
     n_nodes = draw(st.integers(2, 5))
     endpoint = st.sampled_from([f"v{i}" for i in range(n_nodes)])
+    denominator = st.sampled_from(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
     rows = [
-        (f"e{i:02d}", draw(endpoint), draw(endpoint), draw(st.integers(0, 3)))
+        (f"e{i:02d}", draw(endpoint), draw(endpoint),
+         Fraction(draw(st.integers(0, 3)), draw(denominator)))
         for i in range(draw(st.integers(1, 10)))
     ]
     return _multigraph(n_nodes, rows)
@@ -160,6 +177,86 @@ def test_ranking_yields_the_enumeration_order(net):
             next(iter_ranked_paths(net))
         return
     assert tuple(iter_ranked_paths(net)) == every
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs())
+def test_detour_cost_is_the_cheapest_enumerated_path(net):
+    try:
+        every = enumerate_paths(net).paths
+    except Disconnected:
+        every = ()
+    for agent in net.agents:
+        avoiding = [p.cost for p in every if agent not in p.owner_set]
+        if avoiding:
+            assert detour_cost(net, agent, "excluded") == min(avoiding)
+        else:
+            with pytest.raises(Disconnected):
+                detour_cost(net, agent, "excluded")
+        zeroed = [p.cost - (net.bid[agent] if agent in p.owner_set else 0) for p in every]
+        if zeroed:
+            assert detour_cost(net, agent, "zeroed") == min(zeroed)
+        else:
+            with pytest.raises(Disconnected):
+                detour_cost(net, agent, "zeroed")
+
+
+def _lattice(k, cost):
+    """k x k lattice, right and down edges, source top left, sink bottom
+    right; `cost()` is called once per edge in row-major order."""
+    rows = []
+    for r in range(k):
+        for c in range(k):
+            for eid, (hr, hc) in ((f"r{r}_{c}", (r, c + 1)), (f"d{r}_{c}", (r + 1, c))):
+                if max(hr, hc) < k:
+                    rows.append((eid, f"v{r * k + c}", f"v{hr * k + hc}", cost()))
+    return _multigraph(k * k, rows)
+
+
+@pytest.mark.parametrize("k", [6, 8])
+@pytest.mark.parametrize("kind", ["small-range", "fractional"])
+def test_ranking_matches_networkx_past_the_enumeration_guard(k, kind):
+    """networkx's k-shortest simple paths are the oracle where enumerate_paths
+    refuses: the cost sequences agree, and so do the paths at distinct costs."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(k)
+    if kind == "small-range":
+        net = _lattice(k, lambda: rng.randint(1, 3))
+    else:
+        net = _lattice(k, lambda: Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+    assert len(net.edges) > graph_module.ENUMERATION_EDGE_GUARD
+    graph = nx.DiGraph()
+    for edge in net.edges:
+        graph.add_edge(edge.tail, edge.head, id=edge.id, weight=net.bid[edge.owner])
+    count = 41
+    theirs = []
+    for nodes in itertools.islice(
+        nx.shortest_simple_paths(graph, net.source, net.sink, weight="weight"), count
+    ):
+        edges = tuple(graph[u][v]["id"] for u, v in zip(nodes, nodes[1:]))
+        theirs.append((sum(net.bid[e] for e in edges), edges))
+    ours = [(p.cost, p.edges) for p in itertools.islice(iter_ranked_paths(net), count)]
+    assert [c for c, _ in ours] == [c for c, _ in theirs]
+    costs = [c for c, _ in ours]
+    assert len(set(costs)) < len(costs)  # ties present
+    for j in range(count - 1):
+        if costs[j] not in costs[:j] + costs[j + 1:]:
+            assert ours[j][1] == theirs[j][1]
+
+
+def test_lawler_spurs_cut_the_reverse_searches(monkeypatch):
+    """`x` on the 8 x 8 lattice with costs from random.Random(1) needed 477
+    reverse searches with a spur at every index of every ranked path; spurring
+    from the deviation index onward and the early exit leave 185."""
+    rng = random.Random(1)
+    net = _lattice(8, lambda: rng.randint(1, 10**6))
+    searches = []
+    search = graph_module._distance_to_sink
+    monkeypatch.setattr(
+        graph_module, "_distance_to_sink", lambda *a: searches.append(1) or search(*a)
+    )
+    MechanismSpec("x").run(net)
+    assert len(searches) <= 200
 
 
 def test_enumerate_guard():

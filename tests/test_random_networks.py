@@ -9,6 +9,7 @@ from pathauction import (
     enumerate_paths,
     fixture,
     group_share_path,
+    group_structure,
     network_to_json,
     random_network,
     rank_paths,
@@ -71,6 +72,16 @@ def test_zeroed_detour_identity(random_nets_200):
                 assert zeroed == best.cost - net.true_cost[agent]
                 excluded = detour_cost(net, agent, "excluded", net.true_cost)
                 assert marginal.payments[agent] == excluded - zeroed
+
+
+def test_excluded_detour_is_the_first_absence(random_nets_200):
+    """The cheapest path avoiding a cheapest-path agent is the first ranked
+    path without it, so its cost is costs[group]; check_degenerate_vickrey
+    prices marginal payments from this."""
+    for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200:
+        ranked, assignment, _ = group_structure(net, net.true_cost)
+        for agent, q in assignment.group_of.items():
+            assert ranked.costs[q] == detour_cost(net, agent, "excluded", net.true_cost)
 
 
 def test_group_index_satisfies_the_membership_definition(random_nets_200):

@@ -32,9 +32,9 @@ def main() -> None:
     print("  cheapest routes but not on the (q+1)-th.")
     for q in assignment.present_groups:
         members = ", ".join(assignment.members(q))
-        print(f"  group {q}: {members:<10} pool {format_cost(pools.by_group[q])}")
+        print(f"  group {q}: {members:<10} pool {format_cost(pools[q])}")
     print("  pools telescope to cost(rank max+1) - cost(rank 1) ="
-          f" {format_cost(pools.total())}")
+          f" {format_cost(sum(pools.values()))}")
 
     print()
     print("splitting one pool of 15 among bids (10, 20, 30):")

@@ -72,8 +72,8 @@ def main() -> None:
     print(f"group sharing is partly truthful on this instance: {report.verdict}")
 
     types = {"low": F(3), "high": F(7)}
-    fp = SingleItemGame(types, "first-price")
-    second = SingleItemGame(types, "vickrey")
+    fp = SingleItemGame(types, MechanismSpec("fp-single", orientation="forward"))
+    second = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))
     fp_verdict = classify_consistency([(fp, default_grid(fp))]).verdict
     sp_verdict = classify_consistency([(second, default_grid(second))]).verdict
     print()

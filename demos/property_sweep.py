@@ -46,7 +46,7 @@ def main(count: int) -> None:
         _, assignment, pools = group_structure(net, bids)
 
         assert shared.total == ranked.costs[assignment.max_group]
-        assert sum(pools.by_group.values()) == shared.total - ranked.costs[0]
+        assert sum(pools.values()) == shared.total - ranked.costs[0]
         assert all(shared.payments[a] > bids[a] for a in shared.selected)
         assert check_strongly_critical(net, bids, rule).holds
         assert shared.total <= marginal.total

@@ -68,7 +68,6 @@ from .mechanisms import (
     EQUAL_SPLIT,
     DistributionRule,
     GroupAssignment,
-    GroupProfits,
     MechanismSpec,
     PaymentResult,
     averaged_single,

@@ -58,14 +58,13 @@ from .mechanisms import (
     DistributionRule,
     MechanismSpec,
     PaymentResult,
-    averaged_single,
     distribute,
-    first_price_single,
     group_share_path,
     group_structure,
-    vickrey_single,
     _group_share_payments,
+    _marginal_payments,
     _resolve_bids,
+    _run_single_item,
 )
 from .rational import format_cost
 
@@ -82,16 +81,18 @@ MODES = ("undominated", "all", "dominant")
 
 @dataclass(frozen=True)
 class SingleItemGame:
-    """A sealed-bid single-item auction over a fixed private type vector."""
+    """A sealed-bid single-item auction over a fixed private type vector.
+
+    `spec` names a `*-single` mechanism; its orientation and blend weight
+    apply as they do in MechanismSpec.run on a network.
+    """
 
     types: dict[str, Fraction]
-    mechanism: str = "vickrey"
-    orientation: str = "forward"
-    lam: Fraction | None = None
+    spec: MechanismSpec = MechanismSpec("vickrey-single", orientation="forward")
 
     def __post_init__(self) -> None:
-        if self.mechanism not in ("first-price", "vickrey", "averaged"):
-            raise ValueError(f"unknown single-item mechanism {self.mechanism!r}")
+        if not self.spec.mechanism.endswith("-single"):
+            raise ValueError(f"{self.spec.mechanism!r} is not a single-item mechanism")
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -99,18 +100,10 @@ class SingleItemGame:
 
     @property
     def procurement(self) -> bool:
-        return self.orientation == "reverse"
-
-    def truthful(self) -> dict[str, Fraction]:
-        return dict(self.types)
+        return self.spec.orientation == "reverse"
 
     def run(self, bids: Mapping[str, Fraction]) -> PaymentResult:
-        if self.mechanism == "first-price":
-            return first_price_single(bids, self.orientation, self.types)
-        if self.mechanism == "vickrey":
-            return vickrey_single(bids, self.orientation, self.types)
-        lam = self.lam if self.lam is not None else Fraction(1, 2)
-        return averaged_single(bids, lam, self.orientation, self.types)
+        return _run_single_item(self.spec, bids, self.types)
 
 
 @dataclass(frozen=True)
@@ -131,9 +124,6 @@ class PathGame:
     @property
     def procurement(self) -> bool:
         return True
-
-    def truthful(self) -> dict[str, Fraction]:
-        return dict(self.network.true_cost)
 
     def run(self, bids: Mapping[str, Fraction]) -> PaymentResult:
         return self.spec.run(self.network, bids)
@@ -799,8 +789,8 @@ def check_critical(
     Holds when exactly one path is affordable at one unit below the total
     paid, while the total itself leaves at least two options open.
     """
-    result = spec.run(network, bids)
-    resolved = dict(network.bid if bids is None else bids)
+    resolved = _resolve_bids(network, bids)
+    result = spec.run(network, resolved)
     every = enumerate_paths(network, resolved)
     at_total = [p for p in every if p.cost <= result.total]
     just_below = [p for p in every if p.cost <= result.total - unit]
@@ -871,9 +861,9 @@ def check_group_truthfulness(
     verdict is budget-relative: it reports no counterexample found within
     the accepted trials.
     """
-    resolved = dict(network.bid if bids is None else bids)
-    base = group_share_path(network, resolved, rule)
-    _, assignment, _ = group_structure(network, resolved)
+    resolved = _resolve_bids(network, bids)
+    _, assignment, pools = group_structure(network, resolved)
+    base = _group_share_payments(resolved, assignment, pools, rule)
     base_order = [p.edges for p in enumerate_paths(network, resolved)]
     rng = random.Random(seed)
     accepted = 0
@@ -906,7 +896,7 @@ def check_group_truthfulness(
         except TieError:
             continue
         accepted += 1
-        before = sum((base.payments[a] for a in members), Fraction(0))
+        before = sum((base[a] for a in members), Fraction(0))
         after = sum((new_result.payments[a] for a in members), Fraction(0))
         if before != after:
             counterexamples.append((q, dict(perturbed), before, after))
@@ -955,14 +945,10 @@ def check_degenerate_vickrey(
             verdict="fails",
             detail="cheapest path is not a single edge",
         )
-    costs = ranked.costs
     winner = chosen.owners[0]
     shared = _group_share_payments(resolved, assignment, pools, EQUAL_SPLIT)[winner]
-    # The cheapest path avoiding the winner is the first ranked path without
-    # it, so the excluded detour is costs[group]; the zeroed one is
-    # cost(P) - bid in closed form, as in vcg_path.
-    marginal = costs[assignment.group_of[winner]] - (chosen.cost - resolved[winner])
-    runner_up = costs[1]
+    marginal = _marginal_payments(resolved, ranked, assignment)[winner]
+    runner_up = ranked.costs[1]
     ok = shared == marginal and shared == runner_up
     return PropertyReport(
         name="degenerate-vickrey",

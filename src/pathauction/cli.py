@@ -39,6 +39,7 @@ from .graph import (
 )
 from .mechanisms import (
     MECHANISM_IDS,
+    RULE_KINDS,
     DistributionRule,
     MechanismSpec,
     PaymentResult,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one payment mechanism")
     p.add_argument("graph")
     p.add_argument("--mechanism", required=True, choices=list(MECHANISM_IDS))
-    p.add_argument("--rule", choices=["equal", "reverse-rank", "waterfall", "compound"])
+    p.add_argument("--rule", choices=list(RULE_KINDS))
     p.add_argument("--delta", help="waterfall minimum profit (cost string)")
     p.add_argument("--lambda", dest="lam", help="blend weight for avg-single (cost string)")
     p.add_argument("--c", dest="threshold", help="savings threshold for tradeoff1 (cost string)")
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", default="1", help="currency unit (cost string)")
     p.add_argument("--mode", choices=["undominated", "all", "dominant"],
                    default="undominated")
-    p.add_argument("--rule", choices=["equal", "reverse-rank", "waterfall", "compound"])
+    p.add_argument("--rule", choices=list(RULE_KINDS))
     p.add_argument("--delta", help="waterfall minimum profit (cost string)")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
@@ -130,9 +131,9 @@ def _load_graph(path: str) -> Network:
 
 def _resolve_bid_source(network: Network, source: str) -> dict[str, Fraction]:
     if source == "declared":
-        return network.declared_bids()
+        return dict(network.bid)
     if source == "truthful":
-        return network.truthful_bids()
+        return dict(network.true_cost)
     with open(source, "r", encoding="utf-8") as handle:
         return bids_from_json(handle.read(), network)
 

@@ -157,12 +157,6 @@ class Network:
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return self._radjacency.get(node, ())
 
-    def truthful_bids(self) -> dict[str, Fraction]:
-        return dict(self.true_cost)
-
-    def declared_bids(self) -> dict[str, Fraction]:
-        return dict(self.bid)
-
 
 # ---------------------------------------------------------------------------
 # Validation

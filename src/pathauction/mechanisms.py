@@ -103,16 +103,6 @@ class GroupAssignment:
 
 
 @dataclass(frozen=True)
-class GroupProfits:
-    """Pooled profit per present group index."""
-
-    by_group: dict[int, Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.by_group.values(), Fraction(0))
-
-
-@dataclass(frozen=True)
 class PaymentResult:
     """Outcome of one mechanism run.
 
@@ -132,12 +122,6 @@ class PaymentResult:
     winner: str | None = None
     groups: dict[str, int] | None = None
     branch: str | None = None
-
-    def payment(self, agent: str) -> Fraction:
-        return self.payments[agent]
-
-    def utility(self, agent: str) -> Fraction:
-        return self.utilities[agent]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +232,11 @@ def _require_strict_prefix(paths: Sequence[Path], upto: int) -> None:
             )
 
 
-def _grouping_prefix(network: Network, bids: Mapping[str, Fraction]) -> RankedPaths:
-    """Shortest ranked prefix in which every cheapest-path agent is absent once."""
+def _group_structure(
+    network: Network, bids: Mapping[str, Fraction]
+) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
+    """group_structure for bids that _resolve_bids has checked, ranked over
+    the shortest prefix in which every cheapest-path agent is absent once."""
     paths: list[Path] = []
     remaining: set[str] = set()
     for path in iter_ranked_paths(network, bids):
@@ -259,7 +246,9 @@ def _grouping_prefix(network: Network, bids: Mapping[str, Fraction]) -> RankedPa
             continue
         remaining -= {a for a in remaining if a not in path.owner_set}
         if not remaining:
-            return RankedPaths(tuple(paths))
+            ranked = RankedPaths(tuple(paths))
+            assignment = classify_groups(ranked)
+            return ranked, assignment, group_profits(assignment, ranked)
     raise InsufficientPaths(
         f"agents {sorted(remaining)} appear on every source-to-sink path"
     )
@@ -290,7 +279,7 @@ def classify_groups(ranked: RankedPaths) -> GroupAssignment:
     return GroupAssignment(group_of=group_of, present_groups=present, max_group=max_group)
 
 
-def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> GroupProfits:
+def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int, Fraction]:
     """Pooled profit per present group.
 
     Group q's pool is the cost gap between its own substitute path (rank
@@ -304,12 +293,12 @@ def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> GroupProf
             f"need {assignment.max_group + 1} ranked paths, got {len(paths)}"
         )
     _require_strict_prefix(paths, assignment.max_group)
-    by_group: dict[int, Fraction] = {}
+    pools: dict[int, Fraction] = {}
     previous = 0
     for q in assignment.present_groups:
-        by_group[q] = paths[q].cost - paths[previous].cost
+        pools[q] = paths[q].cost - paths[previous].cost
         previous = q
-    return GroupProfits(by_group=by_group)
+    return pools
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +429,9 @@ def vcg_path(network: Network, bids: Mapping[str, Fraction] | None = None) -> Pa
 
 def group_structure(
     network: Network, bids: Mapping[str, Fraction] | None = None
-) -> tuple[RankedPaths, GroupAssignment, GroupProfits]:
+) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
     """Ranked prefix, survival groups and pooled profits for the cheapest path."""
-    resolved = _resolve_bids(network, bids)
-    ranked = _grouping_prefix(network, resolved)
-    assignment = classify_groups(ranked)
-    return ranked, assignment, group_profits(assignment, ranked)
+    return _group_structure(network, _resolve_bids(network, bids))
 
 
 def group_share_path(
@@ -462,7 +448,7 @@ def group_share_path(
     the deepest group.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, pools = group_structure(network, resolved)
+    ranked, assignment, pools = _group_structure(network, resolved)
     pay = _group_share_payments(resolved, assignment, pools, rule)
     return _path_result(network, ranked.paths[0], pay, groups=assignment.group_of)
 
@@ -470,17 +456,29 @@ def group_share_path(
 def _group_share_payments(
     bids: Mapping[str, Fraction],
     assignment: GroupAssignment,
-    pools: GroupProfits,
+    pools: Mapping[int, Fraction],
     rule: DistributionRule,
 ) -> dict[str, Fraction]:
     """Group-sharing payment of each cheapest-path agent, from its group structure."""
     pay: dict[str, Fraction] = {}
     for q in assignment.present_groups:
         members = assignment.members(q)
-        shares = distribute(rule, [(a, bids[a]) for a in members], pools.by_group[q])
+        shares = distribute(rule, [(a, bids[a]) for a in members], pools[q])
         for agent in members:
             pay[agent] = bids[agent] + shares[agent]
     return pay
+
+
+def _marginal_payments(
+    bids: Mapping[str, Fraction], ranked: RankedPaths, assignment: GroupAssignment
+) -> dict[str, Fraction]:
+    """vcg_path's payment of each cheapest-path agent, from its group structure.
+
+    The cheapest path avoiding an agent is the first ranked path without it,
+    so the excluded detour is costs[group]; the zeroed one is cost(P) - bid.
+    """
+    costs = ranked.costs
+    return {a: costs[q] - (costs[0] - bids[a]) for a, q in assignment.group_of.items()}
 
 
 def savings_switch_path(
@@ -494,19 +492,23 @@ def savings_switch_path(
     The relative saving is (marginal total - group total) / marginal total,
     taken as 0 when the marginal total is 0. Above the threshold the
     group-sharing payments apply, otherwise the marginal ones. The result's
-    `branch` records which side was used.
+    `branch` records which side was used. Both sides are priced from one
+    group structure.
     """
     if not (0 <= threshold <= 1):
         raise ValueError("threshold must lie in [0, 1]")
-    marginal = vcg_path(network, bids)
-    shared = group_share_path(network, bids, rule)
-    if marginal.total == 0:
-        ratio = Fraction(0)
+    resolved = _resolve_bids(network, bids)
+    ranked, assignment, pools = _group_structure(network, resolved)
+    marginal = _marginal_payments(resolved, ranked, assignment)
+    shared = _group_share_payments(resolved, assignment, pools, rule)
+    marginal_total = sum(marginal.values(), Fraction(0))
+    saving = marginal_total - sum(shared.values(), Fraction(0))
+    if marginal_total != 0 and saving / marginal_total > threshold:
+        pay, branch = shared, "x"
     else:
-        ratio = (marginal.total - shared.total) / marginal.total
-    if ratio > threshold:
-        return replace(shared, branch="x")
-    return replace(marginal, branch="vcg", groups=shared.groups)
+        pay, branch = marginal, "vcg"
+    result = _path_result(network, ranked.paths[0], pay, assignment.group_of)
+    return replace(result, branch=branch)
 
 
 def member_gap_path(
@@ -518,7 +520,7 @@ def member_gap_path(
     paid per member rather than pooled.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    ranked, assignment, _ = _group_structure(network, resolved)
     costs = ranked.costs
     pay = {
         agent: resolved[agent] + (costs[q] - costs[q - 1])
@@ -543,7 +545,7 @@ def member_gap_schedule(
     if raise_by < 0:
         raise ValueError("raise_by must be nonnegative")
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    ranked, assignment, _ = _group_structure(network, resolved)
     if agent not in assignment.group_of:
         raise NotSelected(f"agent {agent} is not on the cheapest path")
     k = assignment.group_of[agent]
@@ -572,7 +574,7 @@ def shared_gap_to_best_path(
     pricing would grant the same agent.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    ranked, assignment, _ = _group_structure(network, resolved)
     costs = ranked.costs
     pay: dict[str, Fraction] = {}
     for q in assignment.present_groups:
@@ -593,7 +595,8 @@ class MechanismSpec:
     """A mechanism id plus the parameters it needs, runnable on a network.
 
     Single-item ids treat the network's agents as the bidders and ignore
-    the topology; `orientation` applies only to them.
+    the topology; `orientation` applies only to them. SingleItemGame runs
+    the same ids over a bare type vector.
     """
 
     mechanism: str
@@ -609,13 +612,8 @@ class MechanismSpec:
     def run(self, network: Network, bids: Mapping[str, Fraction] | None = None) -> PaymentResult:
         resolved = _resolve_bids(network, bids)
         name = self.mechanism
-        if name == "fp-single":
-            return first_price_single(resolved, self.orientation, network.true_cost)
-        if name == "vickrey-single":
-            return vickrey_single(resolved, self.orientation, network.true_cost)
-        if name == "avg-single":
-            lam = self.lam if self.lam is not None else Fraction(1, 2)
-            return averaged_single(resolved, lam, self.orientation, network.true_cost)
+        if name.endswith("-single"):
+            return _run_single_item(self, resolved, network.true_cost)
         if name == "fp-path":
             return first_price_path(network, resolved)
         if name == "vcg":
@@ -628,6 +626,18 @@ class MechanismSpec:
         if name == "tradeoff2":
             return member_gap_path(network, resolved)
         return shared_gap_to_best_path(network, resolved)
+
+
+def _run_single_item(
+    spec: MechanismSpec, bids: Mapping[str, Fraction], types: Mapping[str, Fraction]
+) -> PaymentResult:
+    """The single-item rule of a `*-single` spec, in the spec's orientation."""
+    if spec.mechanism == "fp-single":
+        return first_price_single(bids, spec.orientation, types)
+    if spec.mechanism == "vickrey-single":
+        return vickrey_single(bids, spec.orientation, types)
+    lam = spec.lam if spec.lam is not None else Fraction(1, 2)
+    return averaged_single(bids, lam, spec.orientation, types)
 
 
 def compare_mechanisms(

@@ -66,7 +66,7 @@ def test_equal_split_payments_on_six_route_benchmark(example1):
 def test_group_pools_on_six_route_benchmark(example1):
     with reported("six-route benchmark: group profit pools exact"):
         _, _, pools = group_structure(example1, example1.true_cost)
-        assert pools.by_group == {1: F(1), 3: F(3), 4: F(5), 5: F(1)}
+        assert pools == {1: F(1), 3: F(3), 4: F(5), 5: F(1)}
 
 
 def test_marginal_pricing_on_six_route_benchmark(example1):
@@ -184,8 +184,8 @@ def test_single_item_classifications():
         fp = []
         second = []
         for types in vectors:
-            g1 = SingleItemGame(types, "first-price")
-            g2 = SingleItemGame(types, "vickrey")
+            g1 = SingleItemGame(types, MechanismSpec("fp-single", orientation="forward"))
+            g2 = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))
             fp.append((g1, default_grid(g1)))
             second.append((g2, default_grid(g2)))
         assert classify_consistency(fp).verdict == "impossible-consistent"
@@ -205,8 +205,8 @@ def test_random_population_identities(random_nets_200):
             assert res.total == ranked.costs[assignment.max_group]
             # Conservation: bids on the winning path plus all pools, exactly.
             on_path = sum((bids[a] for a in ranked.paths[0].owners), F(0))
-            assert res.total == on_path + pools.total()
-            assert sum(pools.by_group.values()) == ranked.costs[assignment.max_group] - ranked.costs[0]
+            assert res.total == on_path + sum(pools.values())
+            assert sum(pools.values()) == ranked.costs[assignment.max_group] - ranked.costs[0]
             # Every winner clears a strictly positive profit.
             for agent in res.selected:
                 assert res.payments[agent] > bids[agent]

@@ -52,8 +52,8 @@ def test_selection_probability_two_edges(fig3):
 
 def test_selection_probability_maximal_at_truthful_forward():
     types = {"b1": F(3), "b2": F(7)}
-    for mech in ("first-price", "vickrey"):
-        game = SingleItemGame(types, mech)
+    for mech in ("fp-single", "vickrey-single"):
+        game = SingleItemGame(types, MechanismSpec(mech, orientation="forward"))
         grid = BidGrid.forward(types)
         for agent in game.agents:
             probs = {
@@ -79,14 +79,14 @@ def test_selection_probability_monotone(fig3, xsmall):
 
 def test_best_response_second_price_forward():
     types = {"b1": F(7), "b2": F(9)}
-    game = SingleItemGame(types, "vickrey")
+    game = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))
     grid = BidGrid.forward(types)
     assert best_response_set(game, grid, "b1", {"b2": F(5)}) == {F(6), F(7)}
 
 
 def test_best_response_first_price_forward():
     types = {"b1": F(7), "b2": F(9)}
-    game = SingleItemGame(types, "first-price")
+    game = SingleItemGame(types, MechanismSpec("fp-single", orientation="forward"))
     grid = BidGrid.forward(types)
     assert best_response_set(game, grid, "b1", {"b2": F(3)}) == {F(4)}
 
@@ -99,7 +99,7 @@ def test_truthful_is_best_response_under_marginal_pricing(example1):
 
 def test_first_price_optimal_bids_shave_the_type():
     types = {"b1": F(7), "b2": F(7)}
-    game = SingleItemGame(types, "first-price")
+    game = SingleItemGame(types, MechanismSpec("fp-single", orientation="forward"))
     grid = BidGrid.forward(types)
     # Bidding the full type is weakly dominated; bidding 1 can never win
     # strictly on a unit grid, so the undominated set is 2..6.
@@ -108,7 +108,7 @@ def test_first_price_optimal_bids_shave_the_type():
 
 def test_second_price_optimal_bid_is_truthful():
     for types in TYPE_VECTORS:
-        game = SingleItemGame(types, "vickrey")
+        game = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))
         grid = BidGrid.forward(types)
         for agent in game.agents:
             assert agent_optimal_bids(game, grid, agent) == (types[agent],)
@@ -199,17 +199,20 @@ def test_classify_marginal_pricing_is_partial(fig2, fig3):
 
 
 def test_classify_single_item_suites():
-    fp = [(SingleItemGame(t, "first-price"),) * 1 for t in TYPE_VECTORS]
-    fp = [(g[0], default_grid(g[0])) for g in fp]
-    second = [(SingleItemGame(t, "vickrey"), None) for t in TYPE_VECTORS]
-    second = [(g, default_grid(g)) for g, _ in second]
+    def suite(mechanism):
+        games = [SingleItemGame(t, MechanismSpec(mechanism, orientation="forward"))
+                 for t in TYPE_VECTORS]
+        return [(g, default_grid(g)) for g in games]
+
+    fp = suite("fp-single")
+    second = suite("vickrey-single")
     assert classify_consistency(fp).verdict == "impossible-consistent"
     assert classify_consistency(second).verdict == "strongly-consistent"
 
 
 def test_second_price_forward_profile_sets():
     types = {"b1": F(3), "b2": F(7)}
-    game = SingleItemGame(types, "vickrey")
+    game = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))
     report = alignment_report(game, default_grid(game))
     assert report.joint_optimal == ((F(3), F(7)),)
     # Revenue is the runner-up bid, so the low type must bid its full value.
@@ -304,3 +307,40 @@ def test_vcg_truthful_checker(fig2):
 def test_degenerate_vickrey_checker(fig3, example1):
     assert check_degenerate_vickrey(fig3).holds
     assert not check_degenerate_vickrey(example1).holds
+
+
+@pytest.mark.parametrize(
+    "checker",
+    [
+        lambda net, bids: check_critical(net, MechanismSpec("x"), bids),
+        check_strongly_critical,
+        check_group_truthfulness,
+        check_degenerate_vickrey,
+    ],
+    ids=["critical", "strongly-critical", "group-truthful", "degenerate-vickrey"],
+)
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        (lambda bids: {a: v for a, v in bids.items() if a != "f"}, "cover exactly"),
+        (lambda bids: {**bids, "f": F(0)}, "nonpositive bid for f"),
+    ],
+    ids=["incomplete", "nonpositive"],
+)
+def test_checkers_reject_invalid_bid_profiles(fig3, checker, broken, message):
+    with pytest.raises(ValueError, match=message):
+        checker(fig3, broken(dict(fig3.true_cost)))
+
+
+def test_single_item_game_runs_the_spec_of_the_network_run(fig3):
+    """A single-item game over fig3's types prices as the same spec run on
+    fig3, whose two parallel edges make it a two-bidder auction."""
+    for mechanism in ("fp-single", "vickrey-single", "avg-single"):
+        for orientation in ("forward", "reverse"):
+            spec = MechanismSpec(mechanism, lam=F(1, 3), orientation=orientation)
+            game = SingleItemGame(fig3.true_cost, spec)
+            bids = {"e": F(2), "f": F(9, 2)}
+            assert game.run(bids) == spec.run(fig3, bids)
+            assert game.procurement == (orientation == "reverse")
+    with pytest.raises(ValueError, match="not a single-item mechanism"):
+        SingleItemGame(fig3.true_cost, MechanismSpec("vcg"))

@@ -97,15 +97,15 @@ def test_group_profits_example1(example1):
     ranked = enumerate_paths(example1, example1.true_cost)
     assignment = classify_groups(ranked)
     pools = group_profits(assignment, ranked)
-    assert pools.by_group == {1: F(1), 3: F(3), 4: F(5), 5: F(1)}
+    assert pools == {1: F(1), 3: F(3), 4: F(5), 5: F(1)}
     # Telescoping: pools sum to the gap from rank 1 to rank max+1.
-    assert pools.total() == ranked.costs[assignment.max_group] - ranked.costs[0]
+    assert sum(pools.values()) == ranked.costs[assignment.max_group] - ranked.costs[0]
 
 
 def test_group_profits_fig2(fig2):
     ranked = enumerate_paths(fig2, fig2.true_cost)
     pools = group_profits(classify_groups(ranked), ranked)
-    assert pools.by_group == {1: F(2)}
+    assert pools == {1: F(2)}
 
 
 def test_group_share_example1_equal_split(example1):
@@ -145,7 +145,7 @@ def test_group_share_conservation(example1):
     res = group_share_path(example1, bids)
     ranked, assignment, pools = group_structure(example1, bids)
     on_path = sum((bids[a] for a in ranked.paths[0].owners), F(0))
-    assert res.total == on_path + pools.total()
+    assert res.total == on_path + sum(pools.values())
     assert res.total == ranked.costs[assignment.max_group]
 
 

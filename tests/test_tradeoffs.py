@@ -1,14 +1,22 @@
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from pathauction import (
+    EQUAL_SPLIT,
+    FIXTURES,
+    DistributionRule,
     Edge,
+    InsufficientPaths,
     MechanismSpec,
     Network,
     NotSelected,
+    TieError,
     compare_mechanisms,
     enumerate_paths,
+    fixture,
     group_share_path,
     member_gap_path,
     member_gap_schedule,
@@ -16,6 +24,14 @@ from pathauction import (
     shared_gap_to_best_path,
     vcg_path,
     vickrey_single,
+)
+from pathauction import graph as graph_module
+
+SPLIT_RULES = (
+    EQUAL_SPLIT,
+    DistributionRule("reverse-rank"),
+    DistributionRule("waterfall", F(1, 2)),
+    DistributionRule("compound", F(1, 2)),
 )
 
 
@@ -35,6 +51,74 @@ def test_switch_never_exceeds_marginal_total(random_nets_200):
     for net in random_nets_200[:50]:
         res = savings_switch_path(net, net.true_cost, threshold=F(1, 3))
         assert res.total <= vcg_path(net, net.true_cost).total
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except TieError:
+        return TieError
+
+
+def _switch(marginal, shared, threshold):
+    """tradeoff1 composed from separate vcg_path and group_share_path runs."""
+    if TieError in (marginal, shared):
+        return TieError
+    ratio = F(0) if marginal.total == 0 else (marginal.total - shared.total) / marginal.total
+    if ratio > threshold:
+        return replace(shared, branch="x")
+    return replace(marginal, branch="vcg", groups=shared.groups)
+
+
+def _bid_profiles(net, seed):
+    """Truthful bids, all bids equal, and random half-unit bids (ties likely)."""
+    rng = random.Random(seed)
+    yield net.true_cost
+    yield {a: F(1) for a in net.agents}
+    yield {a: F(rng.randint(1, 10), 2) for a in net.agents}
+
+
+def test_switch_matches_the_two_ranking_composition(random_nets_200):
+    """One group structure prices both branches exactly as running marginal
+    pricing and group sharing separately does: same whole result, or a
+    TieError on both sides."""
+    nets = [fixture(name) for name in sorted(FIXTURES)] + random_nets_200
+    seen = set()
+    for seed, net in enumerate(nets):
+        for bids in _bid_profiles(net, seed):
+            marginal = _outcome(vcg_path, net, bids)
+            for rule in SPLIT_RULES:
+                shared = _outcome(group_share_path, net, bids, rule)
+                for threshold in (F(0), F(1, 4), F(1, 2), F(1)):
+                    want = _switch(marginal, shared, threshold)
+                    got = _outcome(savings_switch_path, net, bids, threshold, rule)
+                    assert got == want, (seed, bids, rule, threshold)
+                    seen.add(got if got is TieError else got.branch)
+    assert seen == {TieError, "vcg", "x"}
+
+
+def test_switch_reports_a_cut_agent_as_group_sharing_does():
+    """An agent on every path leaves group sharing unpriced; tradeoff1 says
+    so before looking at ties, as x does. validate rejects such networks."""
+    rows = [("a", "X", "M", 1), ("b", "X", "M", 1), ("c", "M", "Y", 1)]
+    costs = {e: F(c) for e, _, _, c in rows}
+    net = Network(("M", "X", "Y"), tuple(Edge(e, t, h, e) for e, t, h, _ in rows),
+                  "X", "Y", costs, dict(costs))
+    for run in (savings_switch_path, group_share_path):
+        with pytest.raises(InsufficientPaths, match=r"\['c'\] appear on every"):
+            run(net)
+
+
+def test_switch_ranks_once(example1, monkeypatch):
+    """Both branches of tradeoff1 come from x's ranking, so it runs no more
+    reverse searches than x does on example1 (24)."""
+    searches = []
+    search = graph_module._distance_to_sink
+    monkeypatch.setattr(
+        graph_module, "_distance_to_sink", lambda *a: searches.append(1) or search(*a)
+    )
+    MechanismSpec("tradeoff1").run(example1)
+    assert len(searches) <= 24
 
 
 def test_member_gap_example1(example1):

@@ -26,7 +26,6 @@ from .analysis import (
     check_vcg_truthful,
     classify_consistency,
     default_grid,
-    joint_optimal_profiles,
     mechanism_optimal_profiles,
     random_network,
     selection_probability,

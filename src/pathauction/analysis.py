@@ -26,13 +26,21 @@ on enumeration order; enumeration may be parallelized freely.
 Each operation evaluates a profile at most once, caching outcomes keyed
 by grid positions. A PathGame whose mechanism is fp-path, vcg, x (any
 distribution rule), tradeoff2 or tradeoff3, on a network within
-ENUMERATION_EDGE_GUARD, is compiled once per operation: its loopless
-paths are enumerated a single time and every profile is priced from
-path-cost sums (vcg's excluded detour is the cheapest enumerated path
-without the agent). Every other game, among them single-item games,
-tradeoff1 and larger networks, runs MechanismSpec.run per profile; that
-path is also the reference the compiled one is tested against. Both are
-bounded by PROFILE_GUARD.
+ENUMERATION_EDGE_GUARD with at most _TABLE_PATH_LIMIT loopless paths, is
+compiled once per operation: its paths are enumerated a single time and
+every profile is priced from path-cost sums (vcg's excluded detour is the
+cheapest enumerated path without the agent). Every other game, among them
+single-item games, tradeoff1 and larger networks, runs MechanismSpec.run
+per profile; that path is also the reference the compiled one is tested
+against. Both are bounded by PROFILE_GUARD.
+
+The compiled table prices and compares money in integers: one scale per
+operation makes every bid, cost and share a whole number of 1/scale units
+(see _PathTable), except reverse-rank shares, which stay exact Fractions
+in the same units. Python compares ints and Fractions exactly, so the
+argmax, dominance and best-response comparisons need no conversion; the
+one value a report exposes, check_partly_truthful's nonpositive utility,
+converts back to a Fraction.
 """
 
 from __future__ import annotations
@@ -193,13 +201,25 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 #: Path mechanisms whose profiles the compiled path table prices directly.
 _COMPILED_MECHANISMS = ("fp-path", "vcg", "x", "tradeoff2", "tradeoff3")
 
-_ZERO = Fraction(0)
+#: Most loopless paths a compiled table holds. The table's cost per profile
+#: grows with the path count, the reference's with the ranked prefix a run
+#: reads. On chains of parallel edges with 256 paths the table took 0.5 to
+#: 1.0 of the reference's time for vcg, x and tradeoff3 (fp-path 1.2 to
+#: 1.6), and from 1,024 paths it was slower for every rule.
+_TABLE_PATH_LIMIT = 256
 
 
 @dataclass(frozen=True)
 class _Outcome:
-    utilities: tuple[Fraction, ...]
-    mechanism_utility: Fraction
+    """One profile's outcome, its money in units of 1/scale of its evaluator.
+
+    Utilities align with the sorted agent order. Compiled outcomes hold
+    ints, or exact Fractions where a reverse-rank share is not whole at the
+    table's scale; reference outcomes hold the run's Fractions at scale 1.
+    """
+
+    utilities: tuple
+    mechanism_utility: int | Fraction
     selected: frozenset[str]
 
 
@@ -208,62 +228,80 @@ class _PathTable:
 
     The set of loopless source-to-sink paths does not depend on the bids,
     so it is enumerated once and each path kept as the positions of its
-    owners in the sorted agent order. A profile is then priced from path
-    costs summed over integer bids, scaled by the least common denominator
-    of every value in play. The paths are held sorted by edge-id sequence,
-    so a stable sort by cost yields the (cost, edge ids) order of
+    owners in the sorted agent order. The paths are held sorted by edge-id
+    sequence, so a stable sort by cost yields the (cost, edge ids) order of
     `enumerate_paths` and `iter_ranked_paths`; the tie checks then see the
     same ranks as MechanismSpec.run and give the same verdicts.
+
+    All money is in integers counting units of 1/scale. The scale is the
+    least common multiple of every value's denominator (with x's
+    distribution delta among the values). For x and tradeoff3 it is
+    multiplied by lcm(1..L), L the most owners on any path: every bid, and
+    so every path cost, pool and delta, is then a multiple of each possible
+    group size, which makes each equal, waterfall, compound and tradeoff3
+    share a whole number. A reverse-rank share, pool * bid / total, need not
+    be; `distribute` keeps it an exact Fraction in the same units.
     """
 
     def __init__(
         self,
-        network: Network,
         spec: MechanismSpec,
         agents: tuple[str, ...],
         values: tuple[list[Fraction], ...],
+        true_cost: tuple[Fraction, ...],
+        paths: tuple[tuple[int, ...], ...],
     ):
-        index = {a: i for i, a in enumerate(agents)}
-        # Any positive cost map lists the same paths; their order is set here.
-        some_costs = {a: vs[0] for a, vs in zip(agents, values)}
-        paths = sorted(enumerate_paths(network, some_costs).paths, key=lambda p: p.edges)
-        self.owners = tuple(tuple(index[a] for a in p.owners) for p in paths)
-        self.masks = tuple(sum(1 << i for i in owners) for owners in self.owners)
+        self.owners = paths
+        self.masks = tuple(sum(1 << i for i in owners) for owners in paths)
+        self.selected = tuple(frozenset(agents[i] for i in owners) for owners in paths)
         self.mechanism = spec.mechanism
-        self.rule = spec.rule
         self.agents = agents
-        self.values = values
-        self.true_cost = tuple(network.true_cost[a] for a in agents)
-        scale = math.lcm(*(v.denominator for v in itertools.chain(self.true_cost, *values)))
+        # tradeoff3 splits each group's gap to the cheapest path evenly.
+        rule = spec.rule if self.mechanism == "x" else EQUAL_SPLIT
+        money = list(itertools.chain(true_cost, *values))
+        if rule.delta is not None:
+            money.append(rule.delta)
+        scale = math.lcm(*(v.denominator for v in money))
+        if self.mechanism in ("x", "tradeoff3"):
+            scale *= math.lcm(*range(1, max(map(len, paths)) + 1))
         self.scale = scale
-        self.scaled = tuple([v.numerator * (scale // v.denominator) for v in vs] for vs in values)
-        self.true_scaled = tuple(t.numerator * (scale // t.denominator) for t in self.true_cost)
-        self._fractions: dict[int, Fraction] = {}
 
-    def _fraction(self, scaled: int) -> Fraction:
-        hit = self._fractions.get(scaled)
-        if hit is None:
-            hit = self._fractions[scaled] = Fraction(scaled, self.scale)
-        return hit
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (scale // v.denominator)
+
+        self.scaled = tuple([scaled(v) for v in vs] for vs in values)
+        self.true_scaled = tuple(scaled(t) for t in true_cost)
+        self.rule = rule if rule.delta is None else DistributionRule(rule.kind, scaled(rule.delta))
 
     def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
         bids = [vs[p] for vs, p in zip(self.scaled, profile)]
         costs = [sum([bids[i] for i in owners]) for owners in self.owners]
         order = sorted(range(len(costs)), key=costs.__getitem__)
         if self.mechanism in ("fp-path", "vcg"):
-            return self._cheapest_path_outcome(bids, costs, order)
-        return self._group_outcome(profile, bids, costs, order)
+            pay = self._cheapest_path_payments(bids, costs, order)
+        else:
+            pay = self._group_payments(bids, costs, order)
+        if pay is None:
+            return None
+        utilities = [0] * len(self.agents)
+        for i, amount in pay.items():
+            utilities[i] = amount - self.true_scaled[i]
+        return _Outcome(
+            utilities=tuple(utilities),
+            mechanism_utility=-sum(pay.values()),
+            selected=self.selected[order[0]],
+        )
 
-    def _cheapest_path_outcome(
+    def _cheapest_path_payments(
         self, bids: list[int], costs: list[int], order: list[int]
-    ) -> _Outcome | None:
+    ) -> dict[int, int] | None:
         """fp-path and vcg: the two cheapest paths must not tie."""
         cheapest = costs[order[0]]
         if len(order) > 1 and costs[order[1]] == cheapest:
             return None
         winners = self.owners[order[0]]
         if self.mechanism == "fp-path":
-            return self._scaled_outcome({i: bids[i] for i in winners})
+            return {i: bids[i] for i in winners}
         pay = {}
         for i in winners:
             bit = 1 << i
@@ -272,11 +310,11 @@ class _PathTable:
                 raise Disconnected(f"removing agent {self.agents[i]} disconnects the network")
             # The zeroed detour of an agent on the cheapest path P is cost(P) - bid.
             pay[i] = excluded - (cheapest - bids[i])
-        return self._scaled_outcome(pay)
+        return pay
 
-    def _group_outcome(
-        self, profile: tuple[int, ...], bids: list[int], costs: list[int], order: list[int]
-    ) -> _Outcome | None:
+    def _group_payments(
+        self, bids: list[int], costs: list[int], order: list[int]
+    ) -> dict[int, int | Fraction] | None:
         """x, tradeoff2 and tradeoff3: each winner's group is the rank of
         its first absence, and costs must rise strictly up to the deepest."""
         ranked = [costs[j] for j in order]
@@ -290,42 +328,18 @@ class _PathTable:
         if any(ranked[r] == ranked[r + 1] for r in range(max(group_of.values()))):
             return None
         if self.mechanism == "tradeoff2":
-            return self._scaled_outcome(
-                {i: bids[i] + ranked[q] - ranked[q - 1] for i, q in group_of.items()}
-            )
+            return {i: bids[i] + ranked[q] - ranked[q - 1] for i, q in group_of.items()}
         pay = {}
         previous = 0
         for q in sorted(set(group_of.values())):
-            members = sorted(i for i, g in group_of.items() if g == q)
-            group_bids = [(self.agents[i], self.values[i][profile[i]]) for i in members]
-            if self.mechanism == "x":
-                pool = self._fraction(ranked[q] - ranked[previous])
-                shares = distribute(self.rule, group_bids, pool)
-            else:  # tradeoff3
-                share = Fraction(ranked[q] - ranked[0], self.scale * len(members))
-                shares = {agent: share for agent, _ in group_bids}
-            for i, (agent, bid) in zip(members, group_bids):
-                pay[i] = bid + shares[agent]
+            # Positions stand in for agent ids: they sort as the ids do.
+            group_bids = [(i, bids[i]) for i, g in group_of.items() if g == q]
+            floor = previous if self.mechanism == "x" else 0
+            shares = distribute(self.rule, group_bids, ranked[q] - ranked[floor])
+            for i, bid in group_bids:
+                pay[i] = bid + shares[i]
             previous = q
-        utilities = [_ZERO] * len(self.agents)
-        for i, amount in pay.items():
-            utilities[i] = amount - self.true_cost[i]
-        return _Outcome(
-            utilities=tuple(utilities),
-            mechanism_utility=-sum(pay.values(), _ZERO),
-            selected=frozenset(self.agents[i] for i in pay),
-        )
-
-    def _scaled_outcome(self, pay: dict[int, int]) -> _Outcome:
-        """The outcome of payments given as integers at the table's scale."""
-        utilities = [_ZERO] * len(self.agents)
-        for i, amount in pay.items():
-            utilities[i] = self._fraction(amount - self.true_scaled[i])
-        return _Outcome(
-            utilities=tuple(utilities),
-            mechanism_utility=self._fraction(-sum(pay.values())),
-            selected=frozenset(self.agents[i] for i in pay),
-        )
+        return pay
 
 
 def _compile(
@@ -335,8 +349,9 @@ def _compile(
 
     Compiled: a PathGame whose mechanism is fp-path, vcg, x (any rule),
     tradeoff2 or tradeoff3, on a network within ENUMERATION_EDGE_GUARD in
-    which each agent owns one edge, with strictly positive bids. Everything
-    else, including the bids the reference rejects, runs the reference.
+    which each agent owns one edge and that has at most _TABLE_PATH_LIMIT
+    loopless paths, with strictly positive bids. Everything else, including
+    the bids the reference rejects, runs the reference.
     """
     if not isinstance(game, PathGame) or game.spec.mechanism not in _COMPILED_MECHANISMS:
         return None
@@ -347,7 +362,15 @@ def _compile(
         return None
     if any(v <= 0 for vs in values for v in vs):
         return None
-    return _PathTable(network, game.spec, agents, values)
+    # Any positive cost map lists the same paths; their order is set here.
+    some_costs = {a: vs[0] for a, vs in zip(agents, values)}
+    paths = enumerate_paths(network, some_costs).paths
+    if len(paths) > _TABLE_PATH_LIMIT:
+        return None
+    index = {a: i for i, a in enumerate(agents)}
+    owners = tuple(tuple(index[a] for a in p.owners) for p in sorted(paths, key=lambda p: p.edges))
+    true_cost = tuple(network.true_cost[a] for a in agents)
+    return _PathTable(game.spec, agents, values, true_cost, owners)
 
 
 class _Evaluator:
@@ -359,6 +382,13 @@ class _Evaluator:
     profile violates the mechanism's preconditions (a cost tie) and is
     inadmissible. Games the compiled path table covers are priced by it;
     all others by the game's own `run`.
+
+    Outcome money is in units of 1/`scale`: the table's scale when it is
+    compiled, 1 (the run's own Fractions) otherwise. Comparisons within one
+    evaluator need no conversion; a value handed to a caller converts back
+    as `Fraction(u) / scale`. An off-grid value appended after pricing
+    rebuilds the table at a new scale, so the cached outcomes are dropped
+    then and outcomes at two scales never mix.
     """
 
     def __init__(self, game, grid: BidGrid):
@@ -375,6 +405,7 @@ class _Evaluator:
         self._cache: dict[tuple[int, ...], _Outcome | None] = {}
         self._table: _PathTable | None = None
         self._compiled = False
+        self.scale = 1
 
     def require_enumerable(self, skip_agent: str | None = None) -> None:
         """Guard any operation that walks a grid product."""
@@ -392,7 +423,10 @@ class _Evaluator:
         if pos is None:
             pos = self._positions[i][bid] = len(self.values[i])
             self.values[i].append(bid)
-            self._compiled = False  # the table must be rebuilt to scale the new value
+            # The table must be rebuilt to scale the new value, and the
+            # outcomes priced at the old scale go with it.
+            self._compiled = False
+            self._cache.clear()
         return pos
 
     def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -412,6 +446,7 @@ class _Evaluator:
         if not self._compiled:
             self._table = _compile(self.game, self.agents, self.values)
             self._compiled = True
+            self.scale = 1 if self._table is None else self._table.scale
         if self._table is not None:
             return self._table.outcome(profile)
         try:
@@ -434,10 +469,10 @@ class _Evaluator:
         i = self.index[agent]
         return opponents[:i] + (pos,) + opponents[i:]
 
-    def utility(self, agent: str, profile: tuple[int, ...]) -> Fraction:
+    def utility(self, agent: str, profile: tuple[int, ...]) -> int | Fraction:
         out = self.outcome(profile)
         if out is None:
-            return _ZERO
+            return 0
         return out.utilities[self.index[agent]]
 
 
@@ -496,9 +531,7 @@ def best_response_set(
     return {bid for bid, u in utilities.items() if u == best}
 
 
-def _utility_vectors(
-    ev: _Evaluator, agent: str
-) -> tuple[list[tuple[int, ...]], list[tuple[Fraction, ...]]]:
+def _utility_vectors(ev: _Evaluator, agent: str) -> tuple[list[tuple[int, ...]], list[tuple]]:
     """Utility vector per grid position over the full ordered opponent product."""
     ev.require_enumerable()
     opponents = list(ev.opponent_profiles(agent))
@@ -539,7 +572,7 @@ def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]
     # closest to the true type.
     truthful = ev.game.types[agent]
     values = ev.values[ev.index[agent]]
-    by_vector: dict[tuple[Fraction, ...], list[int]] = {}
+    by_vector: dict[tuple, list[int]] = {}
     for pos in survivors:
         by_vector.setdefault(vectors[pos], []).append(pos)
     kept = [
@@ -548,7 +581,7 @@ def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]
     return tuple(sorted(kept))
 
 
-def _dominates(left: tuple[Fraction, ...], right: tuple[Fraction, ...]) -> bool:
+def _dominates(left: tuple, right: tuple) -> bool:
     """Weak dominance: at least as good everywhere, strictly better somewhere."""
     strict = False
     for lv, rv in zip(left, right):
@@ -616,18 +649,10 @@ class ConsistencyReport:
         }
 
 
-def joint_optimal_profiles(
-    game, grid: BidGrid, mode: str = "undominated"
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Product of the per-agent optimal bid sets, admissible profiles only."""
-    ev = _Evaluator(game, grid)
-    per_agent = {a: _optimal_positions(ev, a, mode) for a in ev.agents}
-    return tuple(map(ev.bids, _joint_optimal(ev, per_agent)))
-
-
 def _joint_optimal(
     ev: _Evaluator, per_agent: Mapping[str, tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
+    """Product of the per-agent optimal positions, admissible profiles only."""
     product = itertools.product(*(per_agent[a] for a in ev.agents))
     return tuple(sorted(p for p in product if ev.outcome(p) is not None))
 
@@ -640,7 +665,7 @@ def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...
 
 def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:
     ev.require_enumerable()
-    best: Fraction | None = None
+    best = None
     argmax: list[tuple[int, ...]] = []
     for profile in ev.profiles():
         out = ev.outcome(profile)
@@ -770,7 +795,12 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
             u = out.utilities[ev.index[agent]]
             if u <= 0:
                 counterexamples.append(
-                    ("selected agent with nonpositive utility", agent, ev.bids(profile), u)
+                    (
+                        "selected agent with nonpositive utility",
+                        agent,
+                        ev.bids(profile),
+                        Fraction(u) / ev.scale,
+                    )
                 )
     verdict = "holds" if not counterexamples else "fails"
     return PropertyReport(

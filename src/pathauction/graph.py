@@ -317,7 +317,9 @@ def _best_path(
     Works by computing exact distances to the sink and then greedily walking
     tight edges in edge-id order. With strictly positive costs (at most one
     zeroed edge) the walk cannot revisit a node, so the greedy choice is the
-    lexicographic minimum over all minimum-cost paths.
+    lexicographic minimum over all minimum-cost paths. A walk stuck in a
+    zero-cost cycle falls back to exhaustive search, which raises TooLarge
+    past ENUMERATION_EDGE_GUARD.
     """
     origin = network.source if start is None else start
     if origin in excluded_nodes or network.sink in excluded_nodes:
@@ -341,7 +343,13 @@ def _best_path(
                 chosen = edge
                 break
         if chosen is None:
-            # Only reachable through a zero-cost cycle; fall back to brute force.
+            # Only reachable through a zero-cost cycle; fall back to brute
+            # force, which is exponential and so bound by the same guard.
+            if len(network.edges) > ENUMERATION_EDGE_GUARD:
+                raise TooLarge(
+                    f"a zero-cost cycle needs exhaustive search, and {len(network.edges)} "
+                    f"edges exceeds the enumeration guard of {ENUMERATION_EDGE_GUARD}"
+                )
             return min(
                 _walk_all(network, costs, excluded_edges, excluded_nodes, origin), default=None
             )

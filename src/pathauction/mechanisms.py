@@ -306,6 +306,17 @@ def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int,
 # ---------------------------------------------------------------------------
 
 
+def _quotient(numerator, denominator):
+    """numerator / denominator exactly: an int when both are ints and the
+    division is whole, a Fraction otherwise."""
+    if type(numerator) is int and type(denominator) is int:
+        whole, rest = divmod(numerator, denominator)
+        if not rest:
+            return whole
+        return Fraction(numerator, denominator)
+    return numerator / denominator
+
+
 def distribute(
     rule: DistributionRule,
     group_bids: Sequence[tuple[str, Fraction]],
@@ -315,7 +326,10 @@ def distribute(
 
     Returns each member's pure profit (not payment). Shares always sum to
     the pool exactly. Bid ties are ordered by agent id so results are
-    deterministic.
+    deterministic. Money may be `Fraction`s or integers in a common unit
+    (bids, pool and the rule's delta alike); every division is exact, so a
+    share of integer inputs is an `int` where the quotient is whole and a
+    `Fraction` otherwise, never a float.
     """
     if not group_bids:
         raise EmptyGroup("cannot distribute to an empty group")
@@ -324,20 +338,20 @@ def distribute(
     m = len(group_bids)
 
     if rule.kind == "equal":
-        share = profit / m
+        share = _quotient(profit, m)
         return {agent: share for agent, _ in group_bids}
 
     if rule.kind == "reverse-rank":
         by_size = sorted(group_bids, key=lambda ab: (-ab[1], ab[0]))
         total = sum(b for _, b in group_bids)
         return {
-            by_size[j][0]: profit * by_size[m - 1 - j][1] / total for j in range(m)
+            by_size[j][0]: _quotient(profit * by_size[m - 1 - j][1], total) for j in range(m)
         }
 
     # waterfall / compound
-    delta = rule.delta if rule.delta is not None else Fraction(0)
+    delta = rule.delta
     if profit < m * delta:
-        delta = profit / m
+        delta = _quotient(profit, m)
     pay = {agent: bid + delta for agent, bid in group_bids}
     pool = profit - m * delta
     while pool > 0:
@@ -354,10 +368,10 @@ def distribute(
                 continue
         # Pool runs out before the next level (or all levels already equal):
         # spread what is left evenly over the current lowest payments.
-        bump = pool / len(at_low)
+        bump = _quotient(pool, len(at_low))
         for agent in at_low:
             pay[agent] += bump
-        pool = Fraction(0)
+        pool = 0
     bids_by_agent = dict(group_bids)
     return {agent: pay[agent] - bids_by_agent[agent] for agent in pay}
 

@@ -1,7 +1,9 @@
 """The compiled path table against MechanismSpec.run, profile by profile.
 
 Grids use half-unit steps over integer costs, so path costs tie on many
-profiles and the tie verdicts are exercised alongside the payments.
+profiles and the tie verdicts are exercised alongside the payments. The
+table's money is in units of 1/ev.scale; every comparison converts it
+back to Fractions first.
 """
 
 from fractions import Fraction as F
@@ -36,7 +38,7 @@ SPECS = (
     MechanismSpec("x"),
     MechanismSpec("x", rule=DistributionRule("reverse-rank")),
     MechanismSpec("x", rule=DistributionRule("waterfall", HALF)),
-    MechanismSpec("x", rule=DistributionRule("compound", HALF)),
+    MechanismSpec("x", rule=DistributionRule("compound", F(1, 7))),
     MechanismSpec("tradeoff2"),
     MechanismSpec("tradeoff3"),
 )
@@ -65,15 +67,27 @@ def _reference(spec, net, bids):
     )
 
 
+def _converted(ev, out):
+    """An evaluator outcome with its money back in Fractions."""
+    if out is None:
+        return None
+    money = [F(u) / ev.scale for u in (*out.utilities, out.mechanism_utility)]
+    return tuple(money[:-1]), money[-1], out.selected
+
+
+def _assert_profiles_match_reference(ev, spec, net, profiles):
+    ties = 0
+    for profile in profiles:
+        got = _converted(ev, ev.outcome(profile))
+        want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
+        assert got == want, (spec, ev.bids(profile))
+        ties += got is None
+    return ties
+
+
 def _assert_matches_reference(net, spec):
     ev = analysis._Evaluator(PathGame(net, spec), _half_grid(net))
-    ties = 0
-    for profile in ev.profiles():
-        out = ev.outcome(profile)
-        want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
-        got = None if out is None else (out.utilities, out.mechanism_utility, out.selected)
-        assert got == want, (spec, ev.bids(profile))
-        ties += out is None
+    ties = _assert_profiles_match_reference(ev, spec, net, ev.profiles())
     assert ev._table is not None
     return ties
 
@@ -119,17 +133,83 @@ def test_random_outcomes_match_reference(spec):
 
 
 def test_off_grid_bid_after_evaluation():
-    """A value with a new denominator, added after the table was built."""
-    net = fixture("xsmall")
-    spec = MechanismSpec("x")
-    ev = analysis._Evaluator(PathGame(net, spec), BidGrid.procurement(net.true_cost, F(1), 1))
-    first = next(ev.profiles())
-    ev.outcome(first)
-    agent = ev.agents[0]
-    profile = ev.assemble(agent, ev.position(agent, F(7, 3)), first[1:])
-    out = ev.outcome(profile)
-    want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
-    assert (out.utilities, out.mechanism_utility, out.selected) == want
+    """A value with a new denominator, added after every grid profile was
+    priced: the table is rebuilt at a new scale, and no outcome priced at
+    the old one survives."""
+    net = fixture("fig2")
+    for spec in SPECS:
+        grid = BidGrid.procurement(net.true_cost, F(1), 2)
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        _assert_profiles_match_reference(ev, spec, net, ev.profiles())
+        old_scale = ev.scale
+        grid_profiles = list(ev.profiles())
+        agent = ev.agents[0]
+        ev.position(agent, F(7, 3))
+        _assert_profiles_match_reference(ev, spec, net, grid_profiles)
+        assert ev.scale == 3 * old_scale
+        _assert_profiles_match_reference(ev, spec, net, ev.profiles())
+
+
+@pytest.mark.parametrize("mechanism", ["x", "vcg", "tradeoff3"])
+def test_compiled_money_is_integral_on_fig2(mechanism):
+    """On fig2's half-unit grid every equal and tradeoff3 share is whole at
+    the table's scale, so no profile of the grid builds a Fraction."""
+    net = fixture("fig2")
+    ev = analysis._Evaluator(PathGame(net, MechanismSpec(mechanism)), _half_grid(net))
+    outcomes = [ev.outcome(p) for p in ev.profiles()]
+    assert ev._table is not None
+    money = [u for out in outcomes if out for u in (*out.utilities, out.mechanism_utility)]
+    assert money and all(type(u) is int for u in money)
+
+
+def test_partly_truthful_counterexamples_carry_fractions():
+    """fp-path leaves a truthful winner nothing, and the checker reports
+    that utility as an exact Fraction, as the reference does."""
+    net = fixture("fig2")
+    report = check_partly_truthful(
+        PathGame(net, MechanismSpec("fp-path")), _half_grid(net)
+    )
+    utilities = [c[3] for c in report.counterexamples if c[0].startswith("selected agent")]
+    assert utilities and all(type(u) is F for u in utilities)
+
+
+def _parallel_pairs(stages):
+    """A chain of `stages` pairs of parallel edges: 2**stages paths.
+
+    Taking stage k's b edge instead of its a edge costs 1 + k/16 more, so
+    the cheapest path and the single swaps rank first, without ties, and
+    every group of x forms within them.
+    """
+    rows = []
+    for k in range(stages):
+        tail, head = f"v{k:02d}", f"v{k + 1:02d}"
+        rows += [(f"a{k:02d}", tail, head, 1), (f"b{k:02d}", tail, head, 2 + F(k, 16))]
+    edges = tuple(Edge(eid, tail, head, eid) for eid, tail, head, _ in rows)
+    costs = {eid: F(c) for eid, _, _, c in rows}
+    nodes = tuple(f"v{k:02d}" for k in range(stages + 1))
+    return Network(nodes, edges, nodes[0], nodes[-1], costs, dict(costs))
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "x"])
+def test_many_paths_fall_back_to_the_reference(monkeypatch, mechanism):
+    """Past _TABLE_PATH_LIMIT paths the table would price a profile slower
+    than the reference; a 12-stage chain (4,096 paths) runs the reference,
+    with the outcomes a table forced onto it gives."""
+    net = _parallel_pairs(12)
+    spec = MechanismSpec(mechanism)
+    varied = net.agents[:3]
+    grid = BidGrid(
+        {a: (t, t + F(1, 64)) if a in varied else (t,) for a, t in net.true_cost.items()}
+    )
+    ev = analysis._Evaluator(PathGame(net, spec), grid)
+    reference = [ev.outcome(p) for p in ev.profiles()]
+    assert ev._table is None and ev.scale == 1
+    assert _assert_profiles_match_reference(ev, spec, net, ev.profiles()) < len(reference)
+    monkeypatch.setattr(analysis, "_TABLE_PATH_LIMIT", 2**12)
+    forced = analysis._Evaluator(PathGame(net, spec), grid)
+    compiled = [_converted(forced, forced.outcome(p)) for p in forced.profiles()]
+    assert forced._table is not None
+    assert compiled == [_converted(ev, out) for out in reference]
 
 
 # Agent a's edge is a cut: vcg cannot price a, and x cannot group it.
@@ -172,7 +252,11 @@ def _analysis_results(net, spec):
     )
 
 
-@pytest.mark.parametrize("spec", SPECS[:3] + SPECS[-2:], ids=lambda s: s.mechanism)
+@pytest.mark.parametrize(
+    "spec",
+    SPECS,
+    ids=lambda s: s.mechanism if s.rule.kind == "equal" else f"{s.mechanism}-{s.rule.kind}",
+)
 def test_analysis_is_unchanged_without_the_table(monkeypatch, spec):
     nets = [fixture("fig2"), _boundary_tie_network(), *RANDOM_NETS[:4]]
     compiled = [_analysis_results(net, spec) for net in nets]

@@ -100,3 +100,39 @@ def test_conservation_and_positivity(rule, bids, pool):
     assert all(s > 0 for s in shares.values())
     # Determinism: same inputs, same output.
     assert distribute(rule, group, pool) == shares
+
+
+_int_rules = st.sampled_from(
+    [
+        DistributionRule("equal"),
+        DistributionRule("reverse-rank"),
+        DistributionRule("waterfall", 3),
+        DistributionRule("compound", 2),
+    ]
+)
+
+
+@given(
+    rule=_int_rules,
+    bids=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+    pool=st.integers(1, 90),
+)
+def test_integer_inputs_split_exactly(rule, bids, pool):
+    """Money in integer units splits into ints where the quotient is whole
+    and exact Fractions elsewhere, never floats, and agrees with the split
+    of the same amounts given as Fractions."""
+    group = [(f"a{i}", b) for i, b in enumerate(bids)]
+    shares = distribute(rule, group, pool)
+    assert all(type(s) in (int, F) for s in shares.values())
+    as_fractions = DistributionRule(rule.kind, None if rule.delta is None else F(rule.delta))
+    assert shares == distribute(as_fractions, [(a, F(b)) for a, b in group], F(pool))
+
+
+def test_whole_integer_shares_stay_ints():
+    group = [("a", 10), ("b", 20), ("c", 30)]
+    assert distribute(DistributionRule("equal"), group, 6) == {"a": 2, "b": 2, "c": 2}
+    assert distribute(DistributionRule("reverse-rank"), group, 12) == {"a": 6, "b": 4, "c": 2}
+    shares = distribute(DistributionRule("waterfall", 2), group, 30)
+    assert shares == {"a": 19, "b": 9, "c": 2}
+    assert all(type(s) is int for s in shares.values())
+    assert distribute(DistributionRule("equal"), group, 1) == {a: F(1, 3) for a, _ in group}

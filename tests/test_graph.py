@@ -266,6 +266,19 @@ def test_enumerate_guard():
         enumerate_paths(net)
 
 
+def test_zero_cost_cycle_search_is_guarded():
+    """The tight walk from S takes the zero-cost edge e00 into X, whose only
+    way on is back to S, so the search falls back to exhaustive walking,
+    which the enumeration guard bounds."""
+    rows = [("e00", "S", "X", 0), ("e01", "X", "S", 0), ("e02", "S", "T", 1)]
+    rows += [(f"p{i:02d}", "S", "T", 5) for i in range(21)]
+    assert shortest_path(_net(rows, "S", "T")).edges == ("e02",)
+    big = _net(rows + [("p21", "S", "T", 5)], "S", "T")
+    assert len(big.edges) == 25
+    with pytest.raises(TooLarge):
+        shortest_path(big)
+
+
 def test_disconnected_raises():
     net = _net([("e1", "X", "M", 1), ("e2", "Y", "M", 1), ("e3", "X", "M", 2)], "X", "Y")
     with pytest.raises(Disconnected):

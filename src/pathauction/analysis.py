@@ -24,15 +24,14 @@ inside best-response evaluation. All reports are canonically ordered
 on enumeration order; enumeration may be parallelized freely.
 
 Each operation evaluates a profile at most once, caching outcomes keyed
-by grid positions. A PathGame whose mechanism is fp-path, vcg, x (any
-distribution rule), tradeoff2 or tradeoff3, on a network within
+by grid positions. A PathGame of any path rule, on a network within
 ENUMERATION_EDGE_GUARD with at most _TABLE_PATH_LIMIT loopless paths, is
-compiled once per operation: its paths are enumerated a single time and
-every profile is priced from path-cost sums (vcg's excluded detour is the
-cheapest enumerated path without the agent). Every other game, among them
-single-item games, tradeoff1 and larger networks, runs MechanismSpec.run
-per profile; that path is also the reference the compiled one is tested
-against. Both are bounded by PROFILE_GUARD.
+compiled once per operation: its paths are listed a single time, and
+each profile is ranked from path-cost sums and priced by the payment
+formulas MechanismSpec.run uses (mechanisms._price). Single-item games
+and larger networks run MechanismSpec.run per profile; that path is also
+the reference the compiled one is tested against. Both are bounded by
+PROFILE_GUARD.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -48,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -60,17 +59,14 @@ from .errors import (
     TieError,
     TooLarge,
 )
-from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, enumerate_paths, validate
+from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, _walk_all, enumerate_paths, validate
 from .mechanisms import (
     EQUAL_SPLIT,
     DistributionRule,
     MechanismSpec,
     PaymentResult,
-    distribute,
-    group_share_path,
     group_structure,
-    _group_share_payments,
-    _marginal_payments,
+    _price,
     _resolve_bids,
     _run_single_item,
 )
@@ -198,9 +194,6 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 # Profile evaluation with caching
 # ---------------------------------------------------------------------------
 
-#: Path mechanisms whose profiles the compiled path table prices directly.
-_COMPILED_MECHANISMS = ("fp-path", "vcg", "x", "tradeoff2", "tradeoff3")
-
 #: Most loopless paths a compiled table holds. The table's cost per profile
 #: grows with the path count, the reference's with the ranked prefix a run
 #: reads. On chains of parallel edges with 256 paths the table took 0.5 to
@@ -233,14 +226,23 @@ class _PathTable:
     `enumerate_paths` and `iter_ranked_paths`; the tie checks then see the
     same ranks as MechanismSpec.run and give the same verdicts.
 
+    Per profile the table sums and sorts the path costs, finds each
+    winner's first absence and checks ties; the payments come from
+    mechanisms._price, the formulas MechanismSpec.run uses, with agent
+    positions for keys. fp-path and vcg check the two cheapest paths only,
+    and vcg hands the pricer the cost of each winner's first path without
+    it, as vcg_path does with its detours; the group rules rank up to the
+    deepest group.
+
     All money is in integers counting units of 1/scale. The scale is the
-    least common multiple of every value's denominator (with x's
-    distribution delta among the values). For x and tradeoff3 it is
-    multiplied by lcm(1..L), L the most owners on any path: every bid, and
-    so every path cost, pool and delta, is then a multiple of each possible
-    group size, which makes each equal, waterfall, compound and tradeoff3
-    share a whole number. A reverse-rank share, pool * bid / total, need not
-    be; `distribute` keeps it an exact Fraction in the same units.
+    least common multiple of every value's denominator (with the
+    distribution delta of x and tradeoff1 among the values). For x,
+    tradeoff1 and tradeoff3 it is multiplied by lcm(1..L), L the most
+    owners on any path: every bid, and so every path cost, pool and delta,
+    is then a multiple of each possible group size, which makes each
+    equal, waterfall, compound and tradeoff3 share a whole number. A
+    reverse-rank share, pool * bid / total, need not be; `distribute`
+    keeps it an exact Fraction in the same units.
     """
 
     def __init__(
@@ -254,15 +256,17 @@ class _PathTable:
         self.owners = paths
         self.masks = tuple(sum(1 << i for i in owners) for owners in paths)
         self.selected = tuple(frozenset(agents[i] for i in owners) for owners in paths)
+        # fp-path and vcg hand the pricer the cheapest path's cost followed
+        # by one excluded detour per winner, in the winning path's order.
+        self.detour_slots = tuple({i: r for r, i in enumerate(owners, 1)} for owners in paths)
         self.mechanism = spec.mechanism
         self.agents = agents
-        # tradeoff3 splits each group's gap to the cheapest path evenly.
-        rule = spec.rule if self.mechanism == "x" else EQUAL_SPLIT
         money = list(itertools.chain(true_cost, *values))
-        if rule.delta is not None:
-            money.append(rule.delta)
+        delta = spec.rule.delta if self.mechanism in ("x", "tradeoff1") else None
+        if delta is not None:
+            money.append(delta)
         scale = math.lcm(*(v.denominator for v in money))
-        if self.mechanism in ("x", "tradeoff3"):
+        if self.mechanism in ("x", "tradeoff1", "tradeoff3"):
             scale *= math.lcm(*range(1, max(map(len, paths)) + 1))
         self.scale = scale
 
@@ -271,18 +275,42 @@ class _PathTable:
 
         self.scaled = tuple([scaled(v) for v in vs] for vs in values)
         self.true_scaled = tuple(scaled(t) for t in true_cost)
-        self.rule = rule if rule.delta is None else DistributionRule(rule.kind, scaled(rule.delta))
+        if delta is not None:
+            spec = replace(spec, rule=DistributionRule(spec.rule.kind, scaled(delta)))
+        self.spec = spec
 
     def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
         bids = [vs[p] for vs, p in zip(self.scaled, profile)]
-        costs = [sum([bids[i] for i in owners]) for owners in self.owners]
+        bid_of = bids.__getitem__
+        costs = [sum(map(bid_of, owners)) for owners in self.owners]
         order = sorted(range(len(costs)), key=costs.__getitem__)
+        winners = self.owners[order[0]]
+        masks = self.masks
         if self.mechanism in ("fp-path", "vcg"):
-            pay = self._cheapest_path_payments(bids, costs, order)
+            ranked = [costs[order[0]]]
+            if len(order) > 1 and costs[order[1]] == ranked[0]:
+                return None
+            group_of = self.detour_slots[order[0]]
+            if self.mechanism == "vcg":
+                for i in winners:
+                    bit = 1 << i
+                    excluded = next((costs[j] for j in order if not masks[j] & bit), None)
+                    if excluded is None:
+                        agent = self.agents[i]
+                        raise Disconnected(f"removing agent {agent} disconnects the network")
+                    ranked.append(excluded)
         else:
-            pay = self._group_payments(bids, costs, order)
-        if pay is None:
-            return None
+            group_of = {}
+            for i in winners:
+                bit = 1 << i
+                group_of[i] = next((r for r, j in enumerate(order) if not masks[j] & bit), None)
+            stuck = sorted(self.agents[i] for i, q in group_of.items() if q is None)
+            if stuck:
+                raise InsufficientPaths(f"agents {stuck} appear on every source-to-sink path")
+            ranked = [costs[j] for j in order[: max(group_of.values()) + 1]]
+            if any(a == b for a, b in zip(ranked, ranked[1:])):
+                return None
+        pay, _ = _price(self.spec, bids, ranked, group_of)
         utilities = [0] * len(self.agents)
         for i, amount in pay.items():
             utilities[i] = amount - self.true_scaled[i]
@@ -292,85 +320,40 @@ class _PathTable:
             selected=self.selected[order[0]],
         )
 
-    def _cheapest_path_payments(
-        self, bids: list[int], costs: list[int], order: list[int]
-    ) -> dict[int, int] | None:
-        """fp-path and vcg: the two cheapest paths must not tie."""
-        cheapest = costs[order[0]]
-        if len(order) > 1 and costs[order[1]] == cheapest:
-            return None
-        winners = self.owners[order[0]]
-        if self.mechanism == "fp-path":
-            return {i: bids[i] for i in winners}
-        pay = {}
-        for i in winners:
-            bit = 1 << i
-            excluded = next((costs[j] for j in order if not self.masks[j] & bit), None)
-            if excluded is None:
-                raise Disconnected(f"removing agent {self.agents[i]} disconnects the network")
-            # The zeroed detour of an agent on the cheapest path P is cost(P) - bid.
-            pay[i] = excluded - (cheapest - bids[i])
-        return pay
-
-    def _group_payments(
-        self, bids: list[int], costs: list[int], order: list[int]
-    ) -> dict[int, int | Fraction] | None:
-        """x, tradeoff2 and tradeoff3: each winner's group is the rank of
-        its first absence, and costs must rise strictly up to the deepest."""
-        ranked = [costs[j] for j in order]
-        group_of = {}
-        for i in self.owners[order[0]]:
-            bit = 1 << i
-            group_of[i] = next((r for r, j in enumerate(order) if not self.masks[j] & bit), None)
-        stuck = sorted(self.agents[i] for i, q in group_of.items() if q is None)
-        if stuck:
-            raise InsufficientPaths(f"agents {stuck} appear on every source-to-sink path")
-        if any(ranked[r] == ranked[r + 1] for r in range(max(group_of.values()))):
-            return None
-        if self.mechanism == "tradeoff2":
-            return {i: bids[i] + ranked[q] - ranked[q - 1] for i, q in group_of.items()}
-        pay = {}
-        previous = 0
-        for q in sorted(set(group_of.values())):
-            # Positions stand in for agent ids: they sort as the ids do.
-            group_bids = [(i, bids[i]) for i, g in group_of.items() if g == q]
-            floor = previous if self.mechanism == "x" else 0
-            shares = distribute(self.rule, group_bids, ranked[q] - ranked[floor])
-            for i, bid in group_bids:
-                pay[i] = bid + shares[i]
-            previous = q
-        return pay
-
 
 def _compile(
     game, agents: tuple[str, ...], values: tuple[list[Fraction], ...]
 ) -> _PathTable | None:
     """The compiled path table of `game`, or None where only MechanismSpec.run applies.
 
-    Compiled: a PathGame whose mechanism is fp-path, vcg, x (any rule),
-    tradeoff2 or tradeoff3, on a network within ENUMERATION_EDGE_GUARD in
-    which each agent owns one edge and that has at most _TABLE_PATH_LIMIT
-    loopless paths, with strictly positive bids. Everything else, including
-    the bids the reference rejects, runs the reference.
+    Compiled: a PathGame of any path rule, on a network within
+    ENUMERATION_EDGE_GUARD in which each agent owns one edge and that has
+    at most _TABLE_PATH_LIMIT loopless paths, with strictly positive bids.
+    The walk over the loopless paths stops one path past the limit.
+    Everything else, including the bids and thresholds the reference
+    rejects, runs the reference.
     """
-    if not isinstance(game, PathGame) or game.spec.mechanism not in _COMPILED_MECHANISMS:
+    if not isinstance(game, PathGame) or game.spec.mechanism.endswith("-single"):
         return None
-    network = game.network
+    network, spec = game.network, game.spec
     if len(network.edges) > ENUMERATION_EDGE_GUARD:
         return None
     if len({e.owner for e in network.edges}) != len(network.edges):
         return None
     if any(v <= 0 for vs in values for v in vs):
         return None
-    # Any positive cost map lists the same paths; their order is set here.
-    some_costs = {a: vs[0] for a, vs in zip(agents, values)}
-    paths = enumerate_paths(network, some_costs).paths
-    if len(paths) > _TABLE_PATH_LIMIT:
+    if spec.mechanism == "tradeoff1" and not 0 <= (spec.threshold or 0) <= 1:
         return None
+    # The walk ignores costs; the routes' order is set here.
+    walk = _walk_all(network, dict.fromkeys(agents, 0), frozenset(), frozenset(), network.source)
+    routes = list(itertools.islice(walk, _TABLE_PATH_LIMIT + 1))
+    if not routes or len(routes) > _TABLE_PATH_LIMIT:
+        return None
+    routes.sort(key=lambda route: route[1])
     index = {a: i for i, a in enumerate(agents)}
-    owners = tuple(tuple(index[a] for a in p.owners) for p in sorted(paths, key=lambda p: p.edges))
+    owners = tuple(tuple(index[a] for a in route[2]) for route in routes)
     true_cost = tuple(network.true_cost[a] for a in agents)
-    return _PathTable(game.spec, agents, values, true_cost, owners)
+    return _PathTable(spec, agents, values, true_cost, owners)
 
 
 class _Evaluator:
@@ -852,9 +835,9 @@ def check_strongly_critical(
     substitute affordable.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, pools = group_structure(network, resolved)
-    pay = _group_share_payments(resolved, assignment, pools, rule)
+    ranked, assignment, _ = group_structure(network, resolved)
     costs = ranked.costs
+    pay, _ = _price(MechanismSpec("x", rule=rule), resolved, costs, assignment.group_of)
     rows = []
     failures = []
     for j, q in enumerate(assignment.present_groups):
@@ -892,8 +875,9 @@ def check_group_truthfulness(
     the accepted trials.
     """
     resolved = _resolve_bids(network, bids)
-    _, assignment, pools = group_structure(network, resolved)
-    base = _group_share_payments(resolved, assignment, pools, rule)
+    ranked, assignment, _ = group_structure(network, resolved)
+    spec = MechanismSpec("x", rule=rule)
+    base, _ = _price(spec, resolved, ranked.costs, assignment.group_of)
     base_order = [p.edges for p in enumerate_paths(network, resolved)]
     rng = random.Random(seed)
     accepted = 0
@@ -922,7 +906,7 @@ def check_group_truthfulness(
         if new_order != base_order:
             continue
         try:
-            new_result = group_share_path(network, perturbed, rule)
+            new_result = spec.run(network, perturbed)
         except TieError:
             continue
         accepted += 1
@@ -967,7 +951,7 @@ def check_degenerate_vickrey(
     """On a network whose cheapest path is a single edge, group sharing,
     marginal pricing and a reverse second-price award must coincide."""
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, pools = group_structure(network, resolved)
+    ranked, assignment, _ = group_structure(network, resolved)
     chosen = ranked.paths[0]
     if len(chosen.edges) != 1:
         return PropertyReport(
@@ -976,8 +960,8 @@ def check_degenerate_vickrey(
             detail="cheapest path is not a single edge",
         )
     winner = chosen.owners[0]
-    shared = _group_share_payments(resolved, assignment, pools, EQUAL_SPLIT)[winner]
-    marginal = _marginal_payments(resolved, ranked, assignment)[winner]
+    shared = _price(MechanismSpec("x"), resolved, ranked.costs, assignment.group_of)[0][winner]
+    marginal = _price(MechanismSpec("vcg"), resolved, ranked.costs, assignment.group_of)[0][winner]
     runner_up = ranked.costs[1]
     ok = shared == marginal and shared == runner_up
     return PropertyReport(

@@ -22,7 +22,7 @@ guessing a tie-break with unknown incentive effects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -234,9 +234,10 @@ def _require_strict_prefix(paths: Sequence[Path], upto: int) -> None:
 
 def _group_structure(
     network: Network, bids: Mapping[str, Fraction]
-) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
-    """group_structure for bids that _resolve_bids has checked, ranked over
-    the shortest prefix in which every cheapest-path agent is absent once."""
+) -> tuple[RankedPaths, GroupAssignment]:
+    """Ranked prefix and survival groups for bids that _resolve_bids has
+    checked, ranked over the shortest prefix in which every cheapest-path
+    agent is absent once."""
     paths: list[Path] = []
     remaining: set[str] = set()
     for path in iter_ranked_paths(network, bids):
@@ -247,8 +248,7 @@ def _group_structure(
         remaining -= {a for a in remaining if a not in path.owner_set}
         if not remaining:
             ranked = RankedPaths(tuple(paths))
-            assignment = classify_groups(ranked)
-            return ranked, assignment, group_profits(assignment, ranked)
+            return ranked, classify_groups(ranked)
     raise InsufficientPaths(
         f"agents {sorted(remaining)} appear on every source-to-sink path"
     )
@@ -293,12 +293,7 @@ def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int,
             f"need {assignment.max_group + 1} ranked paths, got {len(paths)}"
         )
     _require_strict_prefix(paths, assignment.max_group)
-    pools: dict[int, Fraction] = {}
-    previous = 0
-    for q in assignment.present_groups:
-        pools[q] = paths[q].cost - paths[previous].cost
-        previous = q
-    return pools
+    return _pools(ranked.costs, assignment.present_groups, telescoping=True)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +376,94 @@ def distribute(
 # ---------------------------------------------------------------------------
 
 
+def _pools(costs: Sequence, groups: Iterable[int], telescoping: bool) -> dict:
+    """Pool per present group q, in increasing q: the cost gap to q's own
+    substitute path (rank q+1) from the previous present group's substitute
+    when telescoping, from the cheapest path otherwise."""
+    pools = {}
+    floor = 0
+    for q in groups:
+        pools[q] = costs[q] - costs[floor]
+        if telescoping:
+            floor = q
+    return pools
+
+
+def _split(
+    rule: DistributionRule, bids, group_of: Mapping, costs: Sequence, telescoping: bool
+) -> dict:
+    """Each winner's bid plus its share, under `rule`, of its group's pool."""
+    members: dict[int, list] = {}
+    for k, q in group_of.items():
+        members.setdefault(q, []).append((k, bids[k]))
+    pay = {}
+    for q, pool in _pools(costs, sorted(members), telescoping).items():
+        shares = distribute(rule, members[q], pool)
+        for k, bid in members[q]:
+            pay[k] = bid + shares[k]
+    return pay
+
+
+def _price(
+    spec: MechanismSpec, bids, costs: Sequence, group_of: Mapping
+) -> tuple[dict, str | None]:
+    """Payments of the cheapest path's agents under a path rule, and the
+    branch tradeoff1 took (None for the other rules).
+
+    This is the one copy of the path rules' payment formulas, shared by
+    MechanismSpec.run and the compiled path table of grid analysis. The
+    keys of `group_of` are the winners, and `bids[k]` is winner k's bid.
+    Keys are opaque: agent ids in MechanismSpec.run, positions in the
+    sorted agent order in the table, which sort as the ids do. Money may be
+    Fractions, or integers in a common unit (the rule's delta in that unit
+    too). costs[0] is the cheapest path's cost and costs[group_of[k]] the
+    cost of the cheapest path without k. For the group rules costs is the
+    ranked prefix, strictly increasing, and group_of[k] the rank of k's
+    first absence; fp-path reads only the keys.
+
+    vcg pays the excluded detour minus the zeroed one. For a winner on the
+    cheapest path P the zeroed detour is cost(P) - bid in closed form:
+    zeroing the bid lowers every path by at most the bid, and P, the
+    cheapest, by exactly that.
+    """
+    name = spec.mechanism
+    if name == "tradeoff3":
+        return _split(EQUAL_SPLIT, bids, group_of, costs, False), None
+    if name in ("x", "tradeoff1"):
+        shared = _split(spec.rule, bids, group_of, costs, True)
+        if name == "x":
+            return shared, None
+    # Loops, not comprehensions: in CPython 3.11 each comprehension is a
+    # function call of its own, and the compiled table prices every profile.
+    pay = {}
+    if name == "fp-path":
+        for k in group_of:
+            pay[k] = bids[k]
+        return pay, None
+    if name == "tradeoff2":
+        for k, q in group_of.items():
+            pay[k] = bids[k] + costs[q] - costs[q - 1]
+        return pay, None
+    for k, q in group_of.items():
+        pay[k] = costs[q] - (costs[0] - bids[k])
+    if name == "vcg":
+        return pay, None
+    # tradeoff1 compares the relative saving (marginal - shared) / marginal
+    # with the threshold, cross-multiplied: the marginal total is positive.
+    threshold = Fraction(spec.threshold or 0)
+    marginal_total = sum(pay.values())
+    saving = marginal_total - sum(shared.values())
+    if saving * threshold.denominator > threshold.numerator * marginal_total:
+        return shared, "x"
+    return pay, "vcg"
+
+
 def _path_result(
     network: Network,
     chosen: Path,
     payments_on_path: Mapping[str, Fraction],
     groups: Mapping[str, int] | None = None,
+    branch: str | None = None,
 ) -> PaymentResult:
     payments = {a: Fraction(0) for a in network.agents}
     utilities = {a: Fraction(0) for a in network.agents}
@@ -401,24 +479,15 @@ def _path_result(
         selected=tuple(sorted(payments_on_path)),
         chosen_path=chosen,
         groups=dict(groups) if groups is not None else None,
+        branch=branch,
     )
-
-
-def _top_two(network: Network, bids: Mapping[str, Fraction]) -> Path:
-    """The cheapest path, strictly cheaper than the runner-up."""
-    top = list(itertools.islice(iter_ranked_paths(network, bids), 2))
-    if len(top) == 2 and top[0].cost == top[1].cost:
-        raise TieError(f"two cheapest paths tie at cost {top[0].cost}")
-    return top[0]
 
 
 def first_price_path(
     network: Network, bids: Mapping[str, Fraction] | None = None
 ) -> PaymentResult:
     """Pay-as-bid: each agent on the cheapest path is paid its own bid."""
-    resolved = _resolve_bids(network, bids)
-    chosen = _top_two(network, resolved)
-    return _path_result(network, chosen, {a: resolved[a] for a in chosen.owners})
+    return MechanismSpec("fp-path").run(network, bids)
 
 
 def vcg_path(network: Network, bids: Mapping[str, Fraction] | None = None) -> PaymentResult:
@@ -426,26 +495,18 @@ def vcg_path(network: Network, bids: Mapping[str, Fraction] | None = None) -> Pa
 
     Each selected agent is paid the cost of the cheapest path avoiding its
     edge minus the cost of the cheapest path with its edge priced at zero.
-    Unselected agents are paid nothing. For an agent on the cheapest path P
-    the zeroed detour is cost(P) - bid in closed form: zeroing the bid
-    lowers every path by at most the bid, and P, the cheapest, by exactly
-    that.
+    Unselected agents are paid nothing. Only the two cheapest paths are
+    ranked; each winner's excluded detour is one search of its own.
     """
-    resolved = _resolve_bids(network, bids)
-    chosen = _top_two(network, resolved)
-    pay = {
-        agent: detour_cost(network, agent, "excluded", resolved)
-        - (chosen.cost - resolved[agent])
-        for agent in chosen.owners
-    }
-    return _path_result(network, chosen, pay)
+    return MechanismSpec("vcg").run(network, bids)
 
 
 def group_structure(
     network: Network, bids: Mapping[str, Fraction] | None = None
 ) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
     """Ranked prefix, survival groups and pooled profits for the cheapest path."""
-    return _group_structure(network, _resolve_bids(network, bids))
+    ranked, assignment = _group_structure(network, _resolve_bids(network, bids))
+    return ranked, assignment, group_profits(assignment, ranked)
 
 
 def group_share_path(
@@ -461,38 +522,7 @@ def group_share_path(
     the grand total always equals the cost of the path ranked just past
     the deepest group.
     """
-    resolved = _resolve_bids(network, bids)
-    ranked, assignment, pools = _group_structure(network, resolved)
-    pay = _group_share_payments(resolved, assignment, pools, rule)
-    return _path_result(network, ranked.paths[0], pay, groups=assignment.group_of)
-
-
-def _group_share_payments(
-    bids: Mapping[str, Fraction],
-    assignment: GroupAssignment,
-    pools: Mapping[int, Fraction],
-    rule: DistributionRule,
-) -> dict[str, Fraction]:
-    """Group-sharing payment of each cheapest-path agent, from its group structure."""
-    pay: dict[str, Fraction] = {}
-    for q in assignment.present_groups:
-        members = assignment.members(q)
-        shares = distribute(rule, [(a, bids[a]) for a in members], pools[q])
-        for agent in members:
-            pay[agent] = bids[agent] + shares[agent]
-    return pay
-
-
-def _marginal_payments(
-    bids: Mapping[str, Fraction], ranked: RankedPaths, assignment: GroupAssignment
-) -> dict[str, Fraction]:
-    """vcg_path's payment of each cheapest-path agent, from its group structure.
-
-    The cheapest path avoiding an agent is the first ranked path without it,
-    so the excluded detour is costs[group]; the zeroed one is cost(P) - bid.
-    """
-    costs = ranked.costs
-    return {a: costs[q] - (costs[0] - bids[a]) for a, q in assignment.group_of.items()}
+    return MechanismSpec("x", rule=rule).run(network, bids)
 
 
 def savings_switch_path(
@@ -503,26 +533,12 @@ def savings_switch_path(
 ) -> PaymentResult:
     """Run marginal pricing unless group sharing saves more than `threshold`.
 
-    The relative saving is (marginal total - group total) / marginal total,
-    taken as 0 when the marginal total is 0. Above the threshold the
-    group-sharing payments apply, otherwise the marginal ones. The result's
-    `branch` records which side was used. Both sides are priced from one
-    group structure.
+    The relative saving is (marginal total - group total) / marginal total.
+    Above the threshold the group-sharing payments apply, otherwise the
+    marginal ones. The result's `branch` records which side was used. Both
+    sides are priced from one group structure.
     """
-    if not (0 <= threshold <= 1):
-        raise ValueError("threshold must lie in [0, 1]")
-    resolved = _resolve_bids(network, bids)
-    ranked, assignment, pools = _group_structure(network, resolved)
-    marginal = _marginal_payments(resolved, ranked, assignment)
-    shared = _group_share_payments(resolved, assignment, pools, rule)
-    marginal_total = sum(marginal.values(), Fraction(0))
-    saving = marginal_total - sum(shared.values(), Fraction(0))
-    if marginal_total != 0 and saving / marginal_total > threshold:
-        pay, branch = shared, "x"
-    else:
-        pay, branch = marginal, "vcg"
-    result = _path_result(network, ranked.paths[0], pay, assignment.group_of)
-    return replace(result, branch=branch)
+    return MechanismSpec("tradeoff1", rule=rule, threshold=threshold).run(network, bids)
 
 
 def member_gap_path(
@@ -533,14 +549,7 @@ def member_gap_path(
     The profit of each group-q agent is cost(rank q+1) - cost(rank q),
     paid per member rather than pooled.
     """
-    resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = _group_structure(network, resolved)
-    costs = ranked.costs
-    pay = {
-        agent: resolved[agent] + (costs[q] - costs[q - 1])
-        for agent, q in assignment.group_of.items()
-    }
-    return _path_result(network, ranked.paths[0], pay, groups=assignment.group_of)
+    return MechanismSpec("tradeoff2").run(network, bids)
 
 
 def member_gap_schedule(
@@ -559,7 +568,7 @@ def member_gap_schedule(
     if raise_by < 0:
         raise ValueError("raise_by must be nonnegative")
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = _group_structure(network, resolved)
+    ranked, assignment = _group_structure(network, resolved)
     if agent not in assignment.group_of:
         raise NotSelected(f"agent {agent} is not on the cheapest path")
     k = assignment.group_of[agent]
@@ -587,16 +596,7 @@ def shared_gap_to_best_path(
     members; per-member profit is therefore never above what marginal
     pricing would grant the same agent.
     """
-    resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = _group_structure(network, resolved)
-    costs = ranked.costs
-    pay: dict[str, Fraction] = {}
-    for q in assignment.present_groups:
-        members = assignment.members(q)
-        share = (costs[q] - costs[0]) / len(members)
-        for agent in members:
-            pay[agent] = resolved[agent] + share
-    return _path_result(network, ranked.paths[0], pay, groups=assignment.group_of)
+    return MechanismSpec("tradeoff3").run(network, bids)
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +628,23 @@ class MechanismSpec:
         name = self.mechanism
         if name.endswith("-single"):
             return _run_single_item(self, resolved, network.true_cost)
-        if name == "fp-path":
-            return first_price_path(network, resolved)
-        if name == "vcg":
-            return vcg_path(network, resolved)
-        if name == "x":
-            return group_share_path(network, resolved, self.rule)
-        if name == "tradeoff1":
-            threshold = self.threshold if self.threshold is not None else Fraction(0)
-            return savings_switch_path(network, resolved, threshold, self.rule)
-        if name == "tradeoff2":
-            return member_gap_path(network, resolved)
-        return shared_gap_to_best_path(network, resolved)
+        if name == "tradeoff1" and not 0 <= (self.threshold or 0) <= 1:
+            raise ValueError("threshold must lie in [0, 1]")
+        if name in ("fp-path", "vcg"):
+            top = list(itertools.islice(iter_ranked_paths(network, resolved), 2))
+            _require_strict_prefix(top, 1)
+            # The cheapest path's cost, then each winner's excluded detour.
+            chosen, groups = top[0], None
+            group_of = {a: r for r, a in enumerate(chosen.owners, 1)}
+            costs = [chosen.cost]
+            if name == "vcg":
+                costs += [detour_cost(network, a, "excluded", resolved) for a in chosen.owners]
+        else:
+            ranked, assignment = _group_structure(network, resolved)
+            chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of
+            groups = group_of
+        pay, branch = _price(self, resolved, costs, group_of)
+        return _path_result(network, chosen, pay, groups, branch)
 
 
 def _run_single_item(

@@ -29,6 +29,7 @@ from pathauction import (
     selection_probability,
 )
 from pathauction import analysis
+from pathauction.mechanisms import MECHANISM_IDS
 
 HALF = F(1, 2)
 
@@ -41,6 +42,11 @@ SPECS = (
     MechanismSpec("x", rule=DistributionRule("compound", F(1, 7))),
     MechanismSpec("tradeoff2"),
     MechanismSpec("tradeoff3"),
+    # tradeoff1: thresholds 0, 1/4, 1/2 and 1, one split rule each.
+    MechanismSpec("tradeoff1"),
+    MechanismSpec("tradeoff1", rule=DistributionRule("reverse-rank"), threshold=F(1, 4)),
+    MechanismSpec("tradeoff1", rule=DistributionRule("waterfall", HALF), threshold=HALF),
+    MechanismSpec("tradeoff1", rule=DistributionRule("compound", F(1, 7)), threshold=F(1)),
 )
 
 RANDOM_NETS = [
@@ -150,7 +156,15 @@ def test_off_grid_bid_after_evaluation():
         _assert_profiles_match_reference(ev, spec, net, ev.profiles())
 
 
-@pytest.mark.parametrize("mechanism", ["x", "vcg", "tradeoff3"])
+@pytest.mark.parametrize("mechanism", sorted(m for m in MECHANISM_IDS if not m.endswith("-single")))
+def test_every_path_rule_compiles_on_fig2(mechanism):
+    net = fixture("fig2")
+    ev = analysis._Evaluator(PathGame(net, MechanismSpec(mechanism)), _half_grid(net))
+    ev.outcome(next(ev.profiles()))
+    assert ev._table is not None
+
+
+@pytest.mark.parametrize("mechanism", ["x", "vcg", "tradeoff3", "tradeoff1"])
 def test_compiled_money_is_integral_on_fig2(mechanism):
     """On fig2's half-unit grid every equal and tradeoff3 share is whole at
     the table's scale, so no profile of the grid builds a Fraction."""
@@ -212,6 +226,46 @@ def test_many_paths_fall_back_to_the_reference(monkeypatch, mechanism):
     assert compiled == [_converted(ev, out) for out in reference]
 
 
+def test_fallback_walk_stops_one_path_past_the_limit(monkeypatch):
+    """A network past _TABLE_PATH_LIMIT falls back without enumerating
+    every path: the 12-stage chain's walk yields 257 of its 4,096 routes."""
+    walked = []
+    walk = analysis._walk_all
+
+    def counted(*args):
+        for route in walk(*args):
+            walked.append(route)
+            yield route
+
+    monkeypatch.setattr(analysis, "_walk_all", counted)
+    net = _parallel_pairs(12)
+    grid = BidGrid.procurement(net.true_cost, F(1), 0)
+    ev = analysis._Evaluator(PathGame(net, MechanismSpec("x")), grid)
+    ev.outcome(next(ev.profiles()))
+    assert ev._table is None
+    assert len(walked) == analysis._TABLE_PATH_LIMIT + 1
+
+
+@pytest.mark.parametrize(
+    "threshold, branch, total", [(F(2, 5), "vcg", 10), (F(2, 5) - F(1, 100), "x", 6)]
+)
+def test_tradeoff1_switch_is_exact_at_the_threshold(threshold, branch, total):
+    """On fig2 with c bidding 2 and d bidding 6, vcg pays 10 and x pays 6:
+    the saving ratio is exactly 2/5. At threshold 2/5 the saving does not
+    exceed it, so both the reference and the table keep the vcg payments.
+    As a float, 4/10 rounds above 2/5, so a float division would switch."""
+    net = fixture("fig2")
+    bids = dict(net.true_cost, c=F(2), d=F(6))
+    spec = MechanismSpec("tradeoff1", threshold=threshold)
+    result = spec.run(net, bids)
+    assert (result.branch, result.total) == (branch, total)
+    grid = BidGrid({a: (b,) for a, b in bids.items()})
+    ev = analysis._Evaluator(PathGame(net, spec), grid)
+    out = ev.outcome(next(ev.profiles()))
+    assert ev._table is not None
+    assert F(out.mechanism_utility) / ev.scale == -total
+
+
 # Agent a's edge is a cut: vcg cannot price a, and x cannot group it.
 _CUT = [("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 2)]
 _NO_PATH = [("a", "X", "M", 1), ("b", "Y", "M", 1)]
@@ -229,6 +283,13 @@ def test_errors_match_reference(monkeypatch, rows, mechanism, error):
         check_vcg_truthful(game, grid)
     monkeypatch.setattr(analysis, "_compile", lambda *args: None)
     with pytest.raises(error):
+        check_vcg_truthful(game, grid)
+
+
+def test_out_of_range_threshold_raises_as_the_reference_does():
+    game = PathGame(fixture("fig2"), MechanismSpec("tradeoff1", threshold=F(2)))
+    grid = BidGrid.procurement(game.network.true_cost, F(1), 1)
+    with pytest.raises(ValueError, match="threshold must lie in"):
         check_vcg_truthful(game, grid)
 
 

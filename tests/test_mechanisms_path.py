@@ -6,6 +6,7 @@ from pathauction import (
     DistributionRule,
     Edge,
     InsufficientPaths,
+    MechanismSpec,
     Network,
     Path,
     RankedPaths,
@@ -138,6 +139,27 @@ def test_group_share_rules_differ_with_uneven_bids(xsmall):
     assert reverse.payments == {"r": F(1) + F(4, 3), "s": F(2) + F(2, 3), "u": F(0)}
     waterfall = group_share_path(xsmall, bids, DistributionRule("waterfall", F(1, 2)))
     assert waterfall.payments == {"r": F(5, 2), "s": F(5, 2), "u": F(0)}
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        DistributionRule("equal"),
+        DistributionRule("reverse-rank"),
+        DistributionRule("waterfall", F(1)),
+        DistributionRule("compound", F(1, 2)),
+    ],
+    ids=lambda r: r.kind,
+)
+def test_group_share_example1_every_rule(example1, rule):
+    """Every winner bids 1, so each rule splits each telescoping pool (1, 3,
+    5 and 1 for groups {B, C}, {A, D}, {E} and {F}) evenly; tradeoff1 at
+    threshold 0 takes the same payments."""
+    want = {a: F(0) for a in example1.agents}
+    want.update(B=F(3, 2), C=F(3, 2), A=F(5, 2), D=F(5, 2), E=F(6), F=F(2))
+    assert group_share_path(example1, example1.true_cost, rule).payments == want
+    switch = MechanismSpec("tradeoff1", rule=rule).run(example1)
+    assert (switch.branch, switch.payments) == ("x", want)
 
 
 def test_group_share_conservation(example1):

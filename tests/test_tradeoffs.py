@@ -194,6 +194,14 @@ def test_shared_gap_fig3(fig3):
     assert shared_gap_to_best_path(fig3, fig3.true_cost).payments["e"] == 5
 
 
+def test_shared_gap_splits_evenly_whatever_the_rule(xsmall):
+    """r and s form one group with pool 5 - 3 = 2; tradeoff3 splits it
+    evenly even when the spec names another rule."""
+    bids = {"r": F(1), "s": F(2), "u": F(5)}
+    spec = MechanismSpec("tradeoff3", rule=DistributionRule("reverse-rank"))
+    assert spec.run(xsmall, bids).payments == {"r": F(2), "s": F(3), "u": F(0)}
+
+
 def test_shared_gap_never_beats_marginal_per_member(random_nets_200):
     for net in random_nets_200[:50]:
         shared = shared_gap_to_best_path(net, net.true_cost)

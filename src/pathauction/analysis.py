@@ -23,15 +23,16 @@ inside best-response evaluation. All reports are canonically ordered
 (agents lexicographic, profiles lexicographic) so results do not depend
 on enumeration order; enumeration may be parallelized freely.
 
-Each operation evaluates a profile at most once, caching outcomes keyed
-by grid positions. A PathGame of any path rule, on a network within
-ENUMERATION_EDGE_GUARD with at most _TABLE_PATH_LIMIT loopless paths, is
-compiled once per operation: its paths are listed a single time, and
-each profile is ranked from path-cost sums and priced by the payment
-formulas MechanismSpec.run uses (mechanisms._price). Single-item games
-and larger networks run MechanismSpec.run per profile; that path is also
-the reference the compiled one is tested against. Both are bounded by
-PROFILE_GUARD.
+An operation that reads the whole grid prices each profile once, in one
+pass, into a flat list that it reads by stride; a query that reads one
+line of the grid prices only that line. A PathGame of any path rule, on
+a network within ENUMERATION_EDGE_GUARD with at most _TABLE_PATH_LIMIT
+loopless paths, is compiled once per operation: its paths are listed a
+single time, and each profile is ranked from path-cost sums and priced
+by the payment formulas MechanismSpec.run uses (mechanisms._price).
+Single-item games and larger networks run MechanismSpec.run per profile;
+that path is also the reference the compiled one is tested against. Both
+are bounded by PROFILE_GUARD.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -49,7 +50,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     Disconnected,
@@ -191,19 +192,18 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 
 
 # ---------------------------------------------------------------------------
-# Profile evaluation with caching
+# Profile evaluation
 # ---------------------------------------------------------------------------
 
 #: Most loopless paths a compiled table holds. The table's cost per profile
 #: grows with the path count, the reference's with the ranked prefix a run
-#: reads. On chains of parallel edges with 256 paths the table took 0.5 to
-#: 1.0 of the reference's time for vcg, x and tradeoff3 (fp-path 1.2 to
-#: 1.6), and from 1,024 paths it was slower for every rule.
+#: reads. On chains of 2, 3 or 4 parallel edges with 243 or 256 paths the
+#: table took 0.26 to 0.49 of the reference's time (fp-path 0.82 to 0.95);
+#: at 512 fp-path took 2.1 times it; from 729 the others broke even or lost.
 _TABLE_PATH_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(NamedTuple):
     """One profile's outcome, its money in units of 1/scale of its evaluator.
 
     Utilities align with the sorted agent order. Compiled outcomes hold
@@ -279,8 +279,8 @@ class _PathTable:
             spec = replace(spec, rule=DistributionRule(spec.rule.kind, scaled(delta)))
         self.spec = spec
 
-    def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
-        bids = [vs[p] for vs, p in zip(self.scaled, profile)]
+    def outcome(self, bids: tuple[int, ...]) -> _Outcome | None:
+        """The outcome of one profile of scaled bids, in sorted agent order."""
         bid_of = bids.__getitem__
         costs = [sum(map(bid_of, owners)) for owners in self.owners]
         order = sorted(range(len(costs)), key=costs.__getitem__)
@@ -294,31 +294,35 @@ class _PathTable:
             if self.mechanism == "vcg":
                 for i in winners:
                     bit = 1 << i
-                    excluded = next((costs[j] for j in order if not masks[j] & bit), None)
-                    if excluded is None:
+                    for j in order:
+                        if not masks[j] & bit:
+                            ranked.append(costs[j])
+                            break
+                    else:
                         agent = self.agents[i]
                         raise Disconnected(f"removing agent {agent} disconnects the network")
-                    ranked.append(excluded)
         else:
             group_of = {}
+            stuck = []
             for i in winners:
                 bit = 1 << i
-                group_of[i] = next((r for r, j in enumerate(order) if not masks[j] & bit), None)
-            stuck = sorted(self.agents[i] for i, q in group_of.items() if q is None)
+                for r, j in enumerate(order):
+                    if not masks[j] & bit:
+                        group_of[i] = r
+                        break
+                else:
+                    stuck.append(self.agents[i])
             if stuck:
+                stuck.sort()
                 raise InsufficientPaths(f"agents {stuck} appear on every source-to-sink path")
             ranked = [costs[j] for j in order[: max(group_of.values()) + 1]]
             if any(a == b for a, b in zip(ranked, ranked[1:])):
                 return None
         pay, _ = _price(self.spec, bids, ranked, group_of)
-        utilities = [0] * len(self.agents)
+        utilities = [0] * len(bids)
         for i, amount in pay.items():
             utilities[i] = amount - self.true_scaled[i]
-        return _Outcome(
-            utilities=tuple(utilities),
-            mechanism_utility=-sum(pay.values()),
-            selected=self.selected[order[0]],
-        )
+        return _Outcome(tuple(utilities), -sum(pay.values()), self.selected[order[0]])
 
 
 def _compile(
@@ -357,7 +361,7 @@ def _compile(
 
 
 class _Evaluator:
-    """Evaluates full bid profiles once and caches compact outcomes.
+    """Prices the bid profiles of one game and grid, the whole grid in one pass.
 
     A profile is a tuple of positions aligned with the sorted agent order:
     entry i indexes `values[i]`, which holds agent i's grid bids followed
@@ -366,12 +370,17 @@ class _Evaluator:
     inadmissible. Games the compiled path table covers are priced by it;
     all others by the game's own `run`.
 
+    `grid()` prices every grid profile once into one list in product
+    order, profile p at index sum(p[i] * strides[i]); `section` reads it at
+    one agent's bid by stride. An off-grid value is never an opponent's:
+    the profiles holding one are priced when read, one by one, and not kept.
+
     Outcome money is in units of 1/`scale`: the table's scale when it is
     compiled, 1 (the run's own Fractions) otherwise. Comparisons within one
     evaluator need no conversion; a value handed to a caller converts back
     as `Fraction(u) / scale`. An off-grid value appended after pricing
-    rebuilds the table at a new scale, so the cached outcomes are dropped
-    then and outcomes at two scales never mix.
+    rebuilds the table at a new scale, so the grid priced at the old one is
+    dropped then and outcomes at two scales never mix.
     """
 
     def __init__(self, game, grid: BidGrid):
@@ -384,8 +393,9 @@ class _Evaluator:
             list(grid.bids_for[a]) for a in self.agents
         )
         self.sizes = tuple(len(vs) for vs in self.values)
+        self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
         self._positions = tuple({v: p for p, v in enumerate(vs)} for vs in self.values)
-        self._cache: dict[tuple[int, ...], _Outcome | None] = {}
+        self._grid: list[_Outcome | None] | None = None
         self._table: _PathTable | None = None
         self._compiled = False
         self.scale = 1
@@ -407,9 +417,9 @@ class _Evaluator:
             pos = self._positions[i][bid] = len(self.values[i])
             self.values[i].append(bid)
             # The table must be rebuilt to scale the new value, and the
-            # outcomes priced at the old scale go with it.
+            # grid priced at the old scale goes with it.
             self._compiled = False
-            self._cache.clear()
+            self._grid = None
         return pos
 
     def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -419,28 +429,55 @@ class _Evaluator:
         others = [vs for a, vs in zip(self.agents, self.values) if a != agent]
         return tuple(vs[p] for vs, p in zip(others, opponents))
 
-    def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
-        hit = self._cache.get(profile)
-        if hit is None and profile not in self._cache:
-            hit = self._cache[profile] = self._evaluate(profile)
-        return hit
-
-    def _evaluate(self, profile: tuple[int, ...]) -> _Outcome | None:
+    def _pricer(self):
+        """The value lists the pricer reads and the pricer of one bid tuple."""
         if not self._compiled:
             self._table = _compile(self.game, self.agents, self.values)
             self._compiled = True
             self.scale = 1 if self._table is None else self._table.scale
         if self._table is not None:
-            return self._table.outcome(profile)
+            return self._table.scaled, self._table.outcome
+        return self.values, self._run
+
+    def _run(self, bids: tuple[Fraction, ...]) -> _Outcome | None:
         try:
-            result = self.game.run(dict(zip(self.agents, self.bids(profile))))
+            result = self.game.run(dict(zip(self.agents, bids)))
         except TieError:
             return None
-        return _Outcome(
-            utilities=tuple(result.utilities[a] for a in self.agents),
-            mechanism_utility=result.mechanism_utility,
-            selected=frozenset(result.selected),
-        )
+        utilities = tuple(result.utilities[a] for a in self.agents)
+        return _Outcome(utilities, result.mechanism_utility, frozenset(result.selected))
+
+    def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
+        """One profile's outcome, priced now and not stored."""
+        values, price = self._pricer()
+        return price(tuple(vs[p] for vs, p in zip(values, profile)))
+
+    def grid(self) -> list[_Outcome | None]:
+        """The outcome of every grid profile, in `profiles()` order."""
+        if self._grid is None:
+            self.require_enumerable()
+            values, price = self._pricer()
+            on_grid = (vs[:n] for vs, n in zip(values, self.sizes))
+            self._grid = list(map(price, itertools.product(*on_grid)))
+        return self._grid
+
+    def section(self, agent: str, pos: int) -> Iterable[_Outcome | None]:
+        """The outcomes with `agent` at `pos`, in opponent-product order:
+        a slice of the grid, or for an off-grid `pos` its `line`."""
+        i = self.index[agent]
+        if pos >= self.sizes[i]:
+            return self.line(agent, pos)
+        grid, stride = self.grid(), self.strides[i]
+        block = stride * self.sizes[i]
+        if stride == 1:
+            return grid[pos::block]
+        starts = range(pos * stride, len(grid), block)
+        return list(itertools.chain.from_iterable(grid[s : s + stride] for s in starts))
+
+    def line(self, agent: str, pos: int) -> Iterator[_Outcome | None]:
+        """`section` priced one profile at a time, for queries that read one line."""
+        opponents = self.opponent_profiles(agent)
+        return map(self.outcome, (self.assemble(agent, pos, opp) for opp in opponents))
 
     def profiles(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*map(range, self.sizes))
@@ -451,12 +488,6 @@ class _Evaluator:
     def assemble(self, agent: str, pos: int, opponents: tuple[int, ...]) -> tuple[int, ...]:
         i = self.index[agent]
         return opponents[:i] + (pos,) + opponents[i:]
-
-    def utility(self, agent: str, profile: tuple[int, ...]) -> int | Fraction:
-        out = self.outcome(profile)
-        if out is None:
-            return 0
-        return out.utilities[self.index[agent]]
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +503,14 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     count entirely.
     """
     ev = _Evaluator(game, grid)
-    return _selection_probability(ev, agent, ev.position(agent, bid))
-
-
-def _selection_probability(ev: _Evaluator, agent: str, pos: int) -> Fraction:
     ev.require_enumerable(skip_agent=agent)
+    return _selection_probability(agent, ev.line(agent, ev.position(agent, bid)))
+
+
+def _selection_probability(agent: str, outcomes: Iterable[_Outcome | None]) -> Fraction:
     admissible = 0
     selected = 0
-    for opponents in ev.opponent_profiles(agent):
-        out = ev.outcome(ev.assemble(agent, pos, opponents))
+    for out in outcomes:
         if out is None:
             continue
         admissible += 1
@@ -506,36 +536,38 @@ def best_response_set(
         if opponent_profile[other] not in grid.bids_for[other]:
             raise ValueError(f"bid {opponent_profile[other]} for {other} is off the grid")
     opponents = tuple(ev.position(a, opponent_profile[a]) for a in others)
+    i = ev.index[agent]
+    outcomes = (ev.outcome(ev.assemble(agent, pos, opponents)) for pos in range(ev.sizes[i]))
     utilities = {
-        bid: ev.utility(agent, ev.assemble(agent, pos, opponents))
-        for pos, bid in enumerate(grid.bids_for[agent])
+        bid: 0 if out is None else out.utilities[i]
+        for bid, out in zip(grid.bids_for[agent], outcomes)
     }
     best = max(utilities.values())
     return {bid for bid, u in utilities.items() if u == best}
 
 
-def _utility_vectors(ev: _Evaluator, agent: str) -> tuple[list[tuple[int, ...]], list[tuple]]:
+def _utilities(ev: _Evaluator, agent: str, pos: int) -> tuple:
+    """The agent's utility at `pos` over the ordered opponent product; a tie scores 0."""
+    i = ev.index[agent]
+    return tuple(0 if out is None else out.utilities[i] for out in ev.section(agent, pos))
+
+
+def _utility_vectors(ev: _Evaluator, agent: str) -> list[tuple]:
     """Utility vector per grid position over the full ordered opponent product."""
-    ev.require_enumerable()
-    opponents = list(ev.opponent_profiles(agent))
-    vectors = [
-        tuple(ev.utility(agent, ev.assemble(agent, pos, opp)) for opp in opponents)
-        for pos in range(ev.sizes[ev.index[agent]])
-    ]
-    return opponents, vectors
+    return [_utilities(ev, agent, pos) for pos in range(ev.sizes[ev.index[agent]])]
 
 
 def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]:
     if mode not in MODES:
         raise ValueError(f"unknown strategy mode {mode!r}")
-    opponents, vectors = _utility_vectors(ev, agent)
+    vectors = _utility_vectors(ev, agent)
     own = range(len(vectors))
 
     best_anywhere: set[int] = set()
     best_everywhere: set[int] = set(own)
-    for j in range(len(opponents)):
-        column_best = max(vector[j] for vector in vectors)
-        winners = {pos for pos in own if vectors[pos][j] == column_best}
+    for column in zip(*vectors):
+        column_best = max(column)
+        winners = {pos for pos, u in enumerate(column) if u == column_best}
         best_anywhere |= winners
         best_everywhere &= winners
 
@@ -635,9 +667,10 @@ class ConsistencyReport:
 def _joint_optimal(
     ev: _Evaluator, per_agent: Mapping[str, tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Product of the per-agent optimal positions, admissible profiles only."""
+    """The admissible profiles of the per-agent positions' product, in lexicographic order."""
+    grid, strides = ev.grid(), ev.strides
     product = itertools.product(*(per_agent[a] for a in ev.agents))
-    return tuple(sorted(p for p in product if ev.outcome(p) is not None))
+    return tuple(p for p in product if grid[sum(map(int.__mul__, p, strides))] is not None)
 
 
 def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...], ...]:
@@ -647,11 +680,9 @@ def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...
 
 
 def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:
-    ev.require_enumerable()
     best = None
     argmax: list[tuple[int, ...]] = []
-    for profile in ev.profiles():
-        out = ev.outcome(profile)
+    for profile, out in zip(ev.profiles(), ev.grid()):
         if out is None:
             continue
         if best is None or out.mechanism_utility > best:
@@ -755,12 +786,12 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
     probability, selection probability never rises with the bid, and any
     selected agent earns strictly positive utility."""
     ev = _Evaluator(game, grid)
-    ev.require_enumerable()
+    outcomes = ev.grid()
     counterexamples: list[tuple] = []
     for agent in ev.agents:
         truthful = game.types[agent]
         own = grid.bids_for[agent]
-        probs = [_selection_probability(ev, agent, pos) for pos in range(len(own))]
+        probs = [_selection_probability(agent, ev.section(agent, pos)) for pos in range(len(own))]
         if truthful not in own or probs[own.index(truthful)] != max(probs):
             counterexamples.append(
                 ("selection probability not maximal at truthful bid", agent)
@@ -770,8 +801,7 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
                 counterexamples.append(
                     ("selection probability rises with the bid", agent, own[pos], own[pos + 1])
                 )
-    for profile in ev.profiles():
-        out = ev.outcome(profile)
+    for profile, out in zip(ev.profiles(), outcomes):
         if out is None:
             continue
         for agent in sorted(out.selected):
@@ -933,10 +963,10 @@ def check_vcg_truthful(game, grid: BidGrid) -> PropertyReport:
     counterexamples = []
     for agent in ev.agents:
         own = grid.bids_for[agent]
-        for opponents in ev.opponent_profiles(agent):
-            truthful_u = ev.utility(agent, ev.assemble(agent, truthful[agent], opponents))
-            for pos, bid in enumerate(own):
-                if ev.utility(agent, ev.assemble(agent, pos, opponents)) > truthful_u:
+        rows = zip(_utilities(ev, agent, truthful[agent]), *_utility_vectors(ev, agent))
+        for opponents, (truthful_u, *row) in zip(ev.opponent_profiles(agent), rows):
+            for bid, u in zip(own, row):
+                if u > truthful_u:
                     counterexamples.append((agent, bid, ev.opponent_bids(agent, opponents)))
     return PropertyReport(
         name="vcg-truthful",

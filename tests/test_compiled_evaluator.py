@@ -81,10 +81,11 @@ def _converted(ev, out):
     return tuple(money[:-1]), money[-1], out.selected
 
 
-def _assert_profiles_match_reference(ev, spec, net, profiles):
+def _assert_outcomes_match_reference(ev, spec, net, priced):
+    """`priced` yields (profile, outcome) pairs of `ev`."""
     ties = 0
-    for profile in profiles:
-        got = _converted(ev, ev.outcome(profile))
+    for profile, out in priced:
+        got = _converted(ev, out)
         want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
         assert got == want, (spec, ev.bids(profile))
         ties += got is None
@@ -93,7 +94,7 @@ def _assert_profiles_match_reference(ev, spec, net, profiles):
 
 def _assert_matches_reference(net, spec):
     ev = analysis._Evaluator(PathGame(net, spec), _half_grid(net))
-    ties = _assert_profiles_match_reference(ev, spec, net, ev.profiles())
+    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
     assert ev._table is not None
     return ties
 
@@ -141,19 +142,41 @@ def test_random_outcomes_match_reference(spec):
 def test_off_grid_bid_after_evaluation():
     """A value with a new denominator, added after every grid profile was
     priced: the table is rebuilt at a new scale, and no outcome priced at
-    the old one survives."""
+    the old one survives. The grid stays the grid's own profiles."""
     net = fixture("fig2")
     for spec in SPECS:
         grid = BidGrid.procurement(net.true_cost, F(1), 2)
         ev = analysis._Evaluator(PathGame(net, spec), grid)
-        _assert_profiles_match_reference(ev, spec, net, ev.profiles())
+        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
         old_scale = ev.scale
-        grid_profiles = list(ev.profiles())
         agent = ev.agents[0]
-        ev.position(agent, F(7, 3))
-        _assert_profiles_match_reference(ev, spec, net, grid_profiles)
+        off = ev.position(agent, F(7, 3))
+        off_profiles = [ev.assemble(agent, off, opp) for opp in ev.opponent_profiles(agent)]
+        priced = ((p, ev.outcome(p)) for p in off_profiles)
+        _assert_outcomes_match_reference(ev, spec, net, priced)
         assert ev.scale == 3 * old_scale
-        _assert_profiles_match_reference(ev, spec, net, ev.profiles())
+        assert len(ev.grid()) == grid.product_size()
+        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
+
+
+def _unequal_grid(net):
+    """Half-unit steps above each type, 2, 3, 4, ... bids in agent order."""
+    sizes = enumerate(net.agents, 2)
+    return BidGrid({a: tuple(net.true_cost[a] + HALF * i for i in range(n)) for n, a in sizes})
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+def test_grid_is_the_outcomes_profile_by_profile(spec):
+    """The one-pass grid holds each profile's own outcome in product order,
+    and a section at each bid is that bid's line, priced one by one."""
+    net = fixture("fig2")
+    for grid in (_half_grid(net), _unequal_grid(net)):
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        assert ev.grid() == [ev.outcome(p) for p in ev.profiles()]
+        assert ev._table is not None
+        for agent, size in zip(ev.agents, ev.sizes):
+            for pos in range(size):
+                assert list(ev.section(agent, pos)) == list(ev.line(agent, pos))
 
 
 @pytest.mark.parametrize("mechanism", sorted(m for m in MECHANISM_IDS if not m.endswith("-single")))
@@ -170,7 +193,7 @@ def test_compiled_money_is_integral_on_fig2(mechanism):
     the table's scale, so no profile of the grid builds a Fraction."""
     net = fixture("fig2")
     ev = analysis._Evaluator(PathGame(net, MechanismSpec(mechanism)), _half_grid(net))
-    outcomes = [ev.outcome(p) for p in ev.profiles()]
+    outcomes = ev.grid()
     assert ev._table is not None
     money = [u for out in outcomes if out for u in (*out.utilities, out.mechanism_utility)]
     assert money and all(type(u) is int for u in money)
@@ -216,12 +239,13 @@ def test_many_paths_fall_back_to_the_reference(monkeypatch, mechanism):
         {a: (t, t + F(1, 64)) if a in varied else (t,) for a, t in net.true_cost.items()}
     )
     ev = analysis._Evaluator(PathGame(net, spec), grid)
-    reference = [ev.outcome(p) for p in ev.profiles()]
+    reference = ev.grid()
     assert ev._table is None and ev.scale == 1
-    assert _assert_profiles_match_reference(ev, spec, net, ev.profiles()) < len(reference)
+    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), reference))
+    assert ties < len(reference)
     monkeypatch.setattr(analysis, "_TABLE_PATH_LIMIT", 2**12)
     forced = analysis._Evaluator(PathGame(net, spec), grid)
-    compiled = [_converted(forced, forced.outcome(p)) for p in forced.profiles()]
+    compiled = [_converted(forced, out) for out in forced.grid()]
     assert forced._table is not None
     assert compiled == [_converted(ev, out) for out in reference]
 

@@ -11,11 +11,8 @@ from fractions import Fraction as F
 
 from pathauction import (
     MechanismSpec,
-    compare_mechanisms,
     fixture,
     format_cost,
-    group_share_path,
-    vcg_path,
 )
 
 
@@ -33,7 +30,7 @@ def main() -> None:
         MechanismSpec("tradeoff3"),
         MechanismSpec("tradeoff1", threshold=F(1, 4)),
     ]
-    rows = compare_mechanisms(net, bids, specs)
+    rows = [(spec, spec.run(net, bids)) for spec in specs]
 
     winners = sorted(rows[0][1].selected)
     header = f"{'mechanism':<12}" + "".join(f"{a:>8}" for a in winners) + f"{'total':>9}"
@@ -55,12 +52,13 @@ def main() -> None:
     print("raising a bid can HELP the buyer under marginal pricing:")
     raised = dict(bids)
     raised["A"] = F(4)
-    print(f"  truthful total: {format_cost(vcg_path(net, bids).total)}")
-    print(f"  after A bids 4: {format_cost(vcg_path(net, raised).total)}")
+    vcg = MechanismSpec("vcg")
+    print(f"  truthful total: {format_cost(vcg.run(net, bids).total)}")
+    print(f"  after A bids 4: {format_cost(vcg.run(net, raised).total)}")
 
     print()
     print("under group sharing the same move cannot change the group's take:")
-    res = group_share_path(net, bids)
+    res = MechanismSpec("x").run(net, bids)
     print(f"  total stays {format_cost(res.total)}: it is pinned to the")
     print("  cost of the first route that avoids the deepest-surviving agent.")
 

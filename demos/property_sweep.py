@@ -12,14 +12,13 @@ from fractions import Fraction as F
 from pathauction import (
     DistributionRule,
     EQUAL_SPLIT,
+    MechanismSpec,
     check_strongly_critical,
     enumerate_paths,
     format_cost,
-    group_share_path,
     group_structure,
     random_network,
     rank_paths,
-    vcg_path,
 )
 
 RULES = (
@@ -41,8 +40,8 @@ def main(count: int) -> None:
         ranked = enumerate_paths(net, bids)
         assert rank_paths(net, bids, k=len(ranked.paths)).paths == ranked.paths
 
-        shared = group_share_path(net, bids, rule)
-        marginal = vcg_path(net, bids)
+        shared = MechanismSpec("x", rule=rule).run(net, bids)
+        marginal = MechanismSpec("vcg").run(net, bids)
         _, assignment, pools = group_structure(net, bids)
 
         assert shared.total == ranked.costs[assignment.max_group]

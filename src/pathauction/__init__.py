@@ -69,21 +69,11 @@ from .mechanisms import (
     GroupAssignment,
     MechanismSpec,
     PaymentResult,
-    averaged_single,
     classify_groups,
-    compare_mechanisms,
     distribute,
-    first_price_path,
-    first_price_single,
     group_profits,
-    group_share_path,
     group_structure,
-    member_gap_path,
     member_gap_schedule,
-    savings_switch_path,
-    shared_gap_to_best_path,
-    vcg_path,
-    vickrey_single,
 )
 from .rational import format_cost, parse_cost
 

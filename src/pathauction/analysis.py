@@ -231,7 +231,7 @@ class _PathTable:
     mechanisms._price, the formulas MechanismSpec.run uses, with agent
     positions for keys. fp-path and vcg check the two cheapest paths only,
     and vcg hands the pricer the cost of each winner's first path without
-    it, as vcg_path does with its detours; the group rules rank up to the
+    it, as MechanismSpec.run does with its detours; the group rules rank up to the
     deepest group.
 
     All money is in integers counting units of 1/scale. The scale is the
@@ -334,8 +334,8 @@ def _compile(
     ENUMERATION_EDGE_GUARD in which each agent owns one edge and that has
     at most _TABLE_PATH_LIMIT loopless paths, with strictly positive bids.
     The walk over the loopless paths stops one path past the limit.
-    Everything else, including the bids and thresholds the reference
-    rejects, runs the reference.
+    Everything else, including bids the reference rejects, runs the
+    reference; a spec's own fields were checked when it was built.
     """
     if not isinstance(game, PathGame) or game.spec.mechanism.endswith("-single"):
         return None
@@ -345,8 +345,6 @@ def _compile(
     if len({e.owner for e in network.edges}) != len(network.edges):
         return None
     if any(v <= 0 for vs in values for v in vs):
-        return None
-    if spec.mechanism == "tradeoff1" and not 0 <= (spec.threshold or 0) <= 1:
         return None
     # The walk ignores costs; the routes' order is set here.
     walk = _walk_all(network, dict.fromkeys(agents, 0), frozenset(), frozenset(), network.source)

@@ -13,10 +13,12 @@ Two families live here:
   each group the cost gap it protects, split by a configurable rule.
   Three variants trade revenue for stronger truth-telling pressure.
 
-Every function is pure: it reads its arguments, returns a PaymentResult
-and never mutates shared state. Strict cost order among the path ranks a
-rule consumes is a precondition; equal costs raise TieError rather than
-guessing a tie-break with unknown incentive effects.
+Each rule is an id of MechanismSpec, whose docstring lists them all, and
+MechanismSpec.run (SingleItemGame.run for a bare type vector) is the one
+way to run it. A run is pure: it reads its arguments, returns a
+PaymentResult and never mutates shared state. Strict cost order among
+the path ranks a rule consumes is a precondition; equal costs raise
+TieError rather than guessing a tie-break with unknown incentive effects.
 """
 
 from __future__ import annotations
@@ -133,16 +135,13 @@ def _single_item(
     bids: Mapping[str, Fraction],
     orientation: str,
     price: Callable[[Fraction, Fraction], Fraction],
-    types: Mapping[str, Fraction] | None,
+    types: Mapping[str, Fraction],
 ) -> PaymentResult:
-    if orientation not in ("forward", "reverse"):
-        raise ValueError(f"orientation must be forward or reverse, got {orientation!r}")
     if len(bids) < 2:
         raise ValueError("single-item auctions need at least two participants")
     for agent, value in bids.items():
         if value <= 0:
             raise ValueError(f"nonpositive bid for {agent}")
-    types = bids if types is None else types
 
     forward = orientation == "forward"
     best = max(bids.values()) if forward else min(bids.values())
@@ -173,39 +172,19 @@ def _single_item(
     )
 
 
-def first_price_single(
-    bids: Mapping[str, Fraction],
-    orientation: str = "forward",
-    types: Mapping[str, Fraction] | None = None,
+def _run_single_item(
+    spec: MechanismSpec, bids: Mapping[str, Fraction], types: Mapping[str, Fraction]
 ) -> PaymentResult:
-    """Winner pays (forward) or is paid (reverse) its own bid."""
-    return _single_item(bids, orientation, lambda own, second: own, types)
-
-
-def vickrey_single(
-    bids: Mapping[str, Fraction],
-    orientation: str = "forward",
-    types: Mapping[str, Fraction] | None = None,
-) -> PaymentResult:
-    """Winner pays (forward) or is paid (reverse) the second-best bid."""
-    return _single_item(bids, orientation, lambda own, second: second, types)
-
-
-def averaged_single(
-    bids: Mapping[str, Fraction],
-    lam: Fraction,
-    orientation: str = "forward",
-    types: Mapping[str, Fraction] | None = None,
-) -> PaymentResult:
-    """Blend of own bid and second bid: price = lam*own + (1-lam)*second.
-
-    lam = 0 reduces to the second-price rule, lam = 1 to pay-as-bid.
-    """
-    if not (0 <= lam <= 1):
-        raise ValueError("lam must lie in [0, 1]")
-    return _single_item(
-        bids, orientation, lambda own, second: lam * own + (1 - lam) * second, types
-    )
+    """The single-item rule of a `*-single` spec, in the spec's orientation."""
+    if set(bids) != set(types):
+        raise ValueError("bid profile must cover exactly the auction's bidders")
+    lam = Fraction(1, 2) if spec.lam is None else spec.lam
+    price = {
+        "fp-single": lambda own, second: own,
+        "vickrey-single": lambda own, second: second,
+        "avg-single": lambda own, second: lam * own + (1 - lam) * second,
+    }[spec.mechanism]
+    return _single_item(bids, spec.orientation, price, types)
 
 
 # ---------------------------------------------------------------------------
@@ -483,24 +462,6 @@ def _path_result(
     )
 
 
-def first_price_path(
-    network: Network, bids: Mapping[str, Fraction] | None = None
-) -> PaymentResult:
-    """Pay-as-bid: each agent on the cheapest path is paid its own bid."""
-    return MechanismSpec("fp-path").run(network, bids)
-
-
-def vcg_path(network: Network, bids: Mapping[str, Fraction] | None = None) -> PaymentResult:
-    """Marginal pricing on the cheapest path.
-
-    Each selected agent is paid the cost of the cheapest path avoiding its
-    edge minus the cost of the cheapest path with its edge priced at zero.
-    Unselected agents are paid nothing. Only the two cheapest paths are
-    ranked; each winner's excluded detour is one search of its own.
-    """
-    return MechanismSpec("vcg").run(network, bids)
-
-
 def group_structure(
     network: Network, bids: Mapping[str, Fraction] | None = None
 ) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
@@ -509,56 +470,13 @@ def group_structure(
     return ranked, assignment, group_profits(assignment, ranked)
 
 
-def group_share_path(
-    network: Network,
-    bids: Mapping[str, Fraction] | None = None,
-    rule: DistributionRule = EQUAL_SPLIT,
-) -> PaymentResult:
-    """Group-sharing payments on the cheapest path.
-
-    Agents of the cheapest path are grouped by survival depth; each group's
-    pooled profit is the ranking cost gap it protects, split among members
-    by `rule`. Every selected agent receives its bid plus its share, so
-    the grand total always equals the cost of the path ranked just past
-    the deepest group.
-    """
-    return MechanismSpec("x", rule=rule).run(network, bids)
-
-
-def savings_switch_path(
-    network: Network,
-    bids: Mapping[str, Fraction] | None = None,
-    threshold: Fraction = Fraction(0),
-    rule: DistributionRule = EQUAL_SPLIT,
-) -> PaymentResult:
-    """Run marginal pricing unless group sharing saves more than `threshold`.
-
-    The relative saving is (marginal total - group total) / marginal total.
-    Above the threshold the group-sharing payments apply, otherwise the
-    marginal ones. The result's `branch` records which side was used. Both
-    sides are priced from one group structure.
-    """
-    return MechanismSpec("tradeoff1", rule=rule, threshold=threshold).run(network, bids)
-
-
-def member_gap_path(
-    network: Network, bids: Mapping[str, Fraction] | None = None
-) -> PaymentResult:
-    """Every member of group q earns the adjacent ranking gap, unshared.
-
-    The profit of each group-q agent is cost(rank q+1) - cost(rank q),
-    paid per member rather than pooled.
-    """
-    return MechanismSpec("tradeoff2").run(network, bids)
-
-
 def member_gap_schedule(
     network: Network,
     agent: str,
     raise_by: Fraction,
     bids: Mapping[str, Fraction] | None = None,
 ) -> Fraction:
-    """Payment to `agent` under member_gap_path after it alone raises its bid.
+    """Payment to `agent` under tradeoff2 after it alone raises its bid.
 
     The schedule is bracketed by the baseline ranking: within the adjacent
     gap the payment is flat; past it the payment jumps to successively
@@ -587,20 +505,8 @@ def member_gap_schedule(
     return Fraction(0)
 
 
-def shared_gap_to_best_path(
-    network: Network, bids: Mapping[str, Fraction] | None = None
-) -> PaymentResult:
-    """Each group shares the gap between its substitute path and the cheapest.
-
-    Group q's pool is cost(rank q+1) - cost(rank 1), split evenly among its
-    members; per-member profit is therefore never above what marginal
-    pricing would grant the same agent.
-    """
-    return MechanismSpec("tradeoff3").run(network, bids)
-
-
 # ---------------------------------------------------------------------------
-# Uniform dispatch and side-by-side comparison
+# Uniform dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -610,7 +516,29 @@ class MechanismSpec:
 
     Single-item ids treat the network's agents as the bidders and ignore
     the topology; `orientation` applies only to them. SingleItemGame runs
-    the same ids over a bare type vector.
+    the same ids over a bare type vector. The rules:
+
+    fp-single, vickrey-single: the winner pays (forward) or is paid
+        (reverse) its own bid, or the second-best bid.
+    avg-single: price = lam*own + (1-lam)*second, lam 1/2 by default;
+        lam = 0 is vickrey-single, lam = 1 is fp-single.
+    fp-path: pay-as-bid, each agent of the cheapest path is paid its bid.
+    vcg: each winner is paid the cheapest path avoiding its edge minus the
+        cheapest path with its edge at zero; only the two cheapest paths
+        are ranked, and each excluded detour is one search of its own.
+    x: winners are grouped by survival depth; each group's pool, the
+        ranking cost gap it protects, is split among its members by
+        `rule`, so the total is the cost of the path ranked just past the
+        deepest group.
+    tradeoff1: vcg, unless x's relative saving (vcg total - x total) /
+        vcg total exceeds `threshold`; `branch` records the side taken.
+    tradeoff2: each member of group q earns cost(rank q+1) - cost(rank q),
+        unshared.
+    tradeoff3: group q shares cost(rank q+1) - cost(rank 1) evenly, so no
+        member earns more than under vcg.
+
+    Every field is checked here, once: the id, `orientation` (forward or
+    reverse) and `lam` and `threshold` (within [0, 1] when given).
     """
 
     mechanism: str
@@ -622,14 +550,20 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.mechanism not in MECHANISM_IDS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        if self.orientation not in ("forward", "reverse"):
+            raise ValueError(
+                f"orientation must be forward or reverse, got {self.orientation!r}"
+            )
+        if self.lam is not None and not 0 <= self.lam <= 1:
+            raise ValueError("lam must lie in [0, 1]")
+        if self.threshold is not None and not 0 <= self.threshold <= 1:
+            raise ValueError("threshold must lie in [0, 1]")
 
     def run(self, network: Network, bids: Mapping[str, Fraction] | None = None) -> PaymentResult:
         resolved = _resolve_bids(network, bids)
         name = self.mechanism
         if name.endswith("-single"):
             return _run_single_item(self, resolved, network.true_cost)
-        if name == "tradeoff1" and not 0 <= (self.threshold or 0) <= 1:
-            raise ValueError("threshold must lie in [0, 1]")
         if name in ("fp-path", "vcg"):
             top = list(itertools.islice(iter_ranked_paths(network, resolved), 2))
             _require_strict_prefix(top, 1)
@@ -645,24 +579,3 @@ class MechanismSpec:
             groups = group_of
         pay, branch = _price(self, resolved, costs, group_of)
         return _path_result(network, chosen, pay, groups, branch)
-
-
-def _run_single_item(
-    spec: MechanismSpec, bids: Mapping[str, Fraction], types: Mapping[str, Fraction]
-) -> PaymentResult:
-    """The single-item rule of a `*-single` spec, in the spec's orientation."""
-    if spec.mechanism == "fp-single":
-        return first_price_single(bids, spec.orientation, types)
-    if spec.mechanism == "vickrey-single":
-        return vickrey_single(bids, spec.orientation, types)
-    lam = spec.lam if spec.lam is not None else Fraction(1, 2)
-    return averaged_single(bids, lam, spec.orientation, types)
-
-
-def compare_mechanisms(
-    network: Network,
-    bids: Mapping[str, Fraction] | None,
-    specs: Iterable[MechanismSpec],
-) -> list[tuple[MechanismSpec, PaymentResult]]:
-    """Run several mechanisms on the same bids, one independent row each."""
-    return [(spec, spec.run(network, bids)) for spec in specs]

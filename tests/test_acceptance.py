@@ -24,12 +24,9 @@ from pathauction import (
     distribute,
     enumerate_paths,
     fixture,
-    group_share_path,
     group_structure,
     member_gap_schedule,
     rank_paths,
-    vcg_path,
-    vickrey_single,
 )
 
 
@@ -53,7 +50,7 @@ RULES = (
 
 def test_equal_split_payments_on_six_route_benchmark(example1):
     with reported("six-route benchmark: equal-split group payments exact"):
-        res = group_share_path(example1, example1.true_cost)
+        res = MechanismSpec("x").run(example1, example1.true_cost)
         assert res.payments["B"] == F(3, 2)
         assert res.payments["C"] == F(3, 2)
         assert res.payments["A"] == F(5, 2)
@@ -72,7 +69,7 @@ def test_group_pools_on_six_route_benchmark(example1):
 def test_marginal_pricing_on_six_route_benchmark(example1):
     with reported("six-route benchmark: marginal payments, totals and bid-raise effect"):
         bids = example1.true_cost
-        res = vcg_path(example1, bids)
+        res = MechanismSpec("vcg").run(example1, bids)
         assert res.payments["A"] == F(5)
         assert res.payments["D"] == F(5)
         assert res.payments["E"] == F(10)
@@ -91,12 +88,12 @@ def test_marginal_pricing_on_six_route_benchmark(example1):
             assert res.payments[agent] == F(2)
         assert res.total == F(35)
 
-        shared = group_share_path(example1, bids)
+        shared = MechanismSpec("x").run(example1, bids)
         assert shared.total == F(16) < res.total
 
         raised = dict(bids)
         raised["A"] = F(4)
-        res_raised = vcg_path(example1, raised)
+        res_raised = MechanismSpec("vcg").run(example1, raised)
         assert res_raised.total == F(27) < F(35)
 
 
@@ -198,7 +195,7 @@ def test_random_population_identities(random_nets_200):
         for i, net in enumerate(random_nets_200):
             bids = net.true_cost
             rule = RULES[i % len(RULES)]
-            res = group_share_path(net, bids, rule)
+            res = MechanismSpec("x", rule=rule).run(net, bids)
             ranked, assignment, pools = group_structure(net, bids)
 
             # Total equals the cost of the path past the deepest group.
@@ -215,14 +212,14 @@ def test_random_population_identities(random_nets_200):
 
             if len(ranked.paths[0].edges) == 1:
                 degenerate_seen += 1
-                marginal = vcg_path(net, bids)
+                marginal = MechanismSpec("vcg").run(net, bids)
                 second = ranked.costs[1]
                 winner = ranked.paths[0].owners[0]
                 assert res.payments == marginal.payments
                 assert res.payments[winner] == second
-                reverse = vickrey_single(
-                    {a: bids[a] for a in net.agents}, "reverse", bids
-                ) if len(net.agents) == 2 else None
+                reverse = SingleItemGame(
+                    bids, MechanismSpec("vickrey-single", orientation="reverse")
+                ).run({a: bids[a] for a in net.agents}) if len(net.agents) == 2 else None
                 if reverse is not None:
                     assert reverse.payments[winner] == second
         assert degenerate_seen > 0
@@ -236,7 +233,7 @@ def test_oracle_equivalence(random_nets_200):
             again = rank_paths(net, bids, k=len(ranked.paths) + 3)
             assert again.paths == ranked.paths
 
-            res = vcg_path(net, bids)
+            res = MechanismSpec("vcg").run(net, bids)
             for agent in ranked.paths[0].owners:
                 excluded = min(p.cost for p in ranked.paths if agent not in p.owner_set)
                 zeroed = min(

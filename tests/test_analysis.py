@@ -20,7 +20,6 @@ from pathauction import (
     classify_consistency,
     default_grid,
     enumerate_paths,
-    group_share_path,
     mechanism_optimal_profiles,
     selection_probability,
 )
@@ -274,12 +273,12 @@ def test_strongly_critical_identity(example1, xsmall):
 
 def test_group_truthfulness_examples(example1):
     bids = dict(example1.true_cost)
-    base = group_share_path(example1, bids)
+    base = MechanismSpec("x").run(example1, bids)
 
     shifted = dict(bids)
     shifted["B"] = F(3, 2)
     shifted["C"] = F(1, 2)
-    moved = group_share_path(example1, shifted)
+    moved = MechanismSpec("x").run(example1, shifted)
     assert enumerate_paths(example1, shifted).paths[0].edges == ("A", "B", "C", "D", "E", "F")
     assert (
         moved.payments["B"] + moved.payments["C"]
@@ -292,7 +291,7 @@ def test_group_truthfulness_examples(example1):
     bumped = dict(bids)
     bumped["A"] = F(2)
     with pytest.raises(TieError):
-        group_share_path(example1, bumped)  # rank 1 and 2 now tie at 7
+        MechanismSpec("x").run(example1, bumped)  # rank 1 and 2 now tie at 7
 
     report = check_group_truthfulness(example1, bids, trials=60, seed=7)
     assert report.holds

@@ -122,10 +122,15 @@ def test_run_tie_exit_code(tmp_path, capsys):
     assert main(["run", str(path), "--mechanism", "vcg"]) == 2
 
 
-def test_run_flag_validation(ex1_file):
+def test_run_flag_validation(ex1_file, capsys):
     assert main(["run", ex1_file, "--mechanism", "vcg", "--rule", "equal"]) == 1
     assert main(["run", ex1_file, "--mechanism", "x", "--lambda", "1/2"]) == 1
     assert main(["run", ex1_file, "--mechanism", "vcg", "--c", "1/4"]) == 1
+    capsys.readouterr()
+    assert main(["run", ex1_file, "--mechanism", "tradeoff1", "--c", "3/2"]) == 1
+    assert "error: threshold must lie in [0, 1]" in capsys.readouterr().err
+    assert main(["run", ex1_file, "--mechanism", "avg-single", "--lambda", "3/2"]) == 1
+    assert "error: lam must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_run_bids_file(ex1_file, tmp_path, capsys):

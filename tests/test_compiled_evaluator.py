@@ -310,11 +310,15 @@ def test_errors_match_reference(monkeypatch, rows, mechanism, error):
         check_vcg_truthful(game, grid)
 
 
-def test_out_of_range_threshold_raises_as_the_reference_does():
-    game = PathGame(fixture("fig2"), MechanismSpec("tradeoff1", threshold=F(2)))
-    grid = BidGrid.procurement(game.network.true_cost, F(1), 1)
+def test_out_of_range_spec_fields_raise_at_construction():
+    """A spec checks its own fields when it is built, so neither the
+    compiled table nor the reference ever sees an out-of-range one."""
     with pytest.raises(ValueError, match="threshold must lie in"):
-        check_vcg_truthful(game, grid)
+        MechanismSpec("tradeoff1", threshold=F(2))
+    with pytest.raises(ValueError, match="lam must lie in"):
+        MechanismSpec("avg-single", lam=F(3, 2))
+    with pytest.raises(ValueError, match="orientation must be forward or reverse"):
+        MechanismSpec("vickrey-single", orientation="sideways")
 
 
 def _analysis_results(net, spec):

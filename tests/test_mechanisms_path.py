@@ -13,17 +13,14 @@ from pathauction import (
     TieError,
     classify_groups,
     enumerate_paths,
-    first_price_path,
     group_profits,
-    group_share_path,
     group_structure,
     rank_paths,
-    vcg_path,
 )
 
 
 def test_vcg_example1_payments(example1):
-    res = vcg_path(example1, example1.true_cost)
+    res = MechanismSpec("vcg").run(example1, example1.true_cost)
     pay = res.payments
     assert (pay["A"], pay["D"], pay["E"], pay["F"]) == (5, 5, 10, 11)
     assert pay["B"] == pay["C"] == 2
@@ -35,7 +32,7 @@ def test_vcg_example1_payments(example1):
 def test_vcg_example1_after_a_raises_to_four(example1):
     bids = dict(example1.true_cost)
     bids["A"] = F(4)
-    res = vcg_path(example1, bids)
+    res = MechanismSpec("vcg").run(example1, bids)
     assert res.payments["A"] == 5
     assert res.payments["B"] == res.payments["C"] == res.payments["D"] == 2
     assert res.payments["E"] == res.payments["F"] == 8
@@ -46,7 +43,7 @@ def test_vcg_matches_enumeration_oracle(example1):
     """Recompute payments straight from the enumerated path list."""
     bids = example1.true_cost
     ranked = enumerate_paths(example1, bids)
-    res = vcg_path(example1, bids)
+    res = MechanismSpec("vcg").run(example1, bids)
     for agent in ranked.paths[0].owners:
         excluded = min(p.cost for p in ranked.paths if agent not in p.owner_set)
         zeroed = min(
@@ -60,7 +57,7 @@ def test_vcg_requires_strict_best_path():
     costs = {"a": F(2), "b": F(2)}
     net = Network(("X", "Y"), edges, "X", "Y", costs, dict(costs))
     with pytest.raises(TieError):
-        vcg_path(net)
+        MechanismSpec("vcg").run(net)
 
 
 def test_classify_groups_example1(example1):
@@ -110,7 +107,7 @@ def test_group_profits_fig2(fig2):
 
 
 def test_group_share_example1_equal_split(example1):
-    res = group_share_path(example1, example1.true_cost)
+    res = MechanismSpec("x").run(example1, example1.true_cost)
     assert res.payments["B"] == res.payments["C"] == F(3, 2)
     assert res.payments["A"] == res.payments["D"] == F(5, 2)
     assert res.payments["E"] == 6
@@ -125,7 +122,7 @@ def test_group_share_fig3_degenerates_to_second_price(fig3):
         DistributionRule("reverse-rank"),
         DistributionRule("waterfall", F(1)),
     ):
-        res = group_share_path(fig3, fig3.true_cost, rule)
+        res = MechanismSpec("x", rule=rule).run(fig3, fig3.true_cost)
         assert res.payments["e"] == 5
         assert res.payments["f"] == 0
 
@@ -133,11 +130,11 @@ def test_group_share_fig3_degenerates_to_second_price(fig3):
 def test_group_share_rules_differ_with_uneven_bids(xsmall):
     """r and s share one pool; unequal bids separate the split rules."""
     bids = {"r": F(1), "s": F(2), "u": F(5)}
-    equal = group_share_path(xsmall, bids)
+    equal = MechanismSpec("x").run(xsmall, bids)
     assert equal.payments == {"r": F(2), "s": F(3), "u": F(0)}
-    reverse = group_share_path(xsmall, bids, DistributionRule("reverse-rank"))
+    reverse = MechanismSpec("x", rule=DistributionRule("reverse-rank")).run(xsmall, bids)
     assert reverse.payments == {"r": F(1) + F(4, 3), "s": F(2) + F(2, 3), "u": F(0)}
-    waterfall = group_share_path(xsmall, bids, DistributionRule("waterfall", F(1, 2)))
+    waterfall = MechanismSpec("x", rule=DistributionRule("waterfall", F(1, 2))).run(xsmall, bids)
     assert waterfall.payments == {"r": F(5, 2), "s": F(5, 2), "u": F(0)}
 
 
@@ -157,14 +154,14 @@ def test_group_share_example1_every_rule(example1, rule):
     threshold 0 takes the same payments."""
     want = {a: F(0) for a in example1.agents}
     want.update(B=F(3, 2), C=F(3, 2), A=F(5, 2), D=F(5, 2), E=F(6), F=F(2))
-    assert group_share_path(example1, example1.true_cost, rule).payments == want
+    assert MechanismSpec("x", rule=rule).run(example1, example1.true_cost).payments == want
     switch = MechanismSpec("tradeoff1", rule=rule).run(example1)
     assert (switch.branch, switch.payments) == ("x", want)
 
 
 def test_group_share_conservation(example1):
     bids = example1.true_cost
-    res = group_share_path(example1, bids)
+    res = MechanismSpec("x").run(example1, bids)
     ranked, assignment, pools = group_structure(example1, bids)
     on_path = sum((bids[a] for a in ranked.paths[0].owners), F(0))
     assert res.total == on_path + sum(pools.values())
@@ -172,17 +169,17 @@ def test_group_share_conservation(example1):
 
 
 def test_first_price_path(example1, fig3):
-    res = first_price_path(example1, example1.true_cost)
+    res = MechanismSpec("fp-path").run(example1, example1.true_cost)
     assert res.total == 6
     assert all(res.utilities[a] == 0 for a in example1.agents)
-    assert first_price_path(fig3, fig3.true_cost).payments["e"] == 1
+    assert MechanismSpec("fp-path").run(fig3, fig3.true_cost).payments["e"] == 1
 
 
 def test_unselected_agents_pay_and_earn_nothing(example1):
     for result in (
-        vcg_path(example1, example1.true_cost),
-        group_share_path(example1, example1.true_cost),
-        first_price_path(example1, example1.true_cost),
+        MechanismSpec("vcg").run(example1, example1.true_cost),
+        MechanismSpec("x").run(example1, example1.true_cost),
+        MechanismSpec("fp-path").run(example1, example1.true_cost),
     ):
         for agent in example1.agents:
             if agent not in result.selected:
@@ -191,6 +188,6 @@ def test_unselected_agents_pay_and_earn_nothing(example1):
 
 
 def test_deterministic_outputs(example1):
-    a = group_share_path(example1, example1.true_cost)
-    b = group_share_path(example1, example1.true_cost)
+    a = MechanismSpec("x").run(example1, example1.true_cost)
+    b = MechanismSpec("x").run(example1, example1.true_cost)
     assert a == b

@@ -2,18 +2,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from pathauction import (
-    TieError,
-    averaged_single,
-    first_price_single,
-    vickrey_single,
-)
+from pathauction import MechanismSpec, SingleItemGame, TieError
 
 THREE = {"p": F(3), "q": F(5), "r": F(7)}
 
+FP_FORWARD = MechanismSpec("fp-single", orientation="forward")
+FP_REVERSE = MechanismSpec("fp-single", orientation="reverse")
+VICKREY_FORWARD = MechanismSpec("vickrey-single", orientation="forward")
+VICKREY_REVERSE = MechanismSpec("vickrey-single", orientation="reverse")
+
+
+def _avg(lam):
+    return MechanismSpec("avg-single", lam=lam, orientation="forward")
+
 
 def test_first_price_forward():
-    res = first_price_single(THREE, "forward")
+    res = SingleItemGame(THREE, FP_FORWARD).run(THREE)
     assert res.winner == "r"
     assert res.payments == {"p": F(0), "q": F(0), "r": F(7)}
     assert res.total == 7
@@ -21,26 +25,27 @@ def test_first_price_forward():
 
 
 def test_first_price_reverse():
-    res = first_price_single(THREE, "reverse")
+    res = SingleItemGame(THREE, FP_REVERSE).run(THREE)
     assert res.winner == "p"
     assert res.payments["p"] == 3
     assert res.mechanism_utility == -3
 
 
 def test_first_price_truthful_winner_earns_nothing():
-    res = first_price_single(THREE, "forward")
+    res = SingleItemGame(THREE, FP_FORWARD).run(THREE)
     assert res.utilities["r"] == 0
 
 
 def test_vickrey_forward():
-    res = vickrey_single(THREE, "forward")
+    res = SingleItemGame(THREE, VICKREY_FORWARD).run(THREE)
     assert res.winner == "r"
     assert res.payments["r"] == 5
     assert res.utilities["r"] == 2  # participation: winning never hurts
 
 
 def test_vickrey_reverse_two_bids():
-    res = vickrey_single({"e": F(1), "f": F(5)}, "reverse")
+    bids = {"e": F(1), "f": F(5)}
+    res = SingleItemGame(bids, VICKREY_REVERSE).run(bids)
     assert res.winner == "e"
     assert res.payments["e"] == 5
     assert res.utilities["e"] == 4
@@ -49,34 +54,49 @@ def test_vickrey_reverse_two_bids():
 
 def test_tie_at_winning_bid_raises():
     with pytest.raises(TieError):
-        first_price_single({"p": F(5), "q": F(5), "r": F(3)}, "forward")
+        bids = {"p": F(5), "q": F(5), "r": F(3)}
+        SingleItemGame(bids, FP_FORWARD).run(bids)
     with pytest.raises(TieError):
-        vickrey_single({"p": F(2), "q": F(2)}, "reverse")
+        bids = {"p": F(2), "q": F(2)}
+        SingleItemGame(bids, VICKREY_REVERSE).run(bids)
 
 
 def test_loser_ties_are_fine():
-    res = vickrey_single({"p": F(5), "q": F(5), "r": F(7)}, "forward")
+    bids = {"p": F(5), "q": F(5), "r": F(7)}
+    res = SingleItemGame(bids, VICKREY_FORWARD).run(bids)
     assert res.winner == "r"
     assert res.payments["r"] == 5
 
 
 def test_averaged_blend():
     bids = {"p": F(4), "q": F(10)}
-    assert averaged_single(bids, F(1, 2)).payments["q"] == 7
-    assert averaged_single(bids, F(0)).payments["q"] == 4
-    assert averaged_single(bids, F(1)).payments["q"] == 10
+    assert SingleItemGame(bids, _avg(F(1, 2))).run(bids).payments["q"] == 7
+    assert SingleItemGame(bids, _avg(F(0))).run(bids).payments["q"] == 4
+    assert SingleItemGame(bids, _avg(F(1))).run(bids).payments["q"] == 10
 
 
 def test_averaged_lambda_domain():
+    bids = {"p": F(4), "q": F(10)}
     with pytest.raises(ValueError):
-        averaged_single({"p": F(4), "q": F(10)}, F(3, 2))
+        SingleItemGame(bids, _avg(F(3, 2))).run(bids)
 
 
 def test_explicit_types_drive_utility():
-    res = vickrey_single({"p": F(3), "q": F(6)}, "forward", types={"p": F(3), "q": F(9)})
+    res = SingleItemGame({"p": F(3), "q": F(9)}, VICKREY_FORWARD).run({"p": F(3), "q": F(6)})
     assert res.utilities["q"] == 9 - 3
 
 
 def test_needs_two_participants():
     with pytest.raises(ValueError):
-        first_price_single({"p": F(3)}, "forward")
+        SingleItemGame({"p": F(3)}, FP_FORWARD).run({"p": F(3)})
+
+
+@pytest.mark.parametrize(
+    "bids",
+    [{"p": F(3)}, {"p": F(3), "q": F(5), "z": F(4)}, {"p": F(3), "z": F(4)}],
+    ids=["missing", "extra", "swapped"],
+)
+def test_bid_profile_must_match_the_bidders(bids):
+    game = SingleItemGame({"p": F(3), "q": F(5)}, VICKREY_FORWARD)
+    with pytest.raises(ValueError, match="bid profile must cover exactly the auction's bidders"):
+        game.run(bids)

@@ -5,17 +5,16 @@ import pytest
 from pathauction import (
     FIXTURES,
     GenerationFailed,
+    MechanismSpec,
     detour_cost,
     enumerate_paths,
     fixture,
-    group_share_path,
     group_structure,
     network_to_json,
     random_network,
     rank_paths,
     shortest_path,
     validate,
-    vcg_path,
 )
 
 
@@ -35,7 +34,7 @@ def test_generated_networks_are_valid(random_nets_200):
 
 def test_generated_networks_run_tie_free(random_nets_200):
     for net in random_nets_200[:80]:
-        group_share_path(net, net.true_cost)  # raises TieError on a bad instance
+        MechanismSpec("x").run(net, net.true_cost)  # raises TieError on a bad instance
 
 
 def test_generation_failure_surfaces():
@@ -60,11 +59,11 @@ def test_shortest_is_the_enumeration_minimum(random_nets_200):
 
 def test_zeroed_detour_identity(random_nets_200):
     """Zeroing an agent on the unique best path shaves exactly its own cost,
-    the closed form vcg_path prices with; zeroing anyone never makes things
+    the closed form vcg prices with; zeroing anyone never makes things
     dearer."""
     for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200:
         best = shortest_path(net, net.true_cost)
-        marginal = vcg_path(net, net.true_cost)
+        marginal = MechanismSpec("vcg").run(net, net.true_cost)
         for agent in net.agents:
             zeroed = detour_cost(net, agent, "zeroed", net.true_cost)
             assert zeroed <= best.cost
@@ -100,7 +99,7 @@ def test_results_in_lowest_terms(random_nets_200):
     import math
 
     for net in random_nets_200[:30]:
-        res = group_share_path(net, net.true_cost)
+        res = MechanismSpec("x").run(net, net.true_cost)
         for value in res.payments.values():
             assert value.denominator > 0
             assert math.gcd(abs(value.numerator), value.denominator) == 1

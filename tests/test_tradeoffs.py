@@ -13,17 +13,11 @@ from pathauction import (
     MechanismSpec,
     Network,
     NotSelected,
+    SingleItemGame,
     TieError,
-    compare_mechanisms,
     enumerate_paths,
     fixture,
-    group_share_path,
-    member_gap_path,
     member_gap_schedule,
-    savings_switch_path,
-    shared_gap_to_best_path,
-    vcg_path,
-    vickrey_single,
 )
 from pathauction import graph as graph_module
 
@@ -36,21 +30,21 @@ SPLIT_RULES = (
 
 
 def test_switch_picks_group_sharing_under_low_threshold(example1):
-    res = savings_switch_path(example1, example1.true_cost, threshold=F(1, 4))
+    res = MechanismSpec("tradeoff1", threshold=F(1, 4)).run(example1, example1.true_cost)
     assert res.branch == "x"
-    assert res.payments == group_share_path(example1, example1.true_cost).payments
+    assert res.payments == MechanismSpec("x").run(example1, example1.true_cost).payments
 
 
 def test_switch_picks_marginal_under_high_threshold(example1):
-    res = savings_switch_path(example1, example1.true_cost, threshold=F(9, 10))
+    res = MechanismSpec("tradeoff1", threshold=F(9, 10)).run(example1, example1.true_cost)
     assert res.branch == "vcg"
     assert res.total == 35
 
 
 def test_switch_never_exceeds_marginal_total(random_nets_200):
     for net in random_nets_200[:50]:
-        res = savings_switch_path(net, net.true_cost, threshold=F(1, 3))
-        assert res.total <= vcg_path(net, net.true_cost).total
+        res = MechanismSpec("tradeoff1", threshold=F(1, 3)).run(net, net.true_cost)
+        assert res.total <= MechanismSpec("vcg").run(net, net.true_cost).total
 
 
 def _outcome(run, *args):
@@ -61,7 +55,7 @@ def _outcome(run, *args):
 
 
 def _switch(marginal, shared, threshold):
-    """tradeoff1 composed from separate vcg_path and group_share_path runs."""
+    """tradeoff1 composed from separate vcg and x runs."""
     if TieError in (marginal, shared):
         return TieError
     ratio = F(0) if marginal.total == 0 else (marginal.total - shared.total) / marginal.total
@@ -86,12 +80,13 @@ def test_switch_matches_the_two_ranking_composition(random_nets_200):
     seen = set()
     for seed, net in enumerate(nets):
         for bids in _bid_profiles(net, seed):
-            marginal = _outcome(vcg_path, net, bids)
+            marginal = _outcome(MechanismSpec("vcg").run, net, bids)
             for rule in SPLIT_RULES:
-                shared = _outcome(group_share_path, net, bids, rule)
+                shared = _outcome(MechanismSpec("x", rule=rule).run, net, bids)
                 for threshold in (F(0), F(1, 4), F(1, 2), F(1)):
                     want = _switch(marginal, shared, threshold)
-                    got = _outcome(savings_switch_path, net, bids, threshold, rule)
+                    switch = MechanismSpec("tradeoff1", rule=rule, threshold=threshold)
+                    got = _outcome(switch.run, net, bids)
                     assert got == want, (seed, bids, rule, threshold)
                     seen.add(got if got is TieError else got.branch)
     assert seen == {TieError, "vcg", "x"}
@@ -104,9 +99,9 @@ def test_switch_reports_a_cut_agent_as_group_sharing_does():
     costs = {e: F(c) for e, _, _, c in rows}
     net = Network(("M", "X", "Y"), tuple(Edge(e, t, h, e) for e, t, h, _ in rows),
                   "X", "Y", costs, dict(costs))
-    for run in (savings_switch_path, group_share_path):
+    for name in ("tradeoff1", "x"):
         with pytest.raises(InsufficientPaths, match=r"\['c'\] appear on every"):
-            run(net)
+            MechanismSpec(name).run(net)
 
 
 def test_switch_ranks_once(example1, monkeypatch):
@@ -122,7 +117,7 @@ def test_switch_ranks_once(example1, monkeypatch):
 
 
 def test_member_gap_example1(example1):
-    res = member_gap_path(example1, example1.true_cost)
+    res = MechanismSpec("tradeoff2").run(example1, example1.true_cost)
     assert res.payments["B"] == res.payments["C"] == 2
     assert res.payments["A"] == res.payments["D"] == 2
     assert res.payments["E"] == 6
@@ -131,7 +126,7 @@ def test_member_gap_example1(example1):
 
 
 def test_member_gap_fig3(fig3):
-    res = member_gap_path(fig3, fig3.true_cost)
+    res = MechanismSpec("tradeoff2").run(fig3, fig3.true_cost)
     assert res.payments["e"] == 1 + (5 - 1)
 
 
@@ -143,8 +138,8 @@ def test_member_gap_equals_group_share_for_consecutive_singletons():
     costs = {e: F(c) for e, _, _, c in rows}
     net = Network(nodes, edges, "X", "Y", costs, dict(costs))
     assert enumerate_paths(net).costs == (4, 5, 6)
-    gap = member_gap_path(net)
-    share = group_share_path(net)
+    gap = MechanismSpec("tradeoff2").run(net)
+    share = MechanismSpec("x").run(net)
     assert gap.payments == share.payments == {"r": F(2), "s": F(4), "w": F(0), "u": F(0)}
 
 
@@ -182,7 +177,7 @@ def test_member_gap_schedule_rejects_unselected(example1):
 
 
 def test_shared_gap_to_best_example1(example1):
-    res = shared_gap_to_best_path(example1, example1.true_cost)
+    res = MechanismSpec("tradeoff3").run(example1, example1.true_cost)
     assert res.payments["B"] == res.payments["C"] == F(3, 2)
     assert res.payments["A"] == res.payments["D"] == 3
     assert res.payments["E"] == 10
@@ -191,7 +186,7 @@ def test_shared_gap_to_best_example1(example1):
 
 
 def test_shared_gap_fig3(fig3):
-    assert shared_gap_to_best_path(fig3, fig3.true_cost).payments["e"] == 5
+    assert MechanismSpec("tradeoff3").run(fig3, fig3.true_cost).payments["e"] == 5
 
 
 def test_shared_gap_splits_evenly_whatever_the_rule(xsmall):
@@ -204,8 +199,8 @@ def test_shared_gap_splits_evenly_whatever_the_rule(xsmall):
 
 def test_shared_gap_never_beats_marginal_per_member(random_nets_200):
     for net in random_nets_200[:50]:
-        shared = shared_gap_to_best_path(net, net.true_cost)
-        marginal = vcg_path(net, net.true_cost)
+        shared = MechanismSpec("tradeoff3").run(net, net.true_cost)
+        marginal = MechanismSpec("vcg").run(net, net.true_cost)
         for agent in shared.selected:
             assert shared.payments[agent] <= marginal.payments[agent]
 
@@ -218,18 +213,15 @@ def test_marginal_payment_closed_form(random_nets_200):
     for net in random_nets_200[:60]:
         bids = net.true_cost
         ranked, assignment, _ = group_structure(net, bids)
-        res = vcg_path(net, bids)
+        res = MechanismSpec("vcg").run(net, bids)
         for agent, q in assignment.group_of.items():
             expected = bids[agent] + (ranked.costs[q] - ranked.costs[0])
             assert res.payments[agent] == expected
 
 
 def test_compare_rows_and_doubled_tail_bids(example1):
-    rows = compare_mechanisms(
-        example1,
-        example1.true_cost,
-        [MechanismSpec("x"), MechanismSpec("vcg"), MechanismSpec("fp-path")],
-    )
+    specs = [MechanismSpec("x"), MechanismSpec("vcg"), MechanismSpec("fp-path")]
+    rows = [(spec, spec.run(example1, example1.true_cost)) for spec in specs]
     totals = {spec.mechanism: res.total for spec, res in rows}
     assert totals == {"x": 16, "vcg": 35, "fp-path": 6}
     assert totals["x"] < totals["vcg"]
@@ -237,8 +229,8 @@ def test_compare_rows_and_doubled_tail_bids(example1):
     doubled = dict(example1.true_cost)
     doubled["N"] = F(16)
     doubled["O"] = F(16)
-    shared = group_share_path(example1, doubled)
-    marginal = vcg_path(example1, doubled)
+    shared = MechanismSpec("x").run(example1, doubled)
+    marginal = MechanismSpec("vcg").run(example1, doubled)
     assert shared.total == 32
     # The tail path now costs 32, so F's replacement route is dearer and the
     # marginal total rises with it; recompute from the enumeration to be sure.
@@ -251,8 +243,9 @@ def test_compare_rows_and_doubled_tail_bids(example1):
 
 
 def test_two_edge_network_collapses_to_second_price(fig3):
-    shared = group_share_path(fig3, fig3.true_cost)
-    marginal = vcg_path(fig3, fig3.true_cost)
-    second = vickrey_single(fig3.true_cost, "reverse", fig3.true_cost)
+    shared = MechanismSpec("x").run(fig3, fig3.true_cost)
+    marginal = MechanismSpec("vcg").run(fig3, fig3.true_cost)
+    vickrey = MechanismSpec("vickrey-single", orientation="reverse")
+    second = SingleItemGame(fig3.true_cost, vickrey).run(fig3.true_cost)
     assert shared.payments == marginal.payments
     assert shared.payments["e"] == second.payments["e"] == 5

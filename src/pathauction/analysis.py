@@ -26,13 +26,14 @@ on enumeration order; enumeration may be parallelized freely.
 An operation that reads the whole grid prices each profile once, in one
 pass, into a flat list that it reads by stride; a query that reads one
 line of the grid prices only that line. A PathGame of any path rule, on
-a network within ENUMERATION_EDGE_GUARD with at most _TABLE_PATH_LIMIT
-loopless paths, is compiled once per operation: its paths are listed a
-single time, and each profile is ranked from path-cost sums and priced
-by the payment formulas MechanismSpec.run uses (mechanisms._price).
-Single-item games and larger networks run MechanismSpec.run per profile;
-that path is also the reference the compiled one is tested against. Both
-are bounded by PROFILE_GUARD.
+a network within ENUMERATION_EDGE_GUARD in which each agent owns one
+edge, is compiled once per operation: its loopless paths are listed a
+single time, each profile ranks them lazily, only as deep as its rule
+reads, and the payment formulas MechanismSpec.run uses (mechanisms._price)
+price it. Single-item games, larger networks, agents that own more than
+one edge and nonpositive bids run MechanismSpec.run per profile; that
+path is also the reference the compiled one is tested against. Both are
+bounded by PROFILE_GUARD.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -50,6 +51,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -66,7 +68,7 @@ from .mechanisms import (
     DistributionRule,
     MechanismSpec,
     PaymentResult,
-    group_structure,
+    _group_structure,
     _price,
     _resolve_bids,
     _run_single_item,
@@ -195,13 +197,6 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 # Profile evaluation
 # ---------------------------------------------------------------------------
 
-#: Most loopless paths a compiled table holds. The table's cost per profile
-#: grows with the path count, the reference's with the ranked prefix a run
-#: reads. On chains of 2, 3 or 4 parallel edges with 243 or 256 paths the
-#: table took 0.26 to 0.49 of the reference's time (fp-path 0.82 to 0.95);
-#: at 512 fp-path took 2.1 times it; from 729 the others broke even or lost.
-_TABLE_PATH_LIMIT = 256
-
 
 class _Outcome(NamedTuple):
     """One profile's outcome, its money in units of 1/scale of its evaluator.
@@ -217,22 +212,24 @@ class _Outcome(NamedTuple):
 
 
 class _PathTable:
-    """A path game compiled once into its loopless paths, priced by sums.
+    """A path game compiled once into its loopless paths, ranked lazily.
 
     The set of loopless source-to-sink paths does not depend on the bids,
     so it is enumerated once and each path kept as the positions of its
-    owners in the sorted agent order. The paths are held sorted by edge-id
-    sequence, so a stable sort by cost yields the (cost, edge ids) order of
-    `enumerate_paths` and `iter_ranked_paths`; the tie checks then see the
+    owners in the sorted agent order, indexed in edge-id order. No cost of
+    a path falls below its bound, the sum of its owners' smallest values.
+    Per profile the table scans the paths in (bound, index) order onto a
+    heap of (cost, index), and ranks the heap's minimum once the next
+    unscanned bound lies strictly above its cost, as no unscanned path can
+    then precede it. The ranks come out in the (cost, edge ids) order of
+    `enumerate_paths` and `iter_ranked_paths`, so the tie checks see the
     same ranks as MechanismSpec.run and give the same verdicts.
 
-    Per profile the table sums and sorts the path costs, finds each
-    winner's first absence and checks ties; the payments come from
-    mechanisms._price, the formulas MechanismSpec.run uses, with agent
-    positions for keys. fp-path and vcg check the two cheapest paths only,
-    and vcg hands the pricer the cost of each winner's first path without
-    it, as MechanismSpec.run does with its detours; the group rules rank up to the
-    deepest group.
+    The table ranks until every winner has been absent once (fp-path stops
+    at two) and hands mechanisms._price, the formulas MechanismSpec.run
+    uses, the ranked costs and each winner's first absence, with agent
+    positions for keys. fp-path and vcg check the two cheapest paths for a
+    tie, the group rules the whole ranked prefix.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -249,16 +246,15 @@ class _PathTable:
         self,
         spec: MechanismSpec,
         agents: tuple[str, ...],
-        values: tuple[list[Fraction], ...],
+        values: tuple[tuple[Fraction, ...], ...],
         true_cost: tuple[Fraction, ...],
         paths: tuple[tuple[int, ...], ...],
     ):
         self.owners = paths
-        self.masks = tuple(sum(1 << i for i in owners) for owners in paths)
-        self.selected = tuple(frozenset(agents[i] for i in owners) for owners in paths)
-        # fp-path and vcg hand the pricer the cheapest path's cost followed
-        # by one excluded detour per winner, in the winning path's order.
-        self.detour_slots = tuple({i: r for r, i in enumerate(owners, 1)} for owners in paths)
+        bits = [1 << i for i in range(len(agents))]
+        self.masks = [sum(map(bits.__getitem__, owners)) for owners in paths]
+        # The selected set of each path that has ranked first, built when it first does.
+        self.selected: dict[int, frozenset[str]] = {}
         self.mechanism = spec.mechanism
         self.agents = agents
         money = list(itertools.chain(true_cost, *values))
@@ -278,64 +274,80 @@ class _PathTable:
         if delta is not None:
             spec = replace(spec, rule=DistributionRule(spec.rule.kind, scaled(delta)))
         self.spec = spec
+        least = [min(vs) for vs in self.scaled]
+        bounds = [sum(map(least.__getitem__, owners)) for owners in paths]
+        self.scan = sorted(range(len(paths)), key=bounds.__getitem__)
+        self.bounds = [bounds[j] for j in self.scan] + [math.inf]
 
     def outcome(self, bids: tuple[int, ...]) -> _Outcome | None:
         """The outcome of one profile of scaled bids, in sorted agent order."""
         bid_of = bids.__getitem__
-        costs = [sum(map(bid_of, owners)) for owners in self.owners]
-        order = sorted(range(len(costs)), key=costs.__getitem__)
-        winners = self.owners[order[0]]
-        masks = self.masks
-        if self.mechanism in ("fp-path", "vcg"):
-            ranked = [costs[order[0]]]
-            if len(order) > 1 and costs[order[1]] == ranked[0]:
-                return None
-            group_of = self.detour_slots[order[0]]
-            if self.mechanism == "vcg":
+        owners, masks, scan, bounds = self.owners, self.masks, self.scan, self.bounds
+        name = self.mechanism
+        n = len(scan)
+        heap: list[tuple[int, int]] = []
+        ranked: list[int] = []
+        s = 0
+        while True:
+            if heap:
+                while bounds[s] <= heap[0][0]:
+                    j = scan[s]
+                    heappush(heap, (sum(map(bid_of, owners[j])), j))
+                    s += 1
+                cost, j = heappop(heap)
+            elif s < n:
+                # A path below the next bound ranks at once, without the heap.
+                j = scan[s]
+                cost = sum(map(bid_of, owners[j]))
+                s += 1
+                if bounds[s] <= cost:
+                    heappush(heap, (cost, j))
+                    continue
+            else:
+                break
+            ranked.append(cost)
+            if len(ranked) == 1:
+                first, winners, remaining = j, owners[j], masks[j]
+                group_of = dict.fromkeys(winners, 0)
+            elif name == "fp-path":
+                break
+            elif gone := remaining & ~masks[j]:
+                remaining ^= gone
                 for i in winners:
-                    bit = 1 << i
-                    for j in order:
-                        if not masks[j] & bit:
-                            ranked.append(costs[j])
-                            break
-                    else:
-                        agent = self.agents[i]
-                        raise Disconnected(f"removing agent {agent} disconnects the network")
-        else:
-            group_of = {}
-            stuck = []
-            for i in winners:
-                bit = 1 << i
-                for r, j in enumerate(order):
-                    if not masks[j] & bit:
-                        group_of[i] = r
-                        break
-                else:
-                    stuck.append(self.agents[i])
-            if stuck:
-                stuck.sort()
-                raise InsufficientPaths(f"agents {stuck} appear on every source-to-sink path")
-            ranked = [costs[j] for j in order[: max(group_of.values()) + 1]]
-            if any(a == b for a, b in zip(ranked, ranked[1:])):
-                return None
+                    if gone >> i & 1:
+                        group_of[i] = len(ranked) - 1
+                if not remaining:
+                    break
+        top_two = name in ("fp-path", "vcg")
+        if top_two and len(ranked) > 1 and ranked[1] == ranked[0]:
+            return None
+        if remaining and name != "fp-path":
+            stuck = [self.agents[i] for i in winners if remaining >> i & 1]
+            if name == "vcg":
+                raise Disconnected(f"removing agent {stuck[0]} disconnects the network")
+            raise InsufficientPaths(f"agents {sorted(stuck)} appear on every source-to-sink path")
+        if not top_two and any(a == b for a, b in zip(ranked, ranked[1:])):
+            return None
         pay, _ = _price(self.spec, bids, ranked, group_of)
         utilities = [0] * len(bids)
         for i, amount in pay.items():
             utilities[i] = amount - self.true_scaled[i]
-        return _Outcome(tuple(utilities), -sum(pay.values()), self.selected[order[0]])
+        selected = self.selected.get(first)
+        if selected is None:
+            selected = self.selected[first] = frozenset(map(self.agents.__getitem__, winners))
+        return _Outcome(tuple(utilities), -sum(pay.values()), selected)
 
 
 def _compile(
-    game, agents: tuple[str, ...], values: tuple[list[Fraction], ...]
+    game, agents: tuple[str, ...], values: tuple[tuple[Fraction, ...], ...]
 ) -> _PathTable | None:
     """The compiled path table of `game`, or None where only MechanismSpec.run applies.
 
     Compiled: a PathGame of any path rule, on a network within
-    ENUMERATION_EDGE_GUARD in which each agent owns one edge and that has
-    at most _TABLE_PATH_LIMIT loopless paths, with strictly positive bids.
-    The walk over the loopless paths stops one path past the limit.
-    Everything else, including bids the reference rejects, runs the
-    reference; a spec's own fields were checked when it was built.
+    ENUMERATION_EDGE_GUARD in which each agent owns one edge and some
+    path joins source to sink, with strictly positive bids. Everything
+    else, including bids the reference rejects, runs the reference; a
+    spec's own fields were checked when it was built.
     """
     if not isinstance(game, PathGame) or game.spec.mechanism.endswith("-single"):
         return None
@@ -348,12 +360,11 @@ def _compile(
         return None
     # The walk ignores costs; the routes' order is set here.
     walk = _walk_all(network, dict.fromkeys(agents, 0), frozenset(), frozenset(), network.source)
-    routes = list(itertools.islice(walk, _TABLE_PATH_LIMIT + 1))
-    if not routes or len(routes) > _TABLE_PATH_LIMIT:
+    routes = sorted(walk, key=lambda route: route[1])
+    if not routes:
         return None
-    routes.sort(key=lambda route: route[1])
     index = {a: i for i, a in enumerate(agents)}
-    owners = tuple(tuple(index[a] for a in route[2]) for route in routes)
+    owners = tuple(tuple(map(index.__getitem__, route[2])) for route in routes)
     true_cost = tuple(network.true_cost[a] for a in agents)
     return _PathTable(spec, agents, values, true_cost, owners)
 
@@ -363,8 +374,8 @@ class _Evaluator:
 
     A profile is a tuple of positions aligned with the sorted agent order:
     entry i indexes `values[i]`, which holds agent i's grid bids followed
-    by any off-grid bid a caller asked about. An outcome of None means the
-    profile violates the mechanism's preconditions (a cost tie) and is
+    by its `extra` bid when that is off the grid. An outcome of None means
+    the profile violates the mechanism's preconditions (a cost tie) and is
     inadmissible. Games the compiled path table covers are priced by it;
     all others by the game's own `run`.
 
@@ -373,30 +384,37 @@ class _Evaluator:
     one agent's bid by stride. An off-grid value is never an opponent's:
     the profiles holding one are priced when read, one by one, and not kept.
 
-    Outcome money is in units of 1/`scale`: the table's scale when it is
+    The table is built once, with every value in play, so outcome money is
+    in units of 1/`scale` throughout: the table's scale when it is
     compiled, 1 (the run's own Fractions) otherwise. Comparisons within one
     evaluator need no conversion; a value handed to a caller converts back
-    as `Fraction(u) / scale`. An off-grid value appended after pricing
-    rebuilds the table at a new scale, so the grid priced at the old one is
-    dropped then and outcomes at two scales never mix.
+    as `Fraction(u) / scale`.
     """
 
-    def __init__(self, game, grid: BidGrid):
+    def __init__(self, game, grid: BidGrid, extra: Mapping[str, Fraction] | None = None):
         if set(grid.agents) != set(game.agents):
             raise ValueError("grid must cover exactly the game's agents")
         self.game = game
         self.agents: tuple[str, ...] = grid.agents
         self.index = {a: i for i, a in enumerate(self.agents)}
-        self.values: tuple[list[Fraction], ...] = tuple(
-            list(grid.bids_for[a]) for a in self.agents
-        )
-        self.sizes = tuple(len(vs) for vs in self.values)
+        self.sizes = tuple(len(grid.bids_for[a]) for a in self.agents)
         self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
+        extra = extra or {}
+        values = []
+        for agent in self.agents:
+            bids, off = grid.bids_for[agent], extra.get(agent)
+            values.append(bids if off is None or off in bids else (*bids, off))
+        self.values: tuple[tuple[Fraction, ...], ...] = tuple(values)
         self._positions = tuple({v: p for p, v in enumerate(vs)} for vs in self.values)
         self._grid: list[_Outcome | None] | None = None
-        self._table: _PathTable | None = None
-        self._compiled = False
-        self.scale = 1
+        self._table = _compile(game, self.agents, self.values)
+        # The value lists in the pricer's units, and the pricer of one bid tuple.
+        if self._table is None:
+            self.scale = 1
+            self._priced, self._price = self.values, self._run
+        else:
+            self.scale = self._table.scale
+            self._priced, self._price = self._table.scaled, self._table.outcome
 
     def require_enumerable(self, skip_agent: str | None = None) -> None:
         """Guard any operation that walks a grid product."""
@@ -408,17 +426,8 @@ class _Evaluator:
             raise GridTooLarge(f"profile space {size} exceeds {PROFILE_GUARD}")
 
     def position(self, agent: str, bid: Fraction) -> int:
-        """Position of `bid` among the agent's values, appended when off the grid."""
-        i = self.index[agent]
-        pos = self._positions[i].get(bid)
-        if pos is None:
-            pos = self._positions[i][bid] = len(self.values[i])
-            self.values[i].append(bid)
-            # The table must be rebuilt to scale the new value, and the
-            # grid priced at the old scale goes with it.
-            self._compiled = False
-            self._grid = None
-        return pos
+        """Position of `bid` among the agent's grid and extra values."""
+        return self._positions[self.index[agent]][bid]
 
     def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(vs[p] for vs, p in zip(self.values, profile))
@@ -426,16 +435,6 @@ class _Evaluator:
     def opponent_bids(self, agent: str, opponents: tuple[int, ...]) -> tuple[Fraction, ...]:
         others = [vs for a, vs in zip(self.agents, self.values) if a != agent]
         return tuple(vs[p] for vs, p in zip(others, opponents))
-
-    def _pricer(self):
-        """The value lists the pricer reads and the pricer of one bid tuple."""
-        if not self._compiled:
-            self._table = _compile(self.game, self.agents, self.values)
-            self._compiled = True
-            self.scale = 1 if self._table is None else self._table.scale
-        if self._table is not None:
-            return self._table.scaled, self._table.outcome
-        return self.values, self._run
 
     def _run(self, bids: tuple[Fraction, ...]) -> _Outcome | None:
         try:
@@ -447,16 +446,14 @@ class _Evaluator:
 
     def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
         """One profile's outcome, priced now and not stored."""
-        values, price = self._pricer()
-        return price(tuple(vs[p] for vs, p in zip(values, profile)))
+        return self._price(tuple(vs[p] for vs, p in zip(self._priced, profile)))
 
     def grid(self) -> list[_Outcome | None]:
         """The outcome of every grid profile, in `profiles()` order."""
         if self._grid is None:
             self.require_enumerable()
-            values, price = self._pricer()
-            on_grid = (vs[:n] for vs, n in zip(values, self.sizes))
-            self._grid = list(map(price, itertools.product(*on_grid)))
+            on_grid = (vs[:n] for vs, n in zip(self._priced, self.sizes))
+            self._grid = list(map(self._price, itertools.product(*on_grid)))
         return self._grid
 
     def section(self, agent: str, pos: int) -> Iterable[_Outcome | None]:
@@ -500,7 +497,7 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     vector violates the mechanism's preconditions are excluded from the
     count entirely.
     """
-    ev = _Evaluator(game, grid)
+    ev = _Evaluator(game, grid, {agent: bid})
     ev.require_enumerable(skip_agent=agent)
     return _selection_probability(agent, ev.line(agent, ev.position(agent, bid)))
 
@@ -863,7 +860,7 @@ def check_strongly_critical(
     substitute affordable.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    ranked, assignment = _group_structure(network, resolved)
     costs = ranked.costs
     pay, _ = _price(MechanismSpec("x", rule=rule), resolved, costs, assignment.group_of)
     rows = []
@@ -903,7 +900,7 @@ def check_group_truthfulness(
     the accepted trials.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    ranked, assignment = _group_structure(network, resolved)
     spec = MechanismSpec("x", rule=rule)
     base, _ = _price(spec, resolved, ranked.costs, assignment.group_of)
     base_order = [p.edges for p in enumerate_paths(network, resolved)]
@@ -953,10 +950,8 @@ def check_group_truthfulness(
 
 def check_vcg_truthful(game, grid: BidGrid) -> PropertyReport:
     """Exhaustively confirm the truthful bid is a best response everywhere."""
-    ev = _Evaluator(game, grid)
+    ev = _Evaluator(game, grid, game.types)
     ev.require_enumerable()
-    # Off-grid truthful bids join the value lists before any profile is
-    # priced, so the compiled table is built once with every value in play.
     truthful = {a: ev.position(a, game.types[a]) for a in ev.agents}
     counterexamples = []
     for agent in ev.agents:
@@ -979,7 +974,7 @@ def check_degenerate_vickrey(
     """On a network whose cheapest path is a single edge, group sharing,
     marginal pricing and a reverse second-price award must coincide."""
     resolved = _resolve_bids(network, bids)
-    ranked, assignment, _ = group_structure(network, resolved)
+    ranked, assignment = _group_structure(network, resolved)
     chosen = ranked.paths[0]
     if len(chosen.edges) != 1:
         return PropertyReport(

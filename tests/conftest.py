@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathauction import fixture, random_network
+from pathauction import Edge, Network, fixture, random_network
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +40,29 @@ def random_small_25():
 @pytest.fixture(scope="session")
 def unit():
     return Fraction(1)
+
+
+def _parallel_pairs(stages, tied=False):
+    """A chain of `stages` pairs of parallel edges: 2**stages paths.
+
+    Taking stage k's b edge instead of its a edge costs 1 + k/16 more, so
+    the cheapest path and the single swaps rank first, without ties, and
+    every group of x forms within them. `tied` raises the last stage's gap
+    to the first two stages' together, so that single swap, where the last
+    winner leaves, ties with the double swap of stages 0 and 1.
+    """
+    rows = []
+    for k in range(stages):
+        tail, head = f"v{k:02d}", f"v{k + 1:02d}"
+        gap = 2 + Fraction(1, 16) if tied and k == stages - 1 else 1 + Fraction(k, 16)
+        rows += [(f"a{k:02d}", tail, head, 1), (f"b{k:02d}", tail, head, 1 + gap)]
+    edges = tuple(Edge(eid, tail, head, eid) for eid, tail, head, _ in rows)
+    costs = {eid: Fraction(c) for eid, _, _, c in rows}
+    nodes = tuple(f"v{k:02d}" for k in range(stages + 1))
+    return Network(nodes, edges, nodes[0], nodes[-1], costs, dict(costs))
+
+
+@pytest.fixture(scope="session")
+def parallel_pairs():
+    """Builds chains of parallel edge pairs: parallel_pairs(stages, tied=False)."""
+    return _parallel_pairs

@@ -140,23 +140,24 @@ def test_random_outcomes_match_reference(spec):
 
 
 def test_off_grid_bid_after_evaluation():
-    """A value with a new denominator, added after every grid profile was
-    priced: the table is rebuilt at a new scale, and no outcome priced at
-    the old one survives. The grid stays the grid's own profiles."""
+    """A value with a new denominator, given at construction: the table is
+    built once at three times the grid's own scale, the grid stays the
+    grid's own profiles, and the off-grid line priced after it matches
+    the reference."""
     net = fixture("fig2")
     for spec in SPECS:
         grid = BidGrid.procurement(net.true_cost, F(1), 2)
-        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        agent = grid.agents[0]
+        plain = analysis._Evaluator(PathGame(net, spec), grid)
+        ev = analysis._Evaluator(PathGame(net, spec), grid, {agent: F(7, 3)})
+        assert ev.scale == 3 * plain.scale
+        assert len(ev.grid()) == grid.product_size()
         _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
-        old_scale = ev.scale
-        agent = ev.agents[0]
         off = ev.position(agent, F(7, 3))
+        assert off == ev.sizes[0]
         off_profiles = [ev.assemble(agent, off, opp) for opp in ev.opponent_profiles(agent)]
         priced = ((p, ev.outcome(p)) for p in off_profiles)
         _assert_outcomes_match_reference(ev, spec, net, priced)
-        assert ev.scale == 3 * old_scale
-        assert len(ev.grid()) == grid.product_size()
-        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
 
 
 def _unequal_grid(net):
@@ -210,64 +211,66 @@ def test_partly_truthful_counterexamples_carry_fractions():
     assert utilities and all(type(u) is F for u in utilities)
 
 
-def _parallel_pairs(stages):
-    """A chain of `stages` pairs of parallel edges: 2**stages paths.
-
-    Taking stage k's b edge instead of its a edge costs 1 + k/16 more, so
-    the cheapest path and the single swaps rank first, without ties, and
-    every group of x forms within them.
-    """
-    rows = []
-    for k in range(stages):
-        tail, head = f"v{k:02d}", f"v{k + 1:02d}"
-        rows += [(f"a{k:02d}", tail, head, 1), (f"b{k:02d}", tail, head, 2 + F(k, 16))]
-    edges = tuple(Edge(eid, tail, head, eid) for eid, tail, head, _ in rows)
-    costs = {eid: F(c) for eid, _, _, c in rows}
-    nodes = tuple(f"v{k:02d}" for k in range(stages + 1))
-    return Network(nodes, edges, nodes[0], nodes[-1], costs, dict(costs))
-
-
-@pytest.mark.parametrize("mechanism", ["vcg", "x"])
-def test_many_paths_fall_back_to_the_reference(monkeypatch, mechanism):
-    """Past _TABLE_PATH_LIMIT paths the table would price a profile slower
-    than the reference; a 12-stage chain (4,096 paths) runs the reference,
-    with the outcomes a table forced onto it gives."""
-    net = _parallel_pairs(12)
+@pytest.mark.parametrize("mechanism", ["fp-path", "vcg", "x"])
+def test_many_paths_compile_and_match_the_reference(parallel_pairs, mechanism):
+    """A 12-stage chain (4,096 paths) compiles, and every profile's outcome
+    is MechanismSpec.run's."""
+    net = parallel_pairs(12)
     spec = MechanismSpec(mechanism)
     varied = net.agents[:3]
     grid = BidGrid(
         {a: (t, t + F(1, 64)) if a in varied else (t,) for a, t in net.true_cost.items()}
     )
     ev = analysis._Evaluator(PathGame(net, spec), grid)
-    reference = ev.grid()
-    assert ev._table is None and ev.scale == 1
-    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), reference))
-    assert ties < len(reference)
-    monkeypatch.setattr(analysis, "_TABLE_PATH_LIMIT", 2**12)
-    forced = analysis._Evaluator(PathGame(net, spec), grid)
-    compiled = [_converted(forced, out) for out in forced.grid()]
-    assert forced._table is not None
-    assert compiled == [_converted(ev, out) for out in reference]
+    assert ev._table is not None and len(ev._table.owners) == 2**12
+    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
+    assert ties < grid.product_size()
 
 
-def test_fallback_walk_stops_one_path_past_the_limit(monkeypatch):
-    """A network past _TABLE_PATH_LIMIT falls back without enumerating
-    every path: the 12-stage chain's walk yields 257 of its 4,096 routes."""
-    walked = []
-    walk = analysis._walk_all
+def _chain_grid(net, varied):
+    """Half a unit below and above the type for the `varied` agents; every
+    other agent bids its type."""
+    return BidGrid(
+        {a: (t - HALF, t + HALF) if a in varied else (t,) for a, t in net.true_cost.items()}
+    )
 
-    def counted(*args):
-        for route in walk(*args):
-            walked.append(route)
-            yield route
 
-    monkeypatch.setattr(analysis, "_walk_all", counted)
-    net = _parallel_pairs(12)
-    grid = BidGrid.procurement(net.true_cost, F(1), 0)
-    ev = analysis._Evaluator(PathGame(net, MechanismSpec("x")), grid)
-    ev.outcome(next(ev.profiles()))
-    assert ev._table is None
-    assert len(walked) == analysis._TABLE_PATH_LIMIT + 1
+#: Chains of 1,024 and 4,096 paths, and the tied 1,024-path chain. In the
+#: tied chain b00 below its type and b01 above it keep the tie but lower
+#: the double swap's bound below the single swap's, so the scan reaches
+#: the two tied paths out of edge-id order.
+CHAINS = [
+    (10, False, ("a00", "a04", "a09", "b04")),
+    (12, False, ("a00", "a11", "b05", "b06")),
+    (10, True, ("a05", "b00", "b01", "b04")),
+]
+
+
+@pytest.mark.parametrize(
+    "stages, tied, varied", CHAINS, ids=["1024-paths", "4096-paths", "1024-paths-tied"]
+)
+def test_long_chains_match_the_reference(parallel_pairs, stages, tied, varied):
+    net = parallel_pairs(stages, tied)
+    grid = _chain_grid(net, varied)
+    for spec in SPECS:
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        assert ev._table is not None
+        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
+
+
+def test_tied_paths_rank_by_edge_ids_across_the_scan():
+    """Winners a and b; f-b leaves out a at cost 5/2. With c at 2, c-b and
+    a-e tie at cost 3, where b, the last winner, leaves: a-e ranks first by
+    edge ids, so the prefix ends before the tie. c-b's bound, 3 - 1/16, is
+    scanned first, with no bound between it and 3, the next one."""
+    net = _net(
+        [("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "X", "M", 2), ("e", "M", "Y", 2),
+         ("f", "X", "M", F(3, 2))]
+    )
+    grid = BidGrid({a: (2 - F(1, 16), 2) if a == "c" else (t,) for a, t in net.true_cost.items()})
+    for spec in SPECS:
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        assert _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid())) == 0
 
 
 @pytest.mark.parametrize(

@@ -210,28 +210,47 @@ def _game_id(game):
     return f"{game.spec.mechanism}-{where}"
 
 
+def _assert_consumers_match(game, grid, mode):
+    """Every consumer against the oracle; agent_optimal_bids in `mode` only,
+    since alignment_report covers every mode."""
+    oracle = Oracle(game, grid)
+    for report_mode in MODES:
+        report = alignment_report(game, grid, report_mode)
+        per_agent, joint, mech, aligned, verdict = oracle.report(report_mode)
+        assert report.agent_optimal == per_agent, (report_mode, grid)
+        assert report.joint_optimal == joint, (report_mode, grid)
+        assert report.mechanism_optimal == mech, grid
+        assert report.aligned == aligned, (report_mode, grid)
+        assert report.verdict == verdict, (report_mode, grid)
+    for agent in game.agents:
+        assert agent_optimal_bids(game, grid, agent, mode) == oracle.optimal_bids(agent, mode)
+    assert list(check_partly_truthful(game, grid).counterexamples) == oracle.partly_truthful()
+    assert list(check_vcg_truthful(game, grid).counterexamples) == oracle.vcg_truthful()
+    for agent, bids in grid.bids_for.items():
+        for bid in (*bids, game.types[agent]):
+            want = oracle.selection_probability(agent, bid)
+            assert selection_probability(game, grid, agent, bid) == want, (agent, bid)
+
+
 @pytest.mark.parametrize("game", GAMES, ids=_game_id)
 def test_consumers_match_the_per_profile_loop(game):
     for k, grid in enumerate(_grids(game.types)):
-        oracle = Oracle(game, grid)
-        for mode in MODES:
-            report = alignment_report(game, grid, mode)
-            per_agent, joint, mech, aligned, verdict = oracle.report(mode)
-            assert report.agent_optimal == per_agent, (mode, grid)
-            assert report.joint_optimal == joint, (mode, grid)
-            assert report.mechanism_optimal == mech, grid
-            assert report.aligned == aligned, (mode, grid)
-            assert report.verdict == verdict, (mode, grid)
-        # One mode per grid: alignment_report above covers the others.
-        mode = MODES[k % len(MODES)]
-        for agent in game.agents:
-            assert agent_optimal_bids(game, grid, agent, mode) == oracle.optimal_bids(agent, mode)
-        assert list(check_partly_truthful(game, grid).counterexamples) == oracle.partly_truthful()
-        assert list(check_vcg_truthful(game, grid).counterexamples) == oracle.vcg_truthful()
-        for agent, bids in grid.bids_for.items():
-            for bid in (*bids, game.types[agent]):
-                want = oracle.selection_probability(agent, bid)
-                assert selection_probability(game, grid, agent, bid) == want, (agent, bid)
+        _assert_consumers_match(game, grid, MODES[k % len(MODES)])
+
+
+def test_a_1024_path_chain_matches_the_per_profile_loop(parallel_pairs):
+    """The compiled table on a 10-stage chain of parallel pairs. Three
+    agents vary over 2, 2 and 3 bids that straddle their types, so their
+    truthful bids are off the grid; the others bid their types."""
+    net = parallel_pairs(10)
+    sizes = {"a00": 2, "a09": 2, "b04": 3}
+    grid = BidGrid(
+        {
+            a: tuple(t - HALF + i for i in range(sizes[a])) if a in sizes else (t,)
+            for a, t in net.true_cost.items()
+        }
+    )
+    _assert_consumers_match(PathGame(net, MechanismSpec("x")), grid, "undominated")
 
 
 def test_the_grids_exercise_the_orders():

@@ -15,7 +15,8 @@ answers, by full enumeration:
 * executable property checkers: partial truthfulness, criticality of the
   total payment, the exact per-group criticality identity of the
   group-sharing rule, per-group payment invariance under rank-preserving
-  bid changes, and exhaustive best-response truthfulness.
+  bid changes (random trials priced from one path enumeration), and
+  exhaustive best-response truthfulness.
 
 Profiles that violate a mechanism's strict-order precondition (cost ties)
 are excluded from profile sets and scored as "not selected, utility 0"
@@ -62,7 +63,8 @@ from .errors import (
     TieError,
     TooLarge,
 )
-from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, _walk_all, enumerate_paths, validate
+from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, enumerate_paths, validate
+from .graph import _scaled_costs, _walk_all
 from .mechanisms import (
     EQUAL_SPLIT,
     DistributionRule,
@@ -894,23 +896,26 @@ def check_group_truthfulness(
     """Random within-group bid changes that provably keep the path ranking
     fixed must leave that group's total payment unchanged.
 
-    Perturbations that change the enumerated path order, create a cost tie
-    or drive a bid nonpositive are rejected, not counted as evidence. The
-    verdict is budget-relative: it reports no counterexample found within
-    the accepted trials.
+    The paths are enumerated once; each trial re-costs them and rejects, as
+    no evidence, a change that moves their order, ties two ranks x reads or
+    makes a bid nonpositive. The verdict is budget-relative: it reports no
+    counterexample found within the accepted trials.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     resolved = _resolve_bids(network, bids)
     ranked, assignment = _group_structure(network, resolved)
     spec = MechanismSpec("x", rule=rule)
     base, _ = _price(spec, resolved, ranked.costs, assignment.group_of)
-    base_order = [p.edges for p in enumerate_paths(network, resolved)]
+    paths = [(p.edges, p.owners) for p in enumerate_paths(network, resolved)]
+    groups = {q: assignment.members(q) for q in assignment.present_groups}
+    before = {q: sum((base[a] for a in members), Fraction(0)) for q, members in groups.items()}
     rng = random.Random(seed)
     accepted = 0
     counterexamples = []
     for _ in range(trials):
         q = rng.choice(assignment.present_groups)
-        members = assignment.members(q)
-        perturbed = dict(resolved)
+        members = groups[q]
         deltas = {
             agent: Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4, 5)))
             for agent in members
@@ -920,25 +925,19 @@ def check_group_truthfulness(
             # path's cost fixed and survive re-ranking far more often.
             mean = sum(deltas.values(), Fraction(0)) / len(members)
             deltas = {agent: d - mean for agent, d in deltas.items()}
-        for agent in members:
-            perturbed[agent] = resolved[agent] + deltas[agent]
-        if any(v <= 0 for v in perturbed.values()):
+        perturbed = {**resolved, **{agent: resolved[agent] + deltas[agent] for agent in members}}
+        if any(perturbed[agent] <= 0 for agent in members):
             continue
-        try:
-            new_order = [p.edges for p in enumerate_paths(network, perturbed)]
-        except (TooLarge, Disconnected):
-            continue
-        if new_order != base_order:
-            continue
-        try:
-            new_result = spec.run(network, perturbed)
-        except TieError:
-            continue
+        scaled, scale = _scaled_costs(network, perturbed)
+        keys = [(sum(map(scaled.__getitem__, owners)), edges) for edges, owners in paths]
+        costs = [cost for cost, _ in keys[: assignment.max_group + 1]]
+        if any(a > b for a, b in zip(keys, keys[1:])) or len(set(costs)) < len(costs):
+            continue  # The order, and with it the groups, moved; or ranks x reads tie.
+        pay, _ = _price(spec, perturbed, [Fraction(c, scale) for c in costs], assignment.group_of)
         accepted += 1
-        before = sum((base[a] for a in members), Fraction(0))
-        after = sum((new_result.payments[a] for a in members), Fraction(0))
-        if before != after:
-            counterexamples.append((q, dict(perturbed), before, after))
+        after = sum((pay[a] for a in members), Fraction(0))
+        if before[q] != after:
+            counterexamples.append((q, perturbed, before[q], after))
     verdict = "fails" if counterexamples else "holds-budget-exhausted"
     return PropertyReport(
         name="group-truthful",

@@ -167,7 +167,9 @@ def validate(network: Network) -> list[Violation]:
     """Check every model invariant; an empty list means the network is valid.
 
     Violations are data, not failures: each one names the broken rule and
-    the offending element so callers can print or collect them.
+    the offending element so callers can print or collect them. Cuts are
+    found by one growing search, not one search per edge, and reported in
+    edge order.
     """
     out: list[Violation] = []
     nodes = set(network.nodes)
@@ -207,41 +209,64 @@ def validate(network: Network) -> list[Violation]:
         # Structural problems make the reachability checks unreliable.
         return out
 
-    if not _reachable(network, frozenset()):
+    cuts = _cut_edge_ids(network)
+    if cuts is None:
         out.append(Violation("disconnected", f"no path {network.source} -> {network.sink}"))
         return out
     for edge in network.edges:
-        if not _reachable(network, frozenset({edge.id})):
+        if edge.id in cuts:
             out.append(Violation("agent owns a cut", edge.owner))
     return out
 
 
-def _reachable(network: Network, excluded_edges: frozenset[str]) -> bool:
-    seen = {network.source}
-    frontier = [network.source]
-    while frontier:
-        node = frontier.pop()
-        if node == network.sink:
-            return True
-        for edge in network.out_edges(node):
-            if edge.id in excluded_edges or edge.head in seen:
-                continue
-            seen.add(edge.head)
-            frontier.append(edge.head)
-    return network.sink in seen
+def _cut_edge_ids(network: Network) -> set[str] | None:
+    """The ids of the edges without which no path joins source to sink, in
+    one pass; None when no path joins them at all.
+
+    Take one source-to-sink path P, edges e_0..e_{L-1} through nodes
+    v_0..v_L; no edge off P is a cut. Edge e_i is one exactly when a search
+    from the source that may not use e_i..e_{L-1} reaches no v_j with
+    j > i: P leads on from such a v_j to the sink, and a path that avoids
+    e_i first meets v_{i+1}..v_L by none of e_i..e_{L-1}. Step i frees
+    e_{i-1}, so a single search, grown step by step, covers every i in
+    O(nodes + edges).
+    """
+    source, sink = network.source, network.sink
+    via: dict[str, Edge | None] = {source: None}
+    frontier = [source]
+    while frontier and sink not in via:
+        for edge in network.out_edges(frontier.pop()):
+            if edge.head not in via:
+                via[edge.head] = edge
+                frontier.append(edge.head)
+    if sink not in via:
+        return None
+    path: list[Edge] = []
+    while (edge := via[path[-1].tail if path else sink]) is not None:
+        path.append(edge)
+    path.reverse()
+    step_of = {edge.id: i for i, edge in enumerate(path)}
+    index = {edge.head: i for i, edge in enumerate(path, 1)}
+    seen, frontier, reach, cuts = {source}, [source], 0, set()
+    for i, edge in enumerate(path):
+        if edge.tail not in seen:  # e_{i-1}, freed at this step, reaches v_i.
+            seen.add(edge.tail)
+            frontier.append(edge.tail)
+            reach = max(reach, i)
+        while frontier:
+            for out in network.out_edges(frontier.pop()):
+                if out.head not in seen and step_of.get(out.id, -1) < i:
+                    seen.add(out.head)
+                    frontier.append(out.head)
+                    reach = max(reach, index.get(out.head, 0))
+        if reach <= i:
+            cuts.add(edge.id)
+    return cuts
 
 
 # ---------------------------------------------------------------------------
 # Shortest paths
 # ---------------------------------------------------------------------------
-
-
-def _resolve_costs(network: Network, costs: Mapping[str, Fraction] | None) -> Mapping[str, Fraction]:
-    resolved = network.bid if costs is None else costs
-    for agent, value in resolved.items():
-        if value < 0:
-            raise ValueError(f"negative cost for agent {agent}")
-    return resolved
 
 
 def _scaled_costs(
@@ -254,12 +279,16 @@ def _scaled_costs(
     compare these integers; the paths they return carry
     `Fraction(cost, scale)`.
     """
-    resolved = _resolve_costs(network, costs)
+    resolved = network.bid if costs is None else costs
     scale = math.lcm(*(value.denominator for value in resolved.values()))
     scaled = {
         agent: value.numerator * (scale // value.denominator)
         for agent, value in resolved.items()
     }
+    # Checked on the integers, which compare far faster than Fractions.
+    for agent, value in scaled.items():
+        if value < 0:
+            raise ValueError(f"negative cost for agent {agent}")
     return scaled, scale
 
 

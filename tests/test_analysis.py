@@ -1,13 +1,21 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from pathauction import (
+    EQUAL_SPLIT,
     BidGrid,
+    DistributionRule,
+    Edge,
     GridTooLarge,
     MechanismSpec,
+    Network,
     PathGame,
+    PropertyReport,
     SingleItemGame,
+    TieError,
     agent_optimal_bids,
     alignment_report,
     best_response_set,
@@ -20,7 +28,9 @@ from pathauction import (
     classify_consistency,
     default_grid,
     enumerate_paths,
+    group_structure,
     mechanism_optimal_profiles,
+    random_network,
     selection_probability,
 )
 
@@ -296,6 +306,152 @@ def test_group_truthfulness_examples(example1):
     report = check_group_truthfulness(example1, bids, trials=60, seed=7)
     assert report.holds
     assert not report.counterexamples
+
+
+def _group_truthfulness_by_rerunning(network, bids, rule, trials, seed):
+    """The checker as a per-trial loop over public names: each trial draws
+    the checker's perturbation, enumerates every path again and runs x.
+    Returns the report and a count of the reasons trials were rejected."""
+    spec = MechanismSpec("x", rule=rule)
+    base = spec.run(network, bids).payments
+    _, assignment, _ = group_structure(network, bids)
+    base_order = [p.edges for p in enumerate_paths(network, bids)]
+    prefix = assignment.max_group + 1
+    rng = random.Random(seed)
+    accepted, counterexamples, rejected = 0, [], Counter()
+    for _ in range(trials):
+        q = rng.choice(assignment.present_groups)
+        members = assignment.members(q)
+        deltas = {a: F(rng.randint(-3, 3), rng.choice((2, 3, 4, 5))) for a in members}
+        if len(members) > 1 and rng.random() < F(1, 2):
+            mean = sum(deltas.values(), F(0)) / len(members)
+            deltas = {a: d - mean for a, d in deltas.items()}
+        perturbed = {**bids, **{a: bids[a] + deltas[a] for a in members}}
+        if any(v <= 0 for v in perturbed.values()):
+            rejected["nonpositive bid"] += 1
+            continue
+        ranked = enumerate_paths(network, perturbed).paths
+        order = [p.edges for p in ranked]
+        if order != base_order:
+            cost_of = {p.edges: p.cost for p in ranked}
+            costs = [cost_of[edges] for edges in base_order]
+            if costs == sorted(costs):
+                rejected["order moved by edge ids alone"] += 1
+            elif order[:prefix] == base_order[:prefix]:
+                rejected["order moved past the prefix"] += 1
+            else:
+                rejected["order moved within the prefix"] += 1
+            continue
+        try:
+            payments = spec.run(network, perturbed).payments
+        except TieError:
+            rejected["prefix tie"] += 1
+            continue
+        accepted += 1
+        before = sum((base[a] for a in members), F(0))
+        after = sum((payments[a] for a in members), F(0))
+        if before != after:
+            counterexamples.append((q, perturbed, before, after))
+    report = PropertyReport(
+        name="group-truthful",
+        verdict="fails" if counterexamples else "holds-budget-exhausted",
+        counterexamples=tuple(counterexamples),
+        detail=f"{accepted} ranking-preserving perturbations accepted of {trials} trials",
+    )
+    return report, rejected
+
+
+RULES = (
+    EQUAL_SPLIT,
+    DistributionRule("reverse-rank"),
+    DistributionRule("waterfall", F(1, 3)),
+    DistributionRule("compound", F(1, 4)),
+)
+
+
+def test_group_truthfulness_matches_the_per_trial_reference(example1, fig2, fig3, xsmall):
+    nets = [example1, fig2, fig3, xsmall]
+    nets += [random_network(s, node_budget=6, edge_budget=8) for s in range(100)]
+    for net in nets:
+        for rule in RULES:
+            for seed in (0, 1):
+                expected, _ = _group_truthfulness_by_rerunning(net, net.bid, rule, 12, seed)
+                assert check_group_truthfulness(net, net.bid, rule, 12, seed) == expected
+
+
+def _tied_stages():
+    """Two stages of parallel edges whose paths tie at 5 past the prefix
+    x reads (e4-e0 and e1-e3), and whose unit bids small draws drive to 0."""
+    rows = [
+        ("e0", "v1", "v2", 4), ("e1", "v0", "v1", 3), ("e2", "v1", "v2", 1),
+        ("e3", "v1", "v2", 2), ("e4", "v0", "v1", 1), ("e5", "v1", "v2", 5),
+    ]
+    costs = {eid: F(c) for eid, _, _, c in rows}
+    edges = tuple(Edge(eid, t, h, eid) for eid, t, h, _ in rows)
+    return Network(("v0", "v1", "v2"), edges, "v0", "v2", costs, dict(costs))
+
+
+def test_group_truthfulness_rejects_as_the_reference_on_tied_paths():
+    """Every kind of rejection occurs, and the checker agrees trial for
+    trial: the same accepted count means the same trials were kept."""
+    net = _tied_stages()
+    assert [p.cost for p in enumerate_paths(net)].count(5) == 2
+    seen = Counter()
+    for rule in RULES:
+        for seed in (0, 1):
+            expected, rejected = _group_truthfulness_by_rerunning(net, net.bid, rule, 40, seed)
+            assert check_group_truthfulness(net, net.bid, rule, 40, seed) == expected
+            seen.update(rejected)
+    assert {
+        "nonpositive bid",
+        "order moved by edge ids alone",
+        "order moved past the prefix",
+        "order moved within the prefix",
+        "prefix tie",
+    } <= set(seen)
+
+
+def test_group_truthfulness_reports_the_reference_counterexamples(monkeypatch, example1):
+    """Under a broken pricer that pays each winner twice its bid, a group's
+    total moves with its bids: the checker must report the reference's rows."""
+    from pathauction import analysis, mechanisms
+
+    def doubled(spec, bids, costs, group_of):
+        return {k: 2 * bids[k] for k in group_of}, None
+
+    monkeypatch.setattr(mechanisms, "_price", doubled)
+    monkeypatch.setattr(analysis, "_price", doubled)
+    for net in (example1, _tied_stages()):
+        expected, _ = _group_truthfulness_by_rerunning(net, net.bid, EQUAL_SPLIT, 30, 0)
+        assert expected.verdict == "fails"
+        assert check_group_truthfulness(net, net.bid, EQUAL_SPLIT, 30, 0) == expected
+
+
+@pytest.mark.parametrize("trials", [0, 1, 50])
+def test_group_truthfulness_enumerates_once_and_runs_nothing(monkeypatch, example1, trials):
+    from pathauction import analysis
+
+    calls = Counter()
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "enumerate_paths", counted("enumerate", analysis.enumerate_paths))
+    monkeypatch.setattr(MechanismSpec, "run", counted("run", MechanismSpec.run))
+    check_group_truthfulness(example1, trials=trials, seed=3)
+    assert calls == Counter(enumerate=1)
+
+
+def test_group_truthfulness_rejects_negative_trials(fig2):
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        check_group_truthfulness(fig2, trials=-5)
+    assert check_group_truthfulness(fig2, trials=0).detail == (
+        "0 ranking-preserving perturbations accepted of 0 trials"
+    )
 
 
 def test_vcg_truthful_checker(fig2):

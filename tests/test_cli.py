@@ -173,6 +173,13 @@ def test_check_exit_codes(ex1_file, fig3_file, capsys):
                  "--trials", "20", "--seed", "3"]) == 0
 
 
+def test_negative_trials_exit_1(ex1_file, capsys):
+    assert main(["check", ex1_file, "--property", "group-truthful", "--trials", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be nonnegative\n"
+
+
 def test_enumeration_guard_exits_3(tmp_path, capsys):
     """TooLarge, the 24-edge enumeration guard, exits 3 like the profile guard."""
     edges = ", ".join(

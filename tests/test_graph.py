@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from pathauction import (
     detour_cost,
     enumerate_paths,
     iter_ranked_paths,
+    fixture,
     network_from_json,
     network_to_json,
+    random_network,
     rank_paths,
     shortest_path,
     validate,
@@ -68,6 +71,75 @@ def test_disconnected_flagged():
     net = _net([("e1", "X", "M", 1), ("e2", "Y", "M", 1), ("e3", "X", "M", 1)], "X", "Y")
     rules = {v.rule for v in validate(net)}
     assert "disconnected" in rules
+
+
+def _cut_owners_by_edge_searches(net):
+    """validate's cut verdicts by brute force: one reachability search with
+    each edge removed in turn, in edge order."""
+
+    def reaches_sink(removed):
+        seen, frontier = {net.source}, [net.source]
+        while frontier:
+            for edge in net.out_edges(frontier.pop()):
+                if edge.id != removed and edge.head not in seen:
+                    seen.add(edge.head)
+                    frontier.append(edge.head)
+        return net.sink in seen
+
+    if not reaches_sink(None):
+        return ["disconnected"]
+    return [edge.owner for edge in net.edges if not reaches_sink(edge.id)]
+
+
+def _unit_multigraphs(count, seed):
+    """Up to seven nodes and fourteen unit-cost edges between random
+    endpoints, listed in shuffled id order: parallel edges, self loops,
+    cycles and edges into the source are all common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_nodes = rng.randint(2, 7)
+        rows = [
+            (f"e{i:02d}", f"v{rng.randrange(n_nodes)}", f"v{rng.randrange(n_nodes)}", 1)
+            for i in range(rng.randint(1, 14))
+        ]
+        rng.shuffle(rows)
+        yield _multigraph(n_nodes, rows)
+
+
+def test_one_pass_cut_check_matches_per_edge_searches():
+    nets = [fixture(name) for name in ("example1", "fig2", "fig3", "xsmall")]
+    nets += [random_network(seed) for seed in range(300)]
+    nets += _unit_multigraphs(3000, seed=7)
+    cut_counts = Counter()
+    for net in nets:
+        expected = _cut_owners_by_edge_searches(net)
+        found = [v.subject if v.rule == "agent owns a cut" else v.rule for v in validate(net)]
+        assert found == expected, net
+        cut_counts[min(len(expected), 2) if expected != ["disconnected"] else -1] += 1
+    # Valid, disconnected, one cut and several cuts all occur.
+    assert set(cut_counts) == {-1, 0, 1, 2}
+
+
+def test_a_parallel_edge_is_no_cut_but_the_edge_all_paths_share_is():
+    net = _net(
+        [("z", "M", "Y", 1), ("b", "X", "M", 2), ("a", "X", "M", 1), ("loop", "M", "M", 1)],
+        "X",
+        "Y",
+    )
+    assert [str(v) for v in validate(net)] == ["agent owns a cut: z"]
+
+
+def test_negative_costs_are_rejected_by_every_search(example1):
+    costs = {**example1.bid, "B": Fraction(-1, 3)}
+    searches = (
+        shortest_path,
+        enumerate_paths,
+        lambda net, c: next(iter_ranked_paths(net, c)),
+        lambda net, c: detour_cost(net, "A", "excluded", c),
+    )
+    for search in searches:
+        with pytest.raises(ValueError, match="negative cost for agent B"):
+            search(example1, costs)
 
 
 def test_shortest_path_example1(example1):

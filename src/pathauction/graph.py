@@ -12,7 +12,9 @@ This module provides:
 * deterministic shortest and k-shortest loopless path computation
   (Dijkstra plus Yen-style deviations with Lawler's refinement, ties
   broken by the lexicographically smallest edge-id sequence), run in
-  integers scaled by the cost map's least common denominator,
+  integers scaled by the cost map's least common denominator; a ranking
+  reads its spurs off one unrestricted reverse shortest-path tree and
+  runs a restricted search only for a spur the tree does not settle,
 * a brute-force enumeration oracle for all loopless paths, used to
   cross-check the ranking algorithms on small instances,
 * detour costs (cheapest path avoiding an agent, cheapest path with an
@@ -202,7 +204,8 @@ def validate(network: Network) -> list[Violation]:
         for agent in set(costs) - owners:
             out.append(Violation("unexpected cost entry", f"{label} for {agent}"))
         for agent, value in costs.items():
-            if value <= 0:
+            # A Fraction's sign is its numerator's; an int compares far faster.
+            if value.numerator <= 0:
                 out.append(Violation("nonpositive cost", f"{label} {agent}={format_cost(value)}"))
 
     if out:
@@ -306,14 +309,15 @@ def _distance_to_sink(
     costs: Mapping[str, int],
     excluded_edges: frozenset[str],
     excluded_nodes: frozenset[str],
-    origin: str,
+    origin: str | None,
 ) -> dict[str, int]:
     """Dijkstra over reversed edges: exact min cost from each node to the sink.
 
     The search stops once `origin` and every node no farther from the sink
     are settled; a tight-edge walk from `origin` reaches no other node. It
     goes on while the heap minimum equals the origin's distance, because
-    zero-cost edges can lead to more nodes at that distance.
+    zero-cost edges can lead to more nodes at that distance. With no
+    origin it settles every node that reaches the sink.
     """
     dist: dict[str, int] = {}
     heap: list[tuple[int, str]] = [(0, network.sink)]
@@ -334,6 +338,49 @@ def _distance_to_sink(
     return dist
 
 
+# A tight walk: its edge ids, their owners and every node it visits.
+_Walk = tuple[tuple[str, ...], tuple[str, ...], set[str]]
+
+
+def _tight_walk(
+    network: Network,
+    costs: Mapping[str, int],
+    dist: Mapping[str, int],
+    origin: str,
+    excluded_edges: frozenset[str] = frozenset(),
+) -> _Walk | None:
+    """The walk from `origin` to the sink along tight edges under `dist`.
+
+    At each node it takes the first out-edge by id, not excluded and not
+    back to a node already walked, with cost + dist[head] == dist[node].
+    This is the one tie-break rule of every search: with strictly positive
+    costs (at most one zeroed edge) the walk cannot revisit a node, so it
+    is the lexicographic minimum over all minimum-cost paths. None means
+    the walk got stuck, which only a zero-cost cycle can cause. Nodes that
+    `dist` lacks are never entered.
+    """
+    sink = network.sink
+    edges: list[str] = []
+    owners: list[str] = []
+    visited = {origin}
+    node = origin
+    while node != sink:
+        target = dist[node]
+        for edge in network.out_edges(node):
+            if edge.id in excluded_edges or edge.head in visited:
+                continue
+            head_dist = dist.get(edge.head)
+            if head_dist is not None and costs[edge.owner] + head_dist == target:
+                break
+        else:
+            return None
+        edges.append(edge.id)
+        owners.append(edge.owner)
+        visited.add(edge.head)
+        node = edge.head
+    return tuple(edges), tuple(owners), visited
+
+
 def _best_path(
     network: Network,
     costs: Mapping[str, int],
@@ -343,12 +390,10 @@ def _best_path(
 ) -> _Route | None:
     """Minimum-cost loopless path, lexicographically smallest edge ids among ties.
 
-    Works by computing exact distances to the sink and then greedily walking
-    tight edges in edge-id order. With strictly positive costs (at most one
-    zeroed edge) the walk cannot revisit a node, so the greedy choice is the
-    lexicographic minimum over all minimum-cost paths. A walk stuck in a
-    zero-cost cycle falls back to exhaustive search, which raises TooLarge
-    past ENUMERATION_EDGE_GUARD.
+    Works by computing exact distances to the sink, which leave out the
+    excluded nodes, and then taking the tight walk (`_tight_walk`). A walk
+    stuck in a zero-cost cycle falls back to exhaustive search, which
+    raises TooLarge past ENUMERATION_EDGE_GUARD.
     """
     origin = network.source if start is None else start
     if origin in excluded_nodes or network.sink in excluded_nodes:
@@ -356,37 +401,73 @@ def _best_path(
     dist = _distance_to_sink(network, costs, excluded_edges, excluded_nodes, origin)
     if origin not in dist:
         return None
-    edges: list[str] = []
-    owners: list[str] = []
-    node = origin
-    visited = {origin}
-    while node != network.sink:
-        chosen: Edge | None = None
-        for edge in network.out_edges(node):
-            if edge.id in excluded_edges or edge.head in excluded_nodes or edge.head in visited:
+    walk = _tight_walk(network, costs, dist, origin, excluded_edges)
+    if walk is None:
+        # Only reachable through a zero-cost cycle; fall back to brute
+        # force, which is exponential and so bound by the same guard.
+        if len(network.edges) > ENUMERATION_EDGE_GUARD:
+            raise TooLarge(
+                f"a zero-cost cycle needs exhaustive search, and {len(network.edges)} "
+                f"edges exceeds the enumeration guard of {ENUMERATION_EDGE_GUARD}"
+            )
+        return min(
+            _walk_all(network, costs, excluded_edges, excluded_nodes, origin), default=None
+        )
+    return dist[origin], walk[0], walk[1]
+
+
+class _ReverseTree:
+    """One unrestricted reverse search, read for every spur of one ranking.
+
+    `dist` holds every node's distance D to the sink with nothing removed,
+    and each node's tight walk under D is cached on first use.
+    """
+
+    def __init__(self, network: Network, costs: Mapping[str, int]) -> None:
+        self.network = network
+        self.costs = costs
+        self.dist = _distance_to_sink(network, costs, frozenset(), frozenset(), None)
+        self.walks: dict[str, _Walk | None] = {}
+
+    def walk(self, node: str) -> _Walk | None:
+        if node not in self.walks:
+            self.walks[node] = _tight_walk(self.network, self.costs, self.dist, node)
+        return self.walks[node]
+
+    def spur(
+        self, start: str, removed: set[str], blocked: set[str]
+    ) -> tuple[bool, _Route | None]:
+        """The restricted search's answer from `start`, read off D when D
+        settles it: (True, route or None), else (False, None).
+
+        `blocked` holds the root nodes and `start`; `removed` holds the
+        out-edges of `start` the spur must avoid. Take the allowed edge e
+        (not removed, head not blocked and in D) that is smallest by
+        (cost + D(head), edge id). With none there is no spur. When the
+        head's walk avoids `blocked`, the spur is e and that walk:
+        restricted distances never fall below D and equal it along such a
+        walk, so the restricted search picks the same edges. Otherwise D
+        does not settle it. On an acyclic network no walk can reach a root
+        node, so D settles every spur.
+        """
+        dist, costs = self.dist, self.costs
+        best: Edge | None = None
+        best_cost = 0
+        for edge in self.network.out_edges(start):
+            if edge.id in removed or edge.head in blocked:
                 continue
             head_dist = dist.get(edge.head)
             if head_dist is None:
                 continue
-            if costs[edge.owner] + head_dist == dist[node]:
-                chosen = edge
-                break
-        if chosen is None:
-            # Only reachable through a zero-cost cycle; fall back to brute
-            # force, which is exponential and so bound by the same guard.
-            if len(network.edges) > ENUMERATION_EDGE_GUARD:
-                raise TooLarge(
-                    f"a zero-cost cycle needs exhaustive search, and {len(network.edges)} "
-                    f"edges exceeds the enumeration guard of {ENUMERATION_EDGE_GUARD}"
-                )
-            return min(
-                _walk_all(network, costs, excluded_edges, excluded_nodes, origin), default=None
-            )
-        edges.append(chosen.id)
-        owners.append(chosen.owner)
-        visited.add(chosen.head)
-        node = chosen.head
-    return dist[origin], tuple(edges), tuple(owners)
+            cost = costs[edge.owner] + head_dist
+            if best is None or cost < best_cost:
+                best, best_cost = edge, cost
+        if best is None:
+            return True, None
+        walk = self.walk(best.head)
+        if walk is None or not blocked.isdisjoint(walk[2]):
+            return False, None
+        return True, (best_cost, (best.id,) + walk[0], (best.owner,) + walk[1])
 
 
 def shortest_path(network: Network, costs: Mapping[str, Fraction] | None = None) -> Path:
@@ -420,9 +501,22 @@ def iter_ranked_paths(
     again from a later root keeps its first, smaller index. `branches` maps
     each root (edge-id prefix) to the next edges of the yielded paths
     through it, which the spur from that root must avoid.
+
+    One reverse search per ranking: the first path is the source's tight
+    walk under the unrestricted distances to the sink, and each spur is
+    read off the same tree (`_ReverseTree.spur`, after Feng's node
+    classification). Only a spur the tree does not settle, which needs a
+    cycle through a root node, runs its own restricted search.
     """
     scaled, scale = _scaled_costs(network, costs)
-    first = _best_path(network, scaled)
+    tree = _ReverseTree(network, scaled)
+    first: _Route | None = None
+    if network.source in tree.dist:
+        walk = tree.walk(network.source)
+        if walk is None:
+            first = _best_path(network, scaled)
+        else:
+            first = tree.dist[network.source], walk[0], walk[1]
     if first is None:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
     # Heap entries: route fields, then the deviation index. Edge sequences
@@ -435,17 +529,21 @@ def iter_ranked_paths(
         yield Path(edges, owners, Fraction(cost, scale))
         nodes = _node_sequence(network, edges)
         root_cost = sum(scaled[owner] for owner in owners[:deviation])
+        blocked = set(nodes[:deviation])
         for i in range(deviation, len(edges)):
             root = edges[:i]
             removed = branches.setdefault(root, set())
             removed.add(edges[i])
-            spur = _best_path(
-                network,
-                scaled,
-                excluded_edges=frozenset(removed),
-                excluded_nodes=frozenset(nodes[:i]),
-                start=nodes[i],
-            )
+            blocked.add(nodes[i])
+            settled, spur = tree.spur(nodes[i], removed, blocked)
+            if not settled:
+                spur = _best_path(
+                    network,
+                    scaled,
+                    excluded_edges=frozenset(removed),
+                    excluded_nodes=frozenset(nodes[:i]),
+                    start=nodes[i],
+                )
             if spur is not None:
                 candidate = root + spur[1]
                 if candidate not in seen:

@@ -437,6 +437,10 @@ def _price(
     return pay, "vcg"
 
 
+# Fractions are immutable, so one zero serves every unpaid agent.
+_ZERO = Fraction(0)
+
+
 def _path_result(
     network: Network,
     chosen: Path,
@@ -444,12 +448,14 @@ def _path_result(
     groups: Mapping[str, int] | None = None,
     branch: str | None = None,
 ) -> PaymentResult:
-    payments = {a: Fraction(0) for a in network.agents}
-    utilities = {a: Fraction(0) for a in network.agents}
+    agents = network.agents
+    payments = dict.fromkeys(agents, _ZERO)
+    utilities = dict.fromkeys(agents, _ZERO)
     for agent, amount in payments_on_path.items():
         payments[agent] = amount
         utilities[agent] = amount - network.true_cost[agent]
-    total = sum(payments.values(), Fraction(0))
+    # Every other agent is paid zero.
+    total = sum(payments_on_path.values(), _ZERO)
     return PaymentResult(
         payments=payments,
         utilities=utilities,

@@ -14,6 +14,7 @@ from pathauction import (
     FormatError,
     MechanismSpec,
     Network,
+    TieError,
     TooLarge,
     detour_cost,
     enumerate_paths,
@@ -316,19 +317,106 @@ def test_ranking_matches_networkx_past_the_enumeration_guard(k, kind):
             assert ours[j][1] == theirs[j][1]
 
 
-def test_lawler_spurs_cut_the_reverse_searches(monkeypatch):
-    """`x` on the 8 x 8 lattice with costs from random.Random(1) needed 477
-    reverse searches with a spur at every index of every ranked path; spurring
-    from the deviation index onward and the early exit leave 185."""
-    rng = random.Random(1)
-    net = _lattice(8, lambda: rng.randint(1, 10**6))
+def _count_searches(monkeypatch):
+    """Patch the reverse search to count its calls; returns the count list."""
     searches = []
     search = graph_module._distance_to_sink
     monkeypatch.setattr(
         graph_module, "_distance_to_sink", lambda *a: searches.append(1) or search(*a)
     )
+    return searches
+
+
+def test_lawler_spurs_cut_the_reverse_searches(monkeypatch):
+    """`x` on the 8 x 8 lattice with costs from random.Random(1) needed 477
+    reverse searches with a spur at every index of every ranked path, and 185
+    with one search per spur from the deviation index onward. The lattice is
+    acyclic, so the one unrestricted reverse tree settles every spur."""
+    rng = random.Random(1)
+    net = _lattice(8, lambda: rng.randint(1, 10**6))
+    searches = _count_searches(monkeypatch)
     MechanismSpec("x").run(net)
-    assert len(searches) <= 200
+    assert len(searches) == 1
+
+
+def test_x_on_the_20x20_lattice_ranks_to_its_tie_from_one_search(monkeypatch):
+    """One search per spur took 39,198 reverse searches here."""
+    rng = random.Random(1)
+    net = _lattice(20, lambda: rng.randint(1, 10**6))
+    searches = _count_searches(monkeypatch)
+    with pytest.raises(TieError, match="paths ranked 986 and 987 tie"):
+        MechanismSpec("x").run(net)
+    assert len(searches) == 1
+
+
+def _ranking_or_error(net, limit=None):
+    try:
+        return [
+            (p.cost, p.edges, p.owners)
+            for p in itertools.islice(iter_ranked_paths(net), limit)
+        ]
+    except (Disconnected, TooLarge) as exc:
+        return type(exc), str(exc)
+
+
+def _ranking_by_per_spur_searches(net, limit=None):
+    """The ranking with every spur left to its own restricted search."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module._ReverseTree, "spur", lambda *a: (False, None))
+        return _ranking_or_error(net, limit)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_multigraphs())
+@example(_ALL_TIED)
+def test_reverse_tree_spurs_match_per_spur_searches(net):
+    assert _ranking_or_error(net) == _ranking_by_per_spur_searches(net)
+
+
+def _random_dags(count, seed):
+    """Three to eight nodes in topological order v0..vn-1 and up to sixteen
+    forward edges, parallel ones included, costs n/d with n from 0..3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_nodes = rng.randint(3, 8)
+        rows = []
+        for i in range(rng.randint(1, 16)):
+            tail, head = sorted(rng.sample(range(n_nodes), 2))
+            rows.append((f"e{i:02d}", f"v{tail}", f"v{head}",
+                         Fraction(rng.randint(0, 3), rng.randint(1, 3))))
+        rng.shuffle(rows)
+        yield _multigraph(n_nodes, rows)
+
+
+def test_reverse_tree_settles_every_spur_on_acyclic_networks(monkeypatch):
+    """On a DAG no tight walk can reach a root node, so the whole ranking
+    costs one reverse search and matches the per-spur searches."""
+    searches = _count_searches(monkeypatch)
+    ranked = 0
+    for net in _random_dags(400, seed=11):
+        searches.clear()
+        ours = _ranking_or_error(net, 200)
+        assert len(searches) == 1
+        assert ours == _ranking_by_per_spur_searches(net, 200)
+        ranked += isinstance(ours, list)
+    assert ranked > 200
+
+
+def test_a_spur_whose_walk_meets_its_root_runs_its_own_search(monkeypatch):
+    """Below D(c) = 3 lies the walk c -> S -> A -> T, which returns to the
+    root node S and to the spur node A. So the spur at A that avoids A -> T
+    is not settled by the tree; its own search finds A -> C -> T."""
+    net = _net(
+        [("st", "S", "A", 1), ("at", "A", "T", 1), ("ac", "A", "C", 1),
+         ("cs", "C", "S", 1), ("ct", "C", "T", 5)],
+        "S",
+        "T",
+    )
+    searches = _count_searches(monkeypatch)
+    ranked = rank_paths(net, k=10).paths
+    assert len(searches) == 2
+    assert [p.edges for p in ranked] == [("st", "at"), ("st", "ac", "ct")]
+    assert ranked == enumerate_paths(net).paths
 
 
 def test_enumerate_guard():

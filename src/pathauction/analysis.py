@@ -80,6 +80,10 @@ from .rational import format_cost
 #: Upper bound on the full profile product space any operation will enumerate.
 PROFILE_GUARD = 10**6
 
+# Upper bound on the trials one group-truthfulness check will draw; each
+# trial re-costs every enumerated path, so the work grows with the count.
+_TRIALS_GUARD = 10_000
+
 MODES = ("undominated", "all", "dominant")
 
 
@@ -899,10 +903,13 @@ def check_group_truthfulness(
     The paths are enumerated once; each trial re-costs them and rejects, as
     no evidence, a change that moves their order, ties two ranks x reads or
     makes a bid nonpositive. The verdict is budget-relative: it reports no
-    counterexample found within the accepted trials.
+    counterexample found within the accepted trials. More than 10,000
+    trials raise TooLarge before any path is listed.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if trials > _TRIALS_GUARD:
+        raise TooLarge(f"{trials} trials exceed the trials guard of {_TRIALS_GUARD}")
     resolved = _resolve_bids(network, bids)
     ranked, assignment = _group_structure(network, resolved)
     spec = MechanismSpec("x", rule=rule)

@@ -4,6 +4,10 @@ Subcommands: validate, rank, run, analyze, check, fixtures. Graph and bid
 files use the JSON formats defined in the graph module. All amounts print
 as exact cost strings; tables add a decimal approximation for fractions.
 
+A process reuses a network it has already parsed and validated: the
+loader keys each parse by the file's contents, so a rewritten file is read
+afresh, and it holds at most 32 networks.
+
 Exit codes: 0 success (or property holds), 1 failure or parse error,
 2 cost tie where a strict order was required, 3 enumeration guard hit.
 """
@@ -31,8 +35,9 @@ from .errors import FormatError, GridTooLarge, PathAuctionError, TieError, TooLa
 from .fixtures import FIXTURES, fixture
 from .graph import (
     Network,
+    Violation,
     bids_from_json,
-    load_network,
+    network_from_json,
     network_to_json,
     rank_paths,
     validate,
@@ -119,9 +124,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Networks parsed and validated in this process, keyed by file contents:
+# the requests on one file share one parse, and a rewritten file is parsed
+# again. A FormatError is raised, not stored, so it recurs on every call.
+# The cached Network never leaves main(), and the bid maps handed to
+# mechanisms are fresh copies, so nothing mutates a shared network.
+@functools.lru_cache(maxsize=32)
+def _parse_network(text: str) -> tuple[Network, tuple[Violation, ...]]:
+    network = network_from_json(text)
+    return network, tuple(validate(network))
+
+
+def _read_network(path: str) -> tuple[Network, tuple[Violation, ...]]:
+    with open(path, "r", encoding="utf-8") as handle:
+        return _parse_network(handle.read())
+
+
 def _load_graph(path: str) -> Network:
-    network = load_network(path)
-    problems = validate(network)
+    network, problems = _read_network(path)
     if problems:
         for violation in problems:
             print(violation)
@@ -189,6 +209,18 @@ _EXAMPLE1_NOTE = (
 )
 
 
+@functools.cache
+def _example1_json() -> tuple[int, str]:
+    """Edge count and canonical JSON of the example1 fixture."""
+    example = fixture("example1")
+    return len(example.edges), network_to_json(example)
+
+
+def _is_example1(network: Network) -> bool:
+    edge_count, text = _example1_json()
+    return len(network.edges) == edge_count and network_to_json(network) == text
+
+
 def _print_result_table(network: Network, spec: MechanismSpec,
                         bids: dict[str, Fraction], result: PaymentResult) -> None:
     header = f"mechanism: {spec.mechanism}"
@@ -212,12 +244,7 @@ def _print_result_table(network: Network, spec: MechanismSpec,
 
 
 def cmd_validate(args) -> int:
-    try:
-        network = load_network(args.graph)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    problems = validate(network)
+    _, problems = _read_network(args.graph)
     for violation in problems:
         print(violation)
     if problems:
@@ -248,9 +275,7 @@ def cmd_run(args) -> int:
         print(_result_json(spec, result))
     else:
         _print_result_table(network, spec, bids, result)
-        if spec.mechanism == "vcg" and network_to_json(network) == network_to_json(
-            fixture("example1")
-        ):
+        if spec.mechanism == "vcg" and _is_example1(network):
             print(_EXAMPLE1_NOTE)
     return EXIT_OK
 

@@ -105,8 +105,10 @@ class Network:
     """Directed multigraph with one pricing agent per edge.
 
     `true_cost` and `bid` are keyed by agent id and must cover exactly the
-    set of edge owners. Instances are immutable; derived lookup tables are
-    built once at construction.
+    set of edge owners. The fields cannot be reassigned, but the two cost
+    maps are the dicts given at construction, shared rather than copied:
+    callers must not mutate them. Derived lookup tables are built once at
+    construction.
     """
 
     nodes: tuple[str, ...]

@@ -6,6 +6,7 @@ import pytest
 
 from pathauction import cli
 from pathauction.cli import main
+from pathauction.graph import network_from_json
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ def test_validate_parse_error(tmp_path, capsys):
         ' "owner": "a", "true_cost": "1/0"}], "source": "X", "sink": "Y"}'
     )
     assert main(["validate", str(path)]) == 1
-    assert "malformed" in capsys.readouterr().err or True
+    assert capsys.readouterr().err == "error: malformed cost string '1/0'\n"
 
 
 def test_rank_example1(ex1_file, capsys):
@@ -246,3 +247,143 @@ def test_fixture_output_is_canonical(tmp_path, capsys):
     main(["fixtures", "example1", "--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_group_truthful_trials_guard_exits_3(ex1_file, capsys):
+    """More trials than the trials guard allows exit 3, before any trial runs."""
+    argv = ["check", ex1_file, "--property", "group-truthful", "--trials", "10001"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 10001 trials exceed the trials guard of 10000\n"
+
+
+# -- the network loader's cache ------------------------------------------------
+
+_TWO_EDGES = (
+    '{{"nodes": ["X", "Y"], "edges": ['
+    '{{"id": "a", "from": "X", "to": "Y", "owner": "a", "true_cost": "{a}"}},'
+    '{{"id": "b", "from": "X", "to": "Y", "owner": "b", "true_cost": "{b}"}}],'
+    ' "source": "X", "sink": "Y"}}'
+)
+
+
+def test_rewritten_file_is_parsed_again(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(_TWO_EDGES.format(a=2, b=3))
+    assert _call(["rank", str(path), "-k", "2"], capsys) == (
+        0, "1   a                                       2\n"
+           "2   b                                       3\n", "")
+    path.write_text(_TWO_EDGES.format(a=5, b=4))
+    assert _call(["rank", str(path), "-k", "2"], capsys) == (
+        0, "1   b                                       4\n"
+           "2   a                                       5\n", "")
+
+
+def test_invalid_and_malformed_files_fail_on_every_call(tmp_path, capsys):
+    cut = tmp_path / "cut.json"
+    cut.write_text(
+        '{"nodes": ["X", "Y"], "edges": [{"id": "a", "from": "X", "to": "Y",'
+        ' "owner": "a", "true_cost": "1"}], "source": "X", "sink": "Y"}'
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": ["X", "Y"], "edges": [')
+    cli._parse_network.cache_clear()
+    for _ in range(2):
+        assert _call(["validate", str(cut)], capsys) == (1, "agent owns a cut: a\n", "")
+        assert _call(["rank", str(cut)], capsys) == (
+            1, "agent owns a cut: a\n", f"error: {cut} is not a valid network\n")
+        code, out, err = _call(["validate", str(bad)], capsys)
+        assert (code, out) == (1, "") and err.startswith("error: invalid JSON")
+        assert _call(["run", str(bad), "--mechanism", "vcg"], capsys) == (code, out, err)
+        code, out, err = _call(["validate", str(tmp_path / "missing.json")], capsys)
+        assert (code, out) == (1, "") and err.startswith("error: [Errno 2]")
+
+
+def test_loader_holds_at_most_32_networks(tmp_path, capsys):
+    cli._parse_network.cache_clear()
+    for i in range(40):
+        path = tmp_path / f"net{i}.json"
+        path.write_text(_TWO_EDGES.format(a=1, b=i + 2))
+        assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    info = cli._parse_network.cache_info()
+    assert info.misses == 40
+    assert info.currsize <= 32
+
+
+@pytest.fixture()
+def request_mix(tmp_path, capsys):
+    """argv lists over the four fixtures, a tied network, a tied bid file,
+    an invalid network and a malformed file; and the network files."""
+    files = []
+    for name in ("example1", "fig2", "fig3", "xsmall"):
+        path = tmp_path / f"{name}.json"
+        assert main(["fixtures", name, "--out", str(path)]) == 0
+        files.append(str(path))
+    capsys.readouterr()
+    tie = tmp_path / "tie.json"
+    tie.write_text(_TWO_EDGES.format(a=2, b=2))
+    cut = tmp_path / "cut.json"
+    cut.write_text(
+        '{"nodes": ["X", "Y"], "edges": [{"id": "a", "from": "X", "to": "Y",'
+        ' "owner": "a", "true_cost": "1"}], "source": "X", "sink": "Y"}'
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": []}')
+    tied_bids = tmp_path / "fig3.tied.json"
+    tied_bids.write_text('{"e": "3", "f": "3"}')
+    requests = []
+    for path in [*files, str(tie), str(cut), str(bad)]:
+        requests += [
+            ["validate", path],
+            ["rank", path, "-k", "6"],
+            ["run", path, "--mechanism", "vcg", "--bids", "truthful"],
+            ["run", path, "--mechanism", "vcg", "--format", "json"],
+            ["run", path, "--mechanism", "x", "--rule", "waterfall", "--delta", "1/2"],
+            ["run", path, "--mechanism", "tradeoff1", "--c", "1/4", "--rule", "equal"],
+            ["run", path, "--mechanism", "avg-single", "--lambda", "1/3", "--format", "json"],
+            ["check", path, "--property", "strongly-critical"],
+            ["check", path, "--property", "degenerate-vickrey"],
+            ["check", path, "--property", "critical", "--mechanism", "vcg"],
+            ["check", path, "--property", "group-truthful", "--trials", "5"],
+            ["analyze", path, "--mechanism", "x", "--cap", "3"],
+        ]
+    requests += [
+        ["run", files[2], "--mechanism", "x", "--bids", str(tied_bids)],
+        ["check", files[2], "--property", "vcg-truthful", "--cap", "2"],
+    ]
+    return requests, [*files, str(tie)]
+
+
+def test_cold_and_warm_loader_answer_alike(request_mix, capsys):
+    """Every request answers the same with the cache cleared before it as
+    after the whole mix has warmed the cache."""
+    requests, _ = request_mix
+    cold = []
+    for argv in requests:
+        cli._parse_network.cache_clear()
+        cold.append(_call(argv, capsys))
+    cli._parse_network.cache_clear()
+    for argv in requests:
+        _call(argv, capsys)
+    warm = [_call(argv, capsys) for argv in requests]
+    assert cli._parse_network.cache_info().currsize == 6  # the malformed file is not held
+    assert warm == cold
+    assert {code for code, _, _ in cold} == {0, 1, 2, 3}
+
+
+def test_cached_networks_stay_as_parsed(request_mix, capsys):
+    """No request mutates a network the loader shares between requests."""
+    requests, files = request_mix
+    cli._parse_network.cache_clear()
+    for argv in requests:
+        _call(argv, capsys)
+    hits = cli._parse_network.cache_info().hits
+    for path in files:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        network, problems = cli._parse_network(text)
+        assert problems == ()
+        assert network == network_from_json(text)
+    assert cli._parse_network.cache_info().hits == hits + len(files)

@@ -64,7 +64,7 @@ from .errors import (
     TooLarge,
 )
 from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, enumerate_paths, validate
-from .graph import _scaled_costs, _walk_all
+from .graph import _walk_all
 from .mechanisms import (
     EQUAL_SPLIT,
     DistributionRule,
@@ -217,6 +217,26 @@ class _Outcome(NamedTuple):
     selected: frozenset[str]
 
 
+def _units(value: Fraction, scale: int) -> int:
+    """`value` in units of 1/scale, for a scale its denominator divides."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _unit_scale(
+    spec: MechanismSpec, money: Iterable[Fraction], factor: int
+) -> tuple[int, MechanismSpec]:
+    """The least scale at which every value in `money`, and the rule delta of
+    x and tradeoff1, is a whole number of 1/scale units, times `factor`;
+    and `spec` with that delta in those units."""
+    delta = spec.rule.delta if spec.mechanism in ("x", "tradeoff1") else None
+    if delta is not None:
+        money = itertools.chain(money, (delta,))
+    scale = math.lcm(*(v.denominator for v in money)) * factor
+    if delta is not None:
+        spec = replace(spec, rule=DistributionRule(spec.rule.kind, _units(delta, scale)))
+    return scale, spec
+
+
 class _PathTable:
     """A path game compiled once into its loopless paths, ranked lazily.
 
@@ -263,23 +283,14 @@ class _PathTable:
         self.selected: dict[int, frozenset[str]] = {}
         self.mechanism = spec.mechanism
         self.agents = agents
-        money = list(itertools.chain(true_cost, *values))
-        delta = spec.rule.delta if self.mechanism in ("x", "tradeoff1") else None
-        if delta is not None:
-            money.append(delta)
-        scale = math.lcm(*(v.denominator for v in money))
+        factor = 1
         if self.mechanism in ("x", "tradeoff1", "tradeoff3"):
-            scale *= math.lcm(*range(1, max(map(len, paths)) + 1))
+            factor = math.lcm(*range(1, max(map(len, paths)) + 1))
+        money = itertools.chain(true_cost, *values)
+        scale, self.spec = _unit_scale(spec, money, factor)
         self.scale = scale
-
-        def scaled(v: Fraction) -> int:
-            return v.numerator * (scale // v.denominator)
-
-        self.scaled = tuple([scaled(v) for v in vs] for vs in values)
-        self.true_scaled = tuple(scaled(t) for t in true_cost)
-        if delta is not None:
-            spec = replace(spec, rule=DistributionRule(spec.rule.kind, scaled(delta)))
-        self.spec = spec
+        self.scaled = tuple([_units(v, scale) for v in vs] for vs in values)
+        self.true_scaled = tuple(_units(t, scale) for t in true_cost)
         least = [min(vs) for vs in self.scaled]
         bounds = [sum(map(least.__getitem__, owners)) for owners in paths]
         self.scan = sorted(range(len(paths)), key=bounds.__getitem__)
@@ -902,9 +913,11 @@ def check_group_truthfulness(
 
     The paths are enumerated once; each trial re-costs them and rejects, as
     no evidence, a change that moves their order, ties two ranks x reads or
-    makes a bid nonpositive. The verdict is budget-relative: it reports no
-    counterexample found within the accepted trials. More than 10,000
-    trials raise TooLarge before any path is listed.
+    makes a bid nonpositive. The trials price in integers, in one unit per
+    call, at which every bid, drawn change and group mean is whole; the
+    rows of a counterexample convert back to Fractions. The verdict is
+    budget-relative: it reports no counterexample found within the accepted
+    trials. More than 10,000 trials raise TooLarge before any path is listed.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -912,39 +925,46 @@ def check_group_truthfulness(
         raise TooLarge(f"{trials} trials exceed the trials guard of {_TRIALS_GUARD}")
     resolved = _resolve_bids(network, bids)
     ranked, assignment = _group_structure(network, resolved)
-    spec = MechanismSpec("x", rule=rule)
-    base, _ = _price(spec, resolved, ranked.costs, assignment.group_of)
-    paths = [(p.edges, p.owners) for p in enumerate_paths(network, resolved)]
     groups = {q: assignment.members(q) for q in assignment.present_groups}
-    before = {q: sum((base[a] for a in members), Fraction(0)) for q, members in groups.items()}
+    # Each trial's delta k/d, d in 2..5, is a whole number of units, and
+    # so is a delta's mean over any present group.
+    factor = 60 * math.lcm(*range(1, max(map(len, groups.values())) + 1))
+    scale, spec = _unit_scale(MechanismSpec("x", rule=rule), resolved.values(), factor)
+    units = {agent: _units(v, scale) for agent, v in resolved.items()}
+    group_of, prefix = assignment.group_of, assignment.max_group + 1
+    base, _ = _price(spec, units, [_units(c, scale) for c in ranked.costs], group_of)
+    before = {q: sum(base[a] for a in members) for q, members in groups.items()}
+    paths = [(p.edges, p.owners) for p in enumerate_paths(network, resolved)]
     rng = random.Random(seed)
     accepted = 0
     counterexamples = []
     for _ in range(trials):
         q = rng.choice(assignment.present_groups)
         members = groups[q]
-        deltas = {
-            agent: Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4, 5)))
-            for agent in members
-        }
-        if len(members) > 1 and rng.random() < Fraction(1, 2):
+        # Drawn k first, then d, as Fraction(randint, choice) draws them.
+        deltas = [rng.randint(-3, 3) * (scale // rng.choice((2, 3, 4, 5))) for _ in members]
+        if len(members) > 1 and rng.random() < 0.5:
             # Sum-preserving shuffles inside the group keep the winning
             # path's cost fixed and survive re-ranking far more often.
-            mean = sum(deltas.values(), Fraction(0)) / len(members)
-            deltas = {agent: d - mean for agent, d in deltas.items()}
-        perturbed = {**resolved, **{agent: resolved[agent] + deltas[agent] for agent in members}}
+            mean = sum(deltas) // len(members)
+            deltas = [d - mean for d in deltas]
+        perturbed = dict(units)
+        for agent, d in zip(members, deltas):
+            perturbed[agent] += d
         if any(perturbed[agent] <= 0 for agent in members):
             continue
-        scaled, scale = _scaled_costs(network, perturbed)
-        keys = [(sum(map(scaled.__getitem__, owners)), edges) for edges, owners in paths]
-        costs = [cost for cost, _ in keys[: assignment.max_group + 1]]
+        keys = [(sum(map(perturbed.__getitem__, owners)), edges) for edges, owners in paths]
+        costs = [cost for cost, _ in keys[:prefix]]
         if any(a > b for a, b in zip(keys, keys[1:])) or len(set(costs)) < len(costs):
             continue  # The order, and with it the groups, moved; or ranks x reads tie.
-        pay, _ = _price(spec, perturbed, [Fraction(c, scale) for c in costs], assignment.group_of)
+        pay, _ = _price(spec, perturbed, costs, group_of)
         accepted += 1
-        after = sum((pay[a] for a in members), Fraction(0))
+        after = sum(pay[a] for a in members)
         if before[q] != after:
-            counterexamples.append((q, perturbed, before[q], after))
+            trial_bids = {**resolved, **{a: Fraction(perturbed[a], scale) for a in members}}
+            counterexamples.append(
+                (q, trial_bids, Fraction(before[q]) / scale, Fraction(after) / scale)
+            )
     verdict = "fails" if counterexamples else "holds-budget-exhausted"
     return PropertyReport(
         name="group-truthful",
@@ -962,7 +982,10 @@ def check_vcg_truthful(game, grid: BidGrid) -> PropertyReport:
     counterexamples = []
     for agent in ev.agents:
         own = grid.bids_for[agent]
-        rows = zip(_utilities(ev, agent, truthful[agent]), *_utility_vectors(ev, agent))
+        # One vector per grid bid, then the truthful bid's where it is off the grid.
+        values = ev.values[ev.index[agent]]
+        vectors = [_utilities(ev, agent, pos) for pos in range(len(values))]
+        rows = zip(vectors[truthful[agent]], *vectors[: len(own)])
         for opponents, (truthful_u, *row) in zip(ev.opponent_profiles(agent), rows):
             for bid, u in zip(own, row):
                 if u > truthful_u:

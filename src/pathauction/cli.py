@@ -67,7 +67,8 @@ PROPERTIES = (
 
 
 # Built on the first main() call, once per process: building costs more
-# than most requests, and parse_args leaves the parser unchanged.
+# than most requests, and parsing leaves the parsers unchanged. The
+# top-level parser keeps each subcommand's parser by name in `commands`.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,15 +76,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Payment mechanisms and incentive analysis for path auctions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    p = sub.add_parser("validate", help="check a network file against the model invariants")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = parser.commands[name] = sub.add_parser(name, help=summary)
+        return p
+
+    p = command("validate", "check a network file against the model invariants")
     p.add_argument("graph")
 
-    p = sub.add_parser("rank", help="list the k cheapest loopless paths")
+    p = command("rank", "list the k cheapest loopless paths")
     p.add_argument("graph")
     p.add_argument("-k", type=int, default=1)
 
-    p = sub.add_parser("run", help="run one payment mechanism")
+    p = command("run", "run one payment mechanism")
     p.add_argument("graph")
     p.add_argument("--mechanism", required=True, choices=list(MECHANISM_IDS))
     p.add_argument("--rule", choices=list(RULE_KINDS))
@@ -96,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single-item mechanisms only")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("analyze", help="agent-optimal and mechanism-optimal bid sets")
+    p = command("analyze", "agent-optimal and mechanism-optimal bid sets")
     p.add_argument("graph")
     p.add_argument("--mechanism", default="vcg", choices=["vcg", "x", "fp-path"])
     p.add_argument("--cap", type=int, default=3, help="grid steps above the true cost")
@@ -107,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="waterfall minimum profit (cost string)")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("check", help="run one property checker")
+    p = command("check", "run one property checker")
     p.add_argument("graph")
     p.add_argument("--property", required=True, dest="prop", choices=list(PROPERTIES))
     p.add_argument("--mechanism", default=None,
@@ -117,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=3)
     p.add_argument("--bids", default="declared")
 
-    p = sub.add_parser("fixtures", help="write a built-in benchmark network to a file")
+    p = command("fixtures", "write a built-in benchmark network to a file")
     p.add_argument("name", choices=sorted(FIXTURES))
     p.add_argument("--out", default=None, help="output path; '-' for stdout")
 
@@ -360,9 +366,22 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a request once, by its subcommand's parser when argv[0] names
+    one, answering every argv exactly as the top-level parser would."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     handlers = {
         "validate": cmd_validate,
         "rank": cmd_rank,

@@ -379,6 +379,25 @@ def test_group_truthfulness_matches_the_per_trial_reference(example1, fig2, fig3
                 assert check_group_truthfulness(net, net.bid, rule, 12, seed) == expected
 
 
+def test_group_truthfulness_matches_the_reference_on_fractional_bids(example1, fig2, fig3, xsmall):
+    """Bids with denominators 3 and 7: the checker's unit must make them, the
+    rule's delta and every drawn change whole. Under the equal split no
+    delta supplies the factor 7."""
+    accepted = 0
+    for net in (example1, fig2, fig3, xsmall):
+        bids = {
+            agent: bid + (F(1, 3) if i % 2 else F(2, 7))
+            for i, (agent, bid) in enumerate(sorted(net.bid.items()))
+        }
+        assert {b.denominator for b in bids.values()} == {3, 7}
+        for rule in (DistributionRule("waterfall", F(2, 7)), EQUAL_SPLIT):
+            for seed in (0, 1, 2):
+                expected, _ = _group_truthfulness_by_rerunning(net, bids, rule, 20, seed)
+                assert check_group_truthfulness(net, bids, rule, 20, seed) == expected
+                accepted += int(expected.detail.split()[0])
+    assert accepted > 0
+
+
 def _tied_stages():
     """Two stages of parallel edges whose paths tie at 5 past the prefix
     x reads (e4-e0 and e1-e3), and whose unit bids small draws drive to 0."""

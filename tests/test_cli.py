@@ -223,6 +223,53 @@ def test_parser_is_built_once_and_reused(ex1_file, capsys):
     assert first[0][0] == 2 and first[1][0] == 0
 
 
+def _argparse_cases(graph):
+    return [
+        [],
+        ["-h"],
+        ["run", "-h"],
+        ["bogus", graph],
+        ["run", graph],
+        ["run", graph, "--mechanism", "bogus"],
+        ["run", graph, "--mechanism", "x", "extra"],
+        ["run", graph, "--mech", "x"],
+        ["run", graph, "--mechanism", "x", "--format=json"],
+    ]
+
+
+def test_argparse_answers_as_the_top_level_parser(ex1_file, capsys, monkeypatch):
+    """Exit code, stdout and stderr of each argv match a main() that parses
+    every request with the top-level parser's parse_args."""
+    answers = [_call(argv, capsys) for argv in _argparse_cases(ex1_file)]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert answers == [_call(argv, capsys) for argv in _argparse_cases(ex1_file)]
+    assert [code for code, _, _ in answers] == [2, 0, 0, 2, 2, 2, 2, 0, 0]
+    assert "unrecognized arguments: extra" in answers[6][2]
+
+
+def test_well_formed_request_is_parsed_once_by_its_subcommand(ex1_file, capsys, monkeypatch):
+    parser = cli._build_parser()
+    calls = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((owner.prog, name))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (parser, parser.commands["run"]):
+        counted(owner, "parse_args")
+        counted(owner, "parse_known_args")
+    assert main(["run", ex1_file, "--mechanism", "x"]) == 0
+    assert calls == [("pathauction run", "parse_known_args")]
+    calls.clear()
+    assert _call(["bogus", ex1_file], capsys)[0] == 2
+    assert calls[0] == ("pathauction", "parse_args")
+
+
 def test_check_vcg_truthful_on_small(fig3_file):
     assert main(["check", fig3_file, "--property", "vcg-truthful"]) == 0
 

@@ -59,7 +59,6 @@ from .errors import (
     Disconnected,
     GenerationFailed,
     GridTooLarge,
-    InsufficientPaths,
     TieError,
     TooLarge,
 )
@@ -144,7 +143,12 @@ class PathGame:
 
 @dataclass(frozen=True)
 class BidGrid:
-    """A finite, strictly increasing list of allowed bids per agent."""
+    """A finite, strictly increasing list of allowed bids per agent.
+
+    No agent may have more than PROFILE_GUARD bids: every evaluator builds
+    state for each of them, and best_response_set prices them all. The
+    constructors raise GridTooLarge before building any bid.
+    """
 
     bids_for: dict[str, tuple[Fraction, ...]]
 
@@ -152,6 +156,7 @@ class BidGrid:
         for agent, bids in self.bids_for.items():
             if not bids:
                 raise ValueError(f"empty grid for agent {agent}")
+            _require_grid_size(len(bids))
             if any(b2 <= b1 for b1, b2 in zip(bids, bids[1:])):
                 raise ValueError(f"grid for agent {agent} must be strictly increasing")
 
@@ -170,6 +175,7 @@ class BidGrid:
         cls, types: Mapping[str, Fraction], unit: Fraction = Fraction(1), cap: int = 3
     ) -> "BidGrid":
         """Each agent may bid its true cost or up to `cap` units above it."""
+        _require_grid_size(cap + 1)
         return cls(
             {a: tuple(t + i * unit for i in range(cap + 1)) for a, t in types.items()}
         )
@@ -179,17 +185,22 @@ class BidGrid:
         cls, types: Mapping[str, Fraction], unit: Fraction = Fraction(1)
     ) -> "BidGrid":
         """Each bidder may bid any positive multiple of `unit` up to its value."""
+        if unit <= 0:
+            raise ValueError("unit must be positive")
         grids: dict[str, tuple[Fraction, ...]] = {}
         for agent, t in types.items():
-            bids = []
-            v = unit
-            while v <= t:
-                bids.append(v)
-                v += unit
-            if not bids:
+            count = t // unit
+            if count < 1:
                 raise ValueError(f"type {t} of {agent} is below one currency unit")
-            grids[agent] = tuple(bids)
+            _require_grid_size(count)
+            grids[agent] = tuple(i * unit for i in range(1, count + 1))
         return cls(grids)
+
+
+def _require_grid_size(bids: int) -> None:
+    """GridTooLarge when one agent would have more than PROFILE_GUARD bids."""
+    if bids > PROFILE_GUARD:
+        raise GridTooLarge(f"{bids} bids for one agent exceed {PROFILE_GUARD}")
 
 
 def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
@@ -255,7 +266,8 @@ class _PathTable:
     at two) and hands mechanisms._price, the formulas MechanismSpec.run
     uses, the ranked costs and each winner's first absence, with agent
     positions for keys. fp-path and vcg check the two cheapest paths for a
-    tie, the group rules the whole ranked prefix.
+    tie, the group rules the whole ranked prefix. A ranking that runs out
+    (a winner owns a cut) is left to `reference`, the game's run, to raise.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -270,24 +282,25 @@ class _PathTable:
 
     def __init__(
         self,
-        spec: MechanismSpec,
+        game: PathGame,
         agents: tuple[str, ...],
         values: tuple[tuple[Fraction, ...], ...],
         true_cost: tuple[Fraction, ...],
         paths: tuple[tuple[int, ...], ...],
     ):
         self.owners = paths
+        self.reference = game.run
         bits = [1 << i for i in range(len(agents))]
         self.masks = [sum(map(bits.__getitem__, owners)) for owners in paths]
         # The selected set of each path that has ranked first, built when it first does.
         self.selected: dict[int, frozenset[str]] = {}
-        self.mechanism = spec.mechanism
+        self.mechanism = game.spec.mechanism
         self.agents = agents
         factor = 1
         if self.mechanism in ("x", "tradeoff1", "tradeoff3"):
             factor = math.lcm(*range(1, max(map(len, paths)) + 1))
         money = itertools.chain(true_cost, *values)
-        scale, self.spec = _unit_scale(spec, money, factor)
+        scale, self.spec = _unit_scale(game.spec, money, factor)
         self.scale = scale
         self.scaled = tuple([_units(v, scale) for v in vs] for vs in values)
         self.true_scaled = tuple(_units(t, scale) for t in true_cost)
@@ -339,10 +352,8 @@ class _PathTable:
         if top_two and len(ranked) > 1 and ranked[1] == ranked[0]:
             return None
         if remaining and name != "fp-path":
-            stuck = [self.agents[i] for i in winners if remaining >> i & 1]
-            if name == "vcg":
-                raise Disconnected(f"removing agent {stuck[0]} disconnects the network")
-            raise InsufficientPaths(f"agents {sorted(stuck)} appear on every source-to-sink path")
+            self.reference({a: Fraction(b, self.scale) for a, b in zip(self.agents, bids)})
+            raise AssertionError("the reference priced a profile with a cut winner")
         if not top_two and any(a == b for a, b in zip(ranked, ranked[1:])):
             return None
         pay, _ = _price(self.spec, bids, ranked, group_of)
@@ -368,7 +379,7 @@ def _compile(
     """
     if not isinstance(game, PathGame) or game.spec.mechanism.endswith("-single"):
         return None
-    network, spec = game.network, game.spec
+    network = game.network
     if len(network.edges) > ENUMERATION_EDGE_GUARD:
         return None
     if len({e.owner for e in network.edges}) != len(network.edges):
@@ -383,7 +394,7 @@ def _compile(
     index = {a: i for i, a in enumerate(agents)}
     owners = tuple(tuple(map(index.__getitem__, route[2])) for route in routes)
     true_cost = tuple(network.true_cost[a] for a in agents)
-    return _PathTable(spec, agents, values, true_cost, owners)
+    return _PathTable(game, agents, values, true_cost, owners)
 
 
 class _Evaluator:

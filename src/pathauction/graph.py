@@ -21,8 +21,9 @@ This module provides:
   agent's cost zeroed) that marginal-pricing rules are built from,
 * the normative JSON file format for networks.
 
-Everything here is a pure function over immutable values; results depend
-only on arguments and are safe to share between threads.
+Every function here is pure; results depend only on arguments and are
+safe to share between threads. Values are immutable, except a Network's
+two cost maps: shared dicts, which nothing here mutates.
 """
 
 from __future__ import annotations
@@ -393,13 +394,11 @@ def _best_path(
     """Minimum-cost loopless path, lexicographically smallest edge ids among ties.
 
     Works by computing exact distances to the sink, which leave out the
-    excluded nodes, and then taking the tight walk (`_tight_walk`). A walk
-    stuck in a zero-cost cycle falls back to exhaustive search, which
-    raises TooLarge past ENUMERATION_EDGE_GUARD.
+    excluded nodes (never the origin or sink), then taking the tight walk
+    (`_tight_walk`). A walk stuck in a zero-cost cycle falls back to
+    exhaustive search, which raises TooLarge past ENUMERATION_EDGE_GUARD.
     """
     origin = network.source if start is None else start
-    if origin in excluded_nodes or network.sink in excluded_nodes:
-        return None
     dist = _distance_to_sink(network, costs, excluded_edges, excluded_nodes, origin)
     if origin not in dist:
         return None
@@ -608,8 +607,7 @@ def _walk_all(
             edges.pop()
             visited.remove(edge.head)
 
-    if start not in excluded_nodes:
-        yield from recurse(start, {start}, [], [], 0)
+    yield from recurse(start, {start}, [], [], 0)
 
 
 def enumerate_paths(

@@ -23,7 +23,6 @@ TieError rather than guessing a tie-break with unknown incentive effects.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -93,12 +92,18 @@ class GroupAssignment:
     and not on the (q+1)-th. Only agents of the cheapest path are
     assigned. `present_groups` is the strictly increasing list of indices
     that actually occur and `max_group` its largest entry; indices may
-    skip values.
+    skip values. Both are read off `group_of`.
     """
 
     group_of: dict[str, int]
-    present_groups: tuple[int, ...]
-    max_group: int
+
+    @property
+    def present_groups(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.group_of.values())))
+
+    @property
+    def max_group(self) -> int:
+        return max(self.group_of.values())
 
     def members(self, group: int) -> tuple[str, ...]:
         return tuple(sorted(a for a, q in self.group_of.items() if q == group))
@@ -202,13 +207,30 @@ def _resolve_bids(network: Network, bids: Mapping[str, Fraction] | None) -> dict
     return resolved
 
 
-def _require_strict_prefix(paths: Sequence[Path], upto: int) -> None:
-    """TieError unless costs are strictly increasing over paths[0..upto]."""
-    for j in range(min(upto, len(paths) - 1)):
-        if paths[j].cost == paths[j + 1].cost:
-            raise TieError(
-                f"paths ranked {j + 1} and {j + 2} tie at cost {paths[j].cost}"
-            )
+def _read_prefix(paths: Iterable[Path], depth: int | None = None) -> tuple:
+    """Read a ranking once: `depth` paths, or with no depth until every agent
+    of the cheapest path has been absent once, recording each first absence
+    as that agent's group (0 while it is present). Returns the paths read,
+    the groups and, when the paths ran out first, the agents still present
+    in cheapest-path order, whose error the caller words; otherwise TieError
+    unless costs strictly increase over the paths read."""
+    read, group_of = [], {}
+    for rank, path in enumerate(paths):
+        read.append(path)
+        if not rank:
+            group_of = dict.fromkeys(path.owners, 0)
+        elif depth is None:
+            for agent in group_of.keys() - path.owner_set:
+                if not group_of[agent]:
+                    group_of[agent] = rank
+        if len(read) == depth or all(group_of.values()):
+            break
+    stuck = [a for a, q in group_of.items() if not q] if depth is None else []
+    if not stuck:
+        for j in range(1, len(read)):
+            if read[j - 1].cost == read[j].cost:
+                raise TieError(f"paths ranked {j} and {j + 1} tie at cost {read[j].cost}")
+    return read, group_of, stuck
 
 
 def _group_structure(
@@ -217,20 +239,10 @@ def _group_structure(
     """Ranked prefix and survival groups for bids that _resolve_bids has
     checked, ranked over the shortest prefix in which every cheapest-path
     agent is absent once."""
-    paths: list[Path] = []
-    remaining: set[str] = set()
-    for path in iter_ranked_paths(network, bids):
-        paths.append(path)
-        if len(paths) == 1:
-            remaining = set(path.owners)
-            continue
-        remaining -= {a for a in remaining if a not in path.owner_set}
-        if not remaining:
-            ranked = RankedPaths(tuple(paths))
-            return ranked, classify_groups(ranked)
-    raise InsufficientPaths(
-        f"agents {sorted(remaining)} appear on every source-to-sink path"
-    )
+    read, group_of, stuck = _read_prefix(iter_ranked_paths(network, bids))
+    if stuck:
+        raise InsufficientPaths(f"agents {sorted(stuck)} appear on every source-to-sink path")
+    return RankedPaths(tuple(read)), GroupAssignment(group_of)
 
 
 def classify_groups(ranked: RankedPaths) -> GroupAssignment:
@@ -241,21 +253,12 @@ def classify_groups(ranked: RankedPaths) -> GroupAssignment:
     its first absence. Costs must be strictly increasing over the consumed
     prefix, up to and including each agent's first absence.
     """
-    paths = ranked.paths
-    if not paths:
+    if not ranked.paths:
         raise InsufficientPaths("no ranked paths supplied")
-    group_of: dict[str, int] = {}
-    for agent in paths[0].owners:
-        first_absent = next(
-            (j for j, p in enumerate(paths) if agent not in p.owner_set), None
-        )
-        if first_absent is None:
-            raise InsufficientPaths(f"agent {agent} appears in every supplied path")
-        group_of[agent] = first_absent
-    max_group = max(group_of.values())
-    _require_strict_prefix(paths, max_group)
-    present = tuple(sorted(set(group_of.values())))
-    return GroupAssignment(group_of=group_of, present_groups=present, max_group=max_group)
+    _, group_of, stuck = _read_prefix(ranked.paths)
+    if stuck:
+        raise InsufficientPaths(f"agent {stuck[0]} appears in every supplied path")
+    return GroupAssignment(group_of)
 
 
 def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int, Fraction]:
@@ -271,7 +274,7 @@ def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int,
         raise InsufficientPaths(
             f"need {assignment.max_group + 1} ranked paths, got {len(paths)}"
         )
-    _require_strict_prefix(paths, assignment.max_group)
+    _read_prefix(paths, assignment.max_group + 1)
     return _pools(ranked.costs, assignment.present_groups, telescoping=True)
 
 
@@ -473,7 +476,7 @@ def group_structure(
 ) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
     """Ranked prefix, survival groups and pooled profits for the cheapest path."""
     ranked, assignment = _group_structure(network, _resolve_bids(network, bids))
-    return ranked, assignment, group_profits(assignment, ranked)
+    return ranked, assignment, _pools(ranked.costs, assignment.present_groups, telescoping=True)
 
 
 def member_gap_schedule(
@@ -571,10 +574,9 @@ class MechanismSpec:
         if name.endswith("-single"):
             return _run_single_item(self, resolved, network.true_cost)
         if name in ("fp-path", "vcg"):
-            top = list(itertools.islice(iter_ranked_paths(network, resolved), 2))
-            _require_strict_prefix(top, 1)
+            read, _, _ = _read_prefix(iter_ranked_paths(network, resolved), 2)
             # The cheapest path's cost, then each winner's excluded detour.
-            chosen, groups = top[0], None
+            chosen, groups = read[0], None
             group_of = {a: r for r, a in enumerate(chosen.owners, 1)}
             costs = [chosen.cost]
             if name == "vcg":

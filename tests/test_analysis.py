@@ -244,6 +244,40 @@ def test_grid_guard(example1):
         alignment_report(game, grid)
 
 
+def test_grid_limit_per_agent():
+    """No agent may get more than PROFILE_GUARD bids, whatever the product."""
+    with pytest.raises(GridTooLarge, match="^1000001 bids for one agent exceed 1000000$"):
+        BidGrid.procurement({"a": F(1)}, F(1), 10**6)
+    with pytest.raises(GridTooLarge, match="^2000000 bids for one agent exceed 1000000$"):
+        BidGrid.forward({"a": F(1)}, F(1, 2 * 10**6))
+
+
+def test_forward_grid_rejects_a_nonpositive_unit():
+    """A unit of zero or less never reaches the type, so the grid refuses
+    it. Run in a child process, so a grid that loops cannot stall the suite."""
+    import os
+    import subprocess
+    import sys
+
+    import pathauction
+
+    src = os.path.dirname(os.path.dirname(pathauction.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from pathauction import BidGrid\n"
+        "for unit in (F(0), F(-1)):\n"
+        "    try:\n"
+        "        BidGrid.forward({'a': F(3)}, unit)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout == "unit must be positive\n" * 2
+
+
 def test_report_json_shape(fig3):
     game, grid = _vcg_game(fig3)
     payload = alignment_report(game, grid).to_json_dict()

@@ -156,6 +156,14 @@ def test_analyze_guard_exit(ex1_file):
     assert main(["analyze", ex1_file, "--mechanism", "vcg"]) == 3
 
 
+def test_huge_cap_exits_3_before_any_grid_is_built(fig3_file, capsys):
+    """3,000,001 bids per agent exceed the per-agent limit, so the request
+    is refused before a bid, a grid or an evaluator exists."""
+    for argv in (["analyze", fig3_file], ["check", fig3_file, "--property", "vcg-truthful"]):
+        assert main([*argv, "--cap", "3000000"]) == 3
+        assert capsys.readouterr().err == "error: 3000001 bids for one agent exceed 1000000\n"
+
+
 def test_analyze_json(fig3_file, capsys):
     assert main(["analyze", fig3_file, "--mechanism", "vcg", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

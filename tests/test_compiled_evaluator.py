@@ -6,6 +6,7 @@ table's money is in units of 1/ev.scale; every comparison converts it
 back to Fractions first.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -296,20 +297,34 @@ def test_tradeoff1_switch_is_exact_at_the_threshold(threshold, branch, total):
 # Agent a's edge is a cut: vcg cannot price a, and x cannot group it.
 _CUT = [("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 2)]
 _NO_PATH = [("a", "X", "M", 1), ("b", "Y", "M", 1)]
+_ON_EVERY_PATH = "agents ['a'] appear on every source-to-sink path"
+# The reference's message per (mechanism, error), pinned on both pricers.
+_MESSAGES = {
+    ("vcg", Disconnected): "removing agent a disconnects the network",
+    ("x", InsufficientPaths): _ON_EVERY_PATH,
+    ("tradeoff2", InsufficientPaths): _ON_EVERY_PATH,
+    ("x", Disconnected): "no path X -> Y",
+}
 
 
 @pytest.mark.parametrize(
     "rows, mechanism, error",
-    [(_CUT, "vcg", Disconnected), (_CUT, "x", InsufficientPaths), (_NO_PATH, "x", Disconnected)],
+    [
+        (_CUT, "vcg", Disconnected),
+        (_CUT, "x", InsufficientPaths),
+        (_NO_PATH, "x", Disconnected),
+        (_CUT, "tradeoff2", InsufficientPaths),
+    ],
 )
 def test_errors_match_reference(monkeypatch, rows, mechanism, error):
     net = _net(rows)
     game = PathGame(net, MechanismSpec(mechanism))
     grid = BidGrid.procurement(net.true_cost, F(1), 1)
-    with pytest.raises(error):
+    message = f"^{re.escape(_MESSAGES[mechanism, error])}$"
+    with pytest.raises(error, match=message):
         check_vcg_truthful(game, grid)
     monkeypatch.setattr(analysis, "_compile", lambda *args: None)
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         check_vcg_truthful(game, grid)
 
 

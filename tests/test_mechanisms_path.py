@@ -56,8 +56,21 @@ def test_vcg_requires_strict_best_path():
     edges = (Edge("a", "X", "Y", "a"), Edge("b", "X", "Y", "b"))
     costs = {"a": F(2), "b": F(2)}
     net = Network(("X", "Y"), edges, "X", "Y", costs, dict(costs))
-    with pytest.raises(TieError):
-        MechanismSpec("vcg").run(net)
+    for mechanism in ("fp-path", "vcg"):
+        with pytest.raises(TieError, match=r"^paths ranked 1 and 2 tie at cost 2$"):
+            MechanismSpec(mechanism).run(net)
+
+
+def test_x_reports_a_tie_deep_in_its_prefix():
+    """Winner b leaves at rank 2 and a at rank 3, which ties rank 2; the two
+    cheapest paths differ, so fp-path reads no tie."""
+    rows = [("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 4), ("d", "X", "Y", 5)]
+    edges = tuple(Edge(e, tail, head, e) for e, tail, head, _ in rows)
+    costs = {e: F(c) for e, _, _, c in rows}
+    net = Network(("X", "M", "Y"), edges, "X", "Y", costs, dict(costs))
+    assert MechanismSpec("fp-path").run(net).selected == ("a", "b")
+    with pytest.raises(TieError, match=r"^paths ranked 2 and 3 tie at cost 5$"):
+        MechanismSpec("x").run(net)
 
 
 def test_classify_groups_example1(example1):

@@ -1,11 +1,18 @@
 """Generator determinism plus oracle agreement on the random population."""
 
+from fractions import Fraction as F
+
 import pytest
 
 from pathauction import (
     FIXTURES,
+    Edge,
     GenerationFailed,
+    InsufficientPaths,
     MechanismSpec,
+    Network,
+    PathAuctionError,
+    TieError,
     detour_cost,
     enumerate_paths,
     fixture,
@@ -83,16 +90,53 @@ def test_excluded_detour_is_the_first_absence(random_nets_200):
             assert ranked.costs[q] == detour_cost(net, agent, "excluded", net.true_cost)
 
 
+def _net(rows):
+    edges = tuple(Edge(e, tail, head, e) for e, tail, head, _ in rows)
+    costs = {e: F(c) for e, _, _, c in rows}
+    nodes = tuple(sorted({n for _, tail, head, _ in rows for n in (tail, head)}))
+    return Network(nodes, edges, "X", "Y", costs, dict(costs))
+
+
+def _error(call):
+    with pytest.raises(PathAuctionError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
 def test_group_index_satisfies_the_membership_definition(random_nets_200):
-    """Group q means: on every one of the q cheapest paths, off the next."""
+    """Group q means: on every one of the q cheapest paths, off the next.
+
+    The live ranking of group_structure agrees with classify_groups over a
+    full enumeration, in groups, prefix costs and errors."""
     from pathauction import classify_groups
 
-    for net in random_nets_200[:60]:
+    for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200[:60]:
         ranked = enumerate_paths(net, net.true_cost)
         assignment = classify_groups(ranked)
         for agent, q in assignment.group_of.items():
             assert all(agent in ranked.paths[j].owner_set for j in range(q))
             assert agent not in ranked.paths[q].owner_set
+        live, live_assignment, _ = group_structure(net, net.true_cost)
+        assert live_assignment.group_of == assignment.group_of
+        assert live.costs == ranked.costs[: assignment.max_group + 1]
+
+    # Ranks 2 and 3 tie at cost 5, inside the prefix: the same TieError.
+    tied = _net([("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 4), ("d", "X", "Y", 5)])
+    assert (
+        _error(lambda: group_structure(tied))
+        == _error(lambda: classify_groups(enumerate_paths(tied)))
+        == (TieError, "paths ranked 2 and 3 tie at cost 5")
+    )
+    # Winner a owns a cut; b and c tie, but the ranking runs out first.
+    cut = _net([("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 1)])
+    assert _error(lambda: group_structure(cut)) == (
+        InsufficientPaths,
+        "agents ['a'] appear on every source-to-sink path",
+    )
+    assert _error(lambda: classify_groups(enumerate_paths(cut))) == (
+        InsufficientPaths,
+        "agent a appears in every supplied path",
+    )
 
 
 def test_results_in_lowest_terms(random_nets_200):

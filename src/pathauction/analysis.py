@@ -24,17 +24,17 @@ inside best-response evaluation. All reports are canonically ordered
 (agents lexicographic, profiles lexicographic) so results do not depend
 on enumeration order; enumeration may be parallelized freely.
 
-An operation that reads the whole grid prices each profile once, in one
-pass, into a flat list that it reads by stride; a query that reads one
-line of the grid prices only that line. A PathGame of any path rule, on
-a network within ENUMERATION_EDGE_GUARD in which each agent owns one
-edge, is compiled once per operation: its loopless paths are listed a
-single time, each profile ranks them lazily, only as deep as its rule
+Every operation prices whole grids, each once its profile count passes
+PROFILE_GUARD: every profile once, in one pass, into a flat list read by
+stride. A query that reads one line of a grid prices the grid that is
+that line, the fixed agents narrowed to one bid. A PathGame of any path
+rule, on a network within ENUMERATION_EDGE_GUARD in which each agent
+owns one edge, is compiled once per grid: its loopless paths are listed
+a single time, each profile ranks them lazily, only as deep as its rule
 reads, and the payment formulas MechanismSpec.run uses (mechanisms._price)
 price it. Single-item games, larger networks, agents that own more than
 one edge and nonpositive bids run MechanismSpec.run per profile; that
-path is also the reference the compiled one is tested against. Both are
-bounded by PROFILE_GUARD.
+path is also the reference the compiled one is tested against.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -47,6 +47,7 @@ converts back to a Fraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -201,6 +202,17 @@ def _require_grid_size(bids: int) -> None:
     """GridTooLarge when one agent would have more than PROFILE_GUARD bids."""
     if bids > PROFILE_GUARD:
         raise GridTooLarge(f"{bids} bids for one agent exceed {PROFILE_GUARD}")
+
+
+def _require_cover(game, grid: BidGrid) -> None:
+    if set(grid.agents) != set(game.agents):
+        raise ValueError("grid must cover exactly the game's agents")
+
+
+def _require_enumerable(size: int) -> None:
+    """GridTooLarge when a walk would price more than PROFILE_GUARD profiles."""
+    if size > PROFILE_GUARD:
+        raise GridTooLarge(f"profile space {size} exceeds {PROFILE_GUARD}")
 
 
 def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
@@ -397,65 +409,50 @@ def _compile(
     return _PathTable(game, agents, values, true_cost, owners)
 
 
+def _run_profile(run, agents: tuple[str, ...], bids: tuple) -> _Outcome | None:
+    """The reference pricer: a game's `run` on one bid tuple in `agents` order."""
+    try:
+        result = run(dict(zip(agents, bids)))
+    except TieError:
+        return None
+    utilities = tuple(result.utilities[a] for a in agents)
+    return _Outcome(utilities, result.mechanism_utility, frozenset(result.selected))
+
+
 class _Evaluator:
-    """Prices the bid profiles of one game and grid, the whole grid in one pass.
+    """The outcomes of every profile of one game's grid, priced when built,
+    once the grid has passed the product guard.
 
-    A profile is a tuple of positions aligned with the sorted agent order:
-    entry i indexes `values[i]`, which holds agent i's grid bids followed
-    by its `extra` bid when that is off the grid. An outcome of None means
-    the profile violates the mechanism's preconditions (a cost tie) and is
-    inadmissible. Games the compiled path table covers are priced by it;
-    all others by the game's own `run`.
+    A profile is a tuple of positions aligned with the sorted agent order;
+    entry i indexes `values[i]`, agent i's grid bids. `outcomes` lists the
+    outcomes in product order, profile p at sum(p[i] * strides[i]), and
+    `section` reads it at one agent's bid by stride. None marks a profile
+    that violates the mechanism's preconditions (a cost tie). The compiled
+    path table prices the games it covers, the game's own `run` all others.
 
-    `grid()` prices every grid profile once into one list in product
-    order, profile p at index sum(p[i] * strides[i]); `section` reads it at
-    one agent's bid by stride. An off-grid value is never an opponent's:
-    the profiles holding one are priced when read, one by one, and not kept.
-
-    The table is built once, with every value in play, so outcome money is
-    in units of 1/`scale` throughout: the table's scale when it is
-    compiled, 1 (the run's own Fractions) otherwise. Comparisons within one
-    evaluator need no conversion; a value handed to a caller converts back
-    as `Fraction(u) / scale`.
+    Outcome money is in units of 1/`scale`: the table's scale, or 1 (the
+    run's own Fractions). Comparisons within one evaluator need no
+    conversion; a value handed to a caller converts back as
+    `Fraction(u) / scale`.
     """
 
-    def __init__(self, game, grid: BidGrid, extra: Mapping[str, Fraction] | None = None):
-        if set(grid.agents) != set(game.agents):
-            raise ValueError("grid must cover exactly the game's agents")
+    def __init__(self, game, grid: BidGrid):
+        _require_cover(game, grid)
+        _require_enumerable(grid.product_size())
         self.game = game
         self.agents: tuple[str, ...] = grid.agents
         self.index = {a: i for i, a in enumerate(self.agents)}
-        self.sizes = tuple(len(grid.bids_for[a]) for a in self.agents)
+        self.values = tuple(grid.bids_for[a] for a in self.agents)
+        self.sizes = tuple(map(len, self.values))
         self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
-        extra = extra or {}
-        values = []
-        for agent in self.agents:
-            bids, off = grid.bids_for[agent], extra.get(agent)
-            values.append(bids if off is None or off in bids else (*bids, off))
-        self.values: tuple[tuple[Fraction, ...], ...] = tuple(values)
-        self._positions = tuple({v: p for p, v in enumerate(vs)} for vs in self.values)
-        self._grid: list[_Outcome | None] | None = None
         self._table = _compile(game, self.agents, self.values)
-        # The value lists in the pricer's units, and the pricer of one bid tuple.
         if self._table is None:
             self.scale = 1
-            self._priced, self._price = self.values, self._run
+            priced, price = self.values, functools.partial(_run_profile, game.run, self.agents)
         else:
             self.scale = self._table.scale
-            self._priced, self._price = self._table.scaled, self._table.outcome
-
-    def require_enumerable(self, skip_agent: str | None = None) -> None:
-        """Guard any operation that walks a grid product."""
-        size = 1
-        for agent, n in zip(self.agents, self.sizes):
-            if agent != skip_agent:
-                size *= n
-        if size > PROFILE_GUARD:
-            raise GridTooLarge(f"profile space {size} exceeds {PROFILE_GUARD}")
-
-    def position(self, agent: str, bid: Fraction) -> int:
-        """Position of `bid` among the agent's grid and extra values."""
-        return self._positions[self.index[agent]][bid]
+            priced, price = self._table.scaled, self._table.outcome
+        self.outcomes: list[_Outcome | None] = list(map(price, itertools.product(*priced)))
 
     def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(vs[p] for vs, p in zip(self.values, profile))
@@ -464,43 +461,15 @@ class _Evaluator:
         others = [vs for a, vs in zip(self.agents, self.values) if a != agent]
         return tuple(vs[p] for vs, p in zip(others, opponents))
 
-    def _run(self, bids: tuple[Fraction, ...]) -> _Outcome | None:
-        try:
-            result = self.game.run(dict(zip(self.agents, bids)))
-        except TieError:
-            return None
-        utilities = tuple(result.utilities[a] for a in self.agents)
-        return _Outcome(utilities, result.mechanism_utility, frozenset(result.selected))
-
-    def outcome(self, profile: tuple[int, ...]) -> _Outcome | None:
-        """One profile's outcome, priced now and not stored."""
-        return self._price(tuple(vs[p] for vs, p in zip(self._priced, profile)))
-
-    def grid(self) -> list[_Outcome | None]:
-        """The outcome of every grid profile, in `profiles()` order."""
-        if self._grid is None:
-            self.require_enumerable()
-            on_grid = (vs[:n] for vs, n in zip(self._priced, self.sizes))
-            self._grid = list(map(self._price, itertools.product(*on_grid)))
-        return self._grid
-
-    def section(self, agent: str, pos: int) -> Iterable[_Outcome | None]:
-        """The outcomes with `agent` at `pos`, in opponent-product order:
-        a slice of the grid, or for an off-grid `pos` its `line`."""
+    def section(self, agent: str, pos: int) -> list[_Outcome | None]:
+        """The outcomes with `agent` at `pos`, in opponent-product order."""
         i = self.index[agent]
-        if pos >= self.sizes[i]:
-            return self.line(agent, pos)
-        grid, stride = self.grid(), self.strides[i]
+        outcomes, stride = self.outcomes, self.strides[i]
         block = stride * self.sizes[i]
         if stride == 1:
-            return grid[pos::block]
-        starts = range(pos * stride, len(grid), block)
-        return list(itertools.chain.from_iterable(grid[s : s + stride] for s in starts))
-
-    def line(self, agent: str, pos: int) -> Iterator[_Outcome | None]:
-        """`section` priced one profile at a time, for queries that read one line."""
-        opponents = self.opponent_profiles(agent)
-        return map(self.outcome, (self.assemble(agent, pos, opp) for opp in opponents))
+            return outcomes[pos::block]
+        starts = range(pos * stride, len(outcomes), block)
+        return list(itertools.chain.from_iterable(outcomes[s : s + stride] for s in starts))
 
     def profiles(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*map(range, self.sizes))
@@ -508,9 +477,10 @@ class _Evaluator:
     def opponent_profiles(self, agent: str) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(n) for a, n in zip(self.agents, self.sizes) if a != agent))
 
-    def assemble(self, agent: str, pos: int, opponents: tuple[int, ...]) -> tuple[int, ...]:
-        i = self.index[agent]
-        return opponents[:i] + (pos,) + opponents[i:]
+
+def _line(grid: BidGrid, fixed: Mapping[str, Fraction]) -> BidGrid:
+    """`grid` with each agent in `fixed` narrowed to its one bid there."""
+    return BidGrid({**grid.bids_for, **{a: (b,) for a, b in fixed.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +495,9 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     vector violates the mechanism's preconditions are excluded from the
     count entirely.
     """
-    ev = _Evaluator(game, grid, {agent: bid})
-    ev.require_enumerable(skip_agent=agent)
-    return _selection_probability(agent, ev.line(agent, ev.position(agent, bid)))
+    _require_cover(game, grid)
+    ev = _Evaluator(game, _line(grid, {agent: bid}))
+    return _selection_probability(agent, ev.outcomes)
 
 
 def _selection_probability(agent: str, outcomes: Iterable[_Outcome | None]) -> Fraction:
@@ -551,19 +521,18 @@ def best_response_set(
 
     Profiles that hit a cost tie score as "not selected, utility 0".
     """
-    ev = _Evaluator(game, grid)
-    others = tuple(a for a in ev.agents if a != agent)
+    _require_cover(game, grid)
+    others = tuple(a for a in grid.agents if a != agent)
     if set(opponent_profile) != set(others):
         raise ValueError("opponent profile must cover exactly the other agents")
     for other in others:
         if opponent_profile[other] not in grid.bids_for[other]:
             raise ValueError(f"bid {opponent_profile[other]} for {other} is off the grid")
-    opponents = tuple(ev.position(a, opponent_profile[a]) for a in others)
+    ev = _Evaluator(game, _line(grid, opponent_profile))
     i = ev.index[agent]
-    outcomes = (ev.outcome(ev.assemble(agent, pos, opponents)) for pos in range(ev.sizes[i]))
     utilities = {
         bid: 0 if out is None else out.utilities[i]
-        for bid, out in zip(grid.bids_for[agent], outcomes)
+        for bid, out in zip(grid.bids_for[agent], ev.outcomes)
     }
     best = max(utilities.values())
     return {bid for bid, u in utilities.items() if u == best}
@@ -581,8 +550,6 @@ def _utility_vectors(ev: _Evaluator, agent: str) -> list[tuple]:
 
 
 def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]:
-    if mode not in MODES:
-        raise ValueError(f"unknown strategy mode {mode!r}")
     vectors = _utility_vectors(ev, agent)
     own = range(len(vectors))
 
@@ -641,9 +608,10 @@ def agent_optimal_bids(
     bid. "dominant": bids that are best responses to every profile, same
     indifference resolution.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown strategy mode {mode!r}")
     ev = _Evaluator(game, grid)
-    values = ev.values[ev.index[agent]]
-    return tuple(values[p] for p in _optimal_positions(ev, agent, mode))
+    return tuple(grid.bids_for[agent][p] for p in _optimal_positions(ev, agent, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +659,9 @@ def _joint_optimal(
     ev: _Evaluator, per_agent: Mapping[str, tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """The admissible profiles of the per-agent positions' product, in lexicographic order."""
-    grid, strides = ev.grid(), ev.strides
+    outcomes, strides = ev.outcomes, ev.strides
     product = itertools.product(*(per_agent[a] for a in ev.agents))
-    return tuple(p for p in product if grid[sum(map(int.__mul__, p, strides))] is not None)
+    return tuple(p for p in product if outcomes[sum(map(int.__mul__, p, strides))] is not None)
 
 
 def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...], ...]:
@@ -705,7 +673,7 @@ def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...
 def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:
     best = None
     argmax: list[tuple[int, ...]] = []
-    for profile, out in zip(ev.profiles(), ev.grid()):
+    for profile, out in zip(ev.profiles(), ev.outcomes):
         if out is None:
             continue
         if best is None or out.mechanism_utility > best:
@@ -719,6 +687,8 @@ def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:
 def alignment_report(game, grid: BidGrid, mode: str = "undominated") -> ConsistencyReport:
     """Full report: per-agent sets, their product, the mechanism's argmax,
     and the intersection of the two profile sets."""
+    if mode not in MODES:
+        raise ValueError(f"unknown strategy mode {mode!r}")
     ev = _Evaluator(game, grid)
     per_agent = {a: _optimal_positions(ev, a, mode) for a in ev.agents}
     joint = _joint_optimal(ev, per_agent)
@@ -809,7 +779,6 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
     probability, selection probability never rises with the bid, and any
     selected agent earns strictly positive utility."""
     ev = _Evaluator(game, grid)
-    outcomes = ev.grid()
     counterexamples: list[tuple] = []
     for agent in ev.agents:
         truthful = game.types[agent]
@@ -824,7 +793,7 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
                 counterexamples.append(
                     ("selection probability rises with the bid", agent, own[pos], own[pos + 1])
                 )
-    for profile, out in zip(ev.profiles(), outcomes):
+    for profile, out in zip(ev.profiles(), ev.outcomes):
         if out is None:
             continue
         for agent in sorted(out.selected):
@@ -987,17 +956,18 @@ def check_group_truthfulness(
 
 def check_vcg_truthful(game, grid: BidGrid) -> PropertyReport:
     """Exhaustively confirm the truthful bid is a best response everywhere."""
-    ev = _Evaluator(game, grid, game.types)
-    ev.require_enumerable()
-    truthful = {a: ev.position(a, game.types[a]) for a in ev.agents}
+    ev = _Evaluator(game, grid)
     counterexamples = []
     for agent in ev.agents:
-        own = grid.bids_for[agent]
-        # One vector per grid bid, then the truthful bid's where it is off the grid.
-        values = ev.values[ev.index[agent]]
-        vectors = [_utilities(ev, agent, pos) for pos in range(len(values))]
-        rows = zip(vectors[truthful[agent]], *vectors[: len(own)])
-        for opponents, (truthful_u, *row) in zip(ev.opponent_profiles(agent), rows):
+        own, truthful = grid.bids_for[agent], game.types[agent]
+        vectors = _utility_vectors(ev, agent)
+        if truthful in own:
+            honest = vectors[own.index(truthful)]
+        else:
+            # The truthful bid's own line grid, its money converted to ev's units.
+            line = _Evaluator(game, _line(grid, {agent: truthful}))
+            honest = [Fraction(u * ev.scale, line.scale) for u in _utilities(line, agent, 0)]
+        for opponents, truthful_u, *row in zip(ev.opponent_profiles(agent), honest, *vectors):
             for bid, u in zip(own, row):
                 if u > truthful_u:
                     counterexamples.append((agent, bid, ev.opponent_bids(agent, opponents)))

@@ -30,6 +30,8 @@ from .analysis import (
     check_strongly_critical,
     check_vcg_truthful,
     alignment_report,
+    _require_enumerable,
+    _require_grid_size,
 )
 from .errors import FormatError, GridTooLarge, PathAuctionError, TieError, TooLarge
 from .fixtures import FIXTURES, fixture
@@ -112,6 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=list(RULE_KINDS))
     p.add_argument("--delta", help="waterfall minimum profit (cost string)")
     p.add_argument("--format", choices=["table", "json"], default="table")
+    # The run options analyze lacks, so that one function builds both specs.
+    p.set_defaults(lam=None, threshold=None, orientation="reverse")
 
     p = command("check", "run one property checker")
     p.add_argument("graph")
@@ -191,6 +195,14 @@ def _spec_from_args(args) -> MechanismSpec:
         threshold=threshold,
         orientation=args.orientation,
     )
+
+
+def _procurement_grid(network: Network, unit: Fraction, cap: int) -> BidGrid:
+    """BidGrid.procurement, refused before any bid is built: on one agent's
+    bid count, as there, then on the profile count of the whole grid."""
+    _require_grid_size(cap + 1)
+    _require_enumerable(max(cap + 1, 0) ** len(network.agents))
+    return BidGrid.procurement(network.true_cost, unit, cap)
 
 
 def _result_json(spec: MechanismSpec, result: PaymentResult) -> str:
@@ -288,9 +300,8 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     network = _load_graph(args.graph)
-    rule = _rule_from_args(args)
-    game = PathGame(network, MechanismSpec(args.mechanism, rule=rule))
-    grid = BidGrid.procurement(network.true_cost, parse_cost(args.unit), args.cap)
+    game = PathGame(network, _spec_from_args(args))
+    grid = _procurement_grid(network, parse_cost(args.unit), args.cap)
     report = alignment_report(game, grid, args.mode)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -316,7 +327,7 @@ def cmd_check(args) -> int:
     prop = args.prop
     if prop == "partly-truthful":
         game = PathGame(network, MechanismSpec(args.mechanism or "x"))
-        grid = BidGrid.procurement(network.true_cost, Fraction(1), args.cap)
+        grid = _procurement_grid(network, Fraction(1), args.cap)
         report = check_partly_truthful(game, grid)
     elif prop == "critical":
         report = check_critical(network, MechanismSpec(args.mechanism or "x"), bids)
@@ -328,7 +339,7 @@ def cmd_check(args) -> int:
         )
     elif prop == "vcg-truthful":
         game = PathGame(network, MechanismSpec("vcg"))
-        grid = BidGrid.procurement(network.true_cost, Fraction(1), args.cap)
+        grid = _procurement_grid(network, Fraction(1), args.cap)
         report = check_vcg_truthful(game, grid)
     else:
         report = check_degenerate_vickrey(network, bids)

@@ -164,6 +164,41 @@ def test_huge_cap_exits_3_before_any_grid_is_built(fig3_file, capsys):
         assert capsys.readouterr().err == "error: 3000001 bids for one agent exceed 1000000\n"
 
 
+def test_guarded_grid_exits_3_before_any_bid_is_built(ex1_file, fig3_file, capsys, monkeypatch):
+    """example1's 16 agents at cap 50,000 span 50001**16 profiles: the
+    request is refused on that count before a BidGrid is built. A negative
+    cap spans no profile and still fails on the empty grid."""
+
+    class Unbuilt:
+        @staticmethod
+        def procurement(*args):
+            raise AssertionError("built a grid past the product guard")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "BidGrid", Unbuilt)
+        for argv in (["analyze", ex1_file],
+                     ["check", ex1_file, "--property", "vcg-truthful"],
+                     ["check", ex1_file, "--property", "partly-truthful"]):
+            assert main([*argv, "--cap", "50000"]) == 3
+            assert capsys.readouterr().err == f"error: profile space {50001**16} exceeds 1000000\n"
+    assert main(["analyze", fig3_file, "--cap", "-2"]) == 1
+    assert capsys.readouterr().err == "error: empty grid for agent e\n"
+
+
+def test_analyze_rejects_a_rule_its_mechanism_ignores(fig3_file, capsys):
+    """analyze builds its spec as run does, so --rule on vcg or fp-path
+    fails there as it does in run."""
+    error = "error: --rule only applies to mechanisms x and tradeoff1\n"
+    for command in ("analyze", "run"):
+        for mechanism in ("vcg", "fp-path"):
+            argv = [command, fig3_file, "--mechanism", mechanism, "--rule", "waterfall",
+                    "--delta", "1/2"]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == error
+    assert main(["analyze", fig3_file, "--mechanism", "x", "--rule", "waterfall",
+                 "--delta", "1/2"]) == 0
+
+
 def test_analyze_json(fig3_file, capsys):
     assert main(["analyze", fig3_file, "--mechanism", "vcg", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -6,7 +6,9 @@ table's money is in units of 1/ev.scale; every comparison converts it
 back to Fractions first.
 """
 
+import gc
 import re
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -16,15 +18,18 @@ from pathauction import (
     Disconnected,
     DistributionRule,
     Edge,
+    GridTooLarge,
     InsufficientPaths,
     MechanismSpec,
     Network,
     PathGame,
+    SingleItemGame,
     TieError,
     alignment_report,
     best_response_set,
     check_partly_truthful,
     check_vcg_truthful,
+    default_grid,
     fixture,
     random_network,
     selection_probability,
@@ -95,7 +100,7 @@ def _assert_outcomes_match_reference(ev, spec, net, priced):
 
 def _assert_matches_reference(net, spec):
     ev = analysis._Evaluator(PathGame(net, spec), _half_grid(net))
-    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
+    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
     assert ev._table is not None
     return ties
 
@@ -141,24 +146,18 @@ def test_random_outcomes_match_reference(spec):
 
 
 def test_off_grid_bid_after_evaluation():
-    """A value with a new denominator, given at construction: the table is
-    built once at three times the grid's own scale, the grid stays the
-    grid's own profiles, and the off-grid line priced after it matches
-    the reference."""
+    """A bid off the grid with a new denominator: its line grid compiles at
+    three times the grid's own scale and matches the reference profile by
+    profile."""
     net = fixture("fig2")
     for spec in SPECS:
         grid = BidGrid.procurement(net.true_cost, F(1), 2)
         agent = grid.agents[0]
         plain = analysis._Evaluator(PathGame(net, spec), grid)
-        ev = analysis._Evaluator(PathGame(net, spec), grid, {agent: F(7, 3)})
-        assert ev.scale == 3 * plain.scale
-        assert len(ev.grid()) == grid.product_size()
-        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
-        off = ev.position(agent, F(7, 3))
-        assert off == ev.sizes[0]
-        off_profiles = [ev.assemble(agent, off, opp) for opp in ev.opponent_profiles(agent)]
-        priced = ((p, ev.outcome(p)) for p in off_profiles)
-        _assert_outcomes_match_reference(ev, spec, net, priced)
+        ev = analysis._Evaluator(PathGame(net, spec), analysis._line(grid, {agent: F(7, 3)}))
+        assert ev._table is not None and ev.scale == 3 * plain.scale
+        assert len(ev.outcomes) == grid.product_size() // len(grid.bids_for[agent])
+        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
 
 
 def _unequal_grid(net):
@@ -169,23 +168,24 @@ def _unequal_grid(net):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
 def test_grid_is_the_outcomes_profile_by_profile(spec):
-    """The one-pass grid holds each profile's own outcome in product order,
-    and a section at each bid is that bid's line, priced one by one."""
+    """A section of the one-pass grid at each bid holds, in opponent-product
+    order, the outcomes of the grid that is that bid's line."""
     net = fixture("fig2")
+    game = PathGame(net, spec)
     for grid in (_half_grid(net), _unequal_grid(net)):
-        ev = analysis._Evaluator(PathGame(net, spec), grid)
-        assert ev.grid() == [ev.outcome(p) for p in ev.profiles()]
-        assert ev._table is not None
-        for agent, size in zip(ev.agents, ev.sizes):
-            for pos in range(size):
-                assert list(ev.section(agent, pos)) == list(ev.line(agent, pos))
+        ev = analysis._Evaluator(game, grid)
+        assert ev._table is not None and len(ev.outcomes) == grid.product_size()
+        for agent, values in zip(ev.agents, ev.values):
+            for pos, bid in enumerate(values):
+                line = analysis._Evaluator(game, analysis._line(grid, {agent: bid}))
+                section = [_converted(ev, out) for out in ev.section(agent, pos)]
+                assert section == [_converted(line, out) for out in line.outcomes]
 
 
 @pytest.mark.parametrize("mechanism", sorted(m for m in MECHANISM_IDS if not m.endswith("-single")))
 def test_every_path_rule_compiles_on_fig2(mechanism):
     net = fixture("fig2")
     ev = analysis._Evaluator(PathGame(net, MechanismSpec(mechanism)), _half_grid(net))
-    ev.outcome(next(ev.profiles()))
     assert ev._table is not None
 
 
@@ -195,9 +195,8 @@ def test_compiled_money_is_integral_on_fig2(mechanism):
     the table's scale, so no profile of the grid builds a Fraction."""
     net = fixture("fig2")
     ev = analysis._Evaluator(PathGame(net, MechanismSpec(mechanism)), _half_grid(net))
-    outcomes = ev.grid()
     assert ev._table is not None
-    money = [u for out in outcomes if out for u in (*out.utilities, out.mechanism_utility)]
+    money = [u for out in ev.outcomes if out for u in (*out.utilities, out.mechanism_utility)]
     assert money and all(type(u) is int for u in money)
 
 
@@ -224,7 +223,7 @@ def test_many_paths_compile_and_match_the_reference(parallel_pairs, mechanism):
     )
     ev = analysis._Evaluator(PathGame(net, spec), grid)
     assert ev._table is not None and len(ev._table.owners) == 2**12
-    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
+    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
     assert ties < grid.product_size()
 
 
@@ -256,7 +255,7 @@ def test_long_chains_match_the_reference(parallel_pairs, stages, tied, varied):
     for spec in SPECS:
         ev = analysis._Evaluator(PathGame(net, spec), grid)
         assert ev._table is not None
-        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid()))
+        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
 
 
 def test_tied_paths_rank_by_edge_ids_across_the_scan():
@@ -271,7 +270,7 @@ def test_tied_paths_rank_by_edge_ids_across_the_scan():
     grid = BidGrid({a: (2 - F(1, 16), 2) if a == "c" else (t,) for a, t in net.true_cost.items()})
     for spec in SPECS:
         ev = analysis._Evaluator(PathGame(net, spec), grid)
-        assert _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.grid())) == 0
+        assert _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes)) == 0
 
 
 @pytest.mark.parametrize(
@@ -289,7 +288,7 @@ def test_tradeoff1_switch_is_exact_at_the_threshold(threshold, branch, total):
     assert (result.branch, result.total) == (branch, total)
     grid = BidGrid({a: (b,) for a, b in bids.items()})
     ev = analysis._Evaluator(PathGame(net, spec), grid)
-    out = ev.outcome(next(ev.profiles()))
+    out = ev.outcomes[0]
     assert ev._table is not None
     assert F(out.mechanism_utility) / ev.scale == -total
 
@@ -369,3 +368,61 @@ def test_analysis_is_unchanged_without_the_table(monkeypatch, spec):
     compiled = [_analysis_results(net, spec) for net in nets]
     monkeypatch.setattr(analysis, "_compile", lambda *args: None)
     assert [_analysis_results(net, spec) for net in nets] == compiled
+
+
+def _lone_half_grids(net):
+    """One grid per agent, in which that agent alone bids on halves, t + 1/2
+    and t + 3/2, off its truthful bid t; every other agent bids t or t + 1."""
+    for agent in net.agents:
+        yield BidGrid(
+            {a: (t + HALF, t + 3 * HALF) if a == agent else (t, t + 1)
+             for a, t in net.true_cost.items()}
+        )
+
+
+@pytest.mark.parametrize("mechanism", ["fp-path", "vcg", "x", "tradeoff2"])
+def test_vcg_truthful_converts_the_line_of_an_off_grid_truth(monkeypatch, mechanism):
+    """The truthful bid off the grid is priced on its own line grid, whose
+    scale lacks the grid's halves; its money converts to the grid's units,
+    so the verdicts and rows are the reference's."""
+    nets = [fixture(name) for name in ("fig2", "xsmall", "fig3")]
+    nets += [_boundary_tie_network(), *RANDOM_NETS[:5]]
+    games = [(PathGame(net, MechanismSpec(mechanism)), net) for net in nets]
+    cases = [(game, grid) for game, net in games for grid in _lone_half_grids(net)]
+    compiled = [check_vcg_truthful(game, grid) for game, grid in cases]
+    monkeypatch.setattr(analysis, "_compile", lambda *args: None)
+    assert [check_vcg_truthful(game, grid) for game, grid in cases] == compiled
+
+
+def test_product_guard_fires_before_anything_is_compiled(monkeypatch):
+    """example1's cap-3 grid holds 4**16 profiles, and any one agent's line
+    4**15: each call is refused on the count before a table is compiled."""
+
+    def compile_(*args):
+        raise AssertionError("compiled a grid past the product guard")
+
+    net = fixture("example1")
+    game = PathGame(net, MechanismSpec("vcg"))
+    grid = BidGrid.procurement(net.true_cost, F(1), 3)
+    monkeypatch.setattr(analysis, "_compile", compile_)
+    for check in (alignment_report, check_vcg_truthful, check_partly_truthful):
+        with pytest.raises(GridTooLarge, match=f"^profile space {4**16} exceeds 1000000$"):
+            check(game, grid)
+    agent = net.agents[0]
+    with pytest.raises(GridTooLarge, match=f"^profile space {4**15} exceeds 1000000$"):
+        selection_probability(game, grid, agent, net.true_cost[agent])
+
+
+def test_reference_evaluator_is_freed_without_the_cycle_collector():
+    """An evaluator without a table prices through a function of the game's
+    `run`, not a method of its own, so no reference cycle keeps it alive."""
+    game = SingleItemGame({"a": F(3), "b": F(5)})
+    ev = analysis._Evaluator(game, default_grid(game))
+    assert ev._table is None and len(ev.outcomes) == 15
+    ref = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -30,11 +30,13 @@ stride. A query that reads one line of a grid prices the grid that is
 that line, the fixed agents narrowed to one bid. A PathGame of any path
 rule, on a network within ENUMERATION_EDGE_GUARD in which each agent
 owns one edge, is compiled once per grid: its loopless paths are listed
-a single time, each profile ranks them lazily, only as deep as its rule
-reads, and the payment formulas MechanismSpec.run uses (mechanisms._price)
-price it. Single-item games, larger networks, agents that own more than
-one edge and nonpositive bids run MechanismSpec.run per profile; that
-path is also the reference the compiled one is tested against.
+a single time, and one loop of the table prices the whole grid. Each
+profile ranks the paths lazily, only as deep as its rule reads, checking
+ties as it ranks; the winners are grouped once per ranking shape, and
+the payment formulas MechanismSpec.run uses (mechanisms._price) price
+the profile. Single-item games, larger networks, agents that own more
+than one edge and nonpositive bids run MechanismSpec.run per profile;
+that path is also the reference the compiled one is tested against.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -71,6 +73,7 @@ from .mechanisms import (
     MechanismSpec,
     PaymentResult,
     _group_structure,
+    _grouped,
     _price,
     _resolve_bids,
     _run_single_item,
@@ -274,12 +277,18 @@ class _PathTable:
     `enumerate_paths` and `iter_ranked_paths`, so the tie checks see the
     same ranks as MechanismSpec.run and give the same verdicts.
 
-    The table ranks until every winner has been absent once (fp-path stops
-    at two) and hands mechanisms._price, the formulas MechanismSpec.run
-    uses, the ranked costs and each winner's first absence, with agent
-    positions for keys. fp-path and vcg check the two cheapest paths for a
-    tie, the group rules the whole ranked prefix. A ranking that runs out
-    (a winner owns a cut) is left to `reference`, the game's run, to raise.
+    `outcomes` prices every profile of the grid in one loop. It ranks
+    until every winner has been absent once (fp-path stops at two) and
+    compares each rank with the one before it as it is ranked. The
+    verdicts keep the run's precedence: a tie of the two cheapest paths
+    (fp-path, vcg) scores None at once; a ranking that runs out (a winner
+    owns a cut) is left to `reference`, the game's run, to raise; only
+    then does a tie within a group rule's prefix score None. The ranking's
+    shape, its first path and each winner's first absence, keys `shapes`,
+    which holds the winners grouped as mechanisms._price reads them (agent
+    positions for keys) and the selected set, built the first time the
+    shape is priced. mechanisms._price, the formulas MechanismSpec.run
+    uses, then pays the profile from the ranked costs.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -304,8 +313,8 @@ class _PathTable:
         self.reference = game.run
         bits = [1 << i for i in range(len(agents))]
         self.masks = [sum(map(bits.__getitem__, owners)) for owners in paths]
-        # The selected set of each path that has ranked first, built when it first does.
-        self.selected: dict[int, frozenset[str]] = {}
+        # Per ranking shape priced so far, its winners grouped and its selected set.
+        self.shapes: dict[tuple, tuple[tuple, frozenset[str]]] = {}
         self.mechanism = game.spec.mechanism
         self.agents = agents
         factor = 1
@@ -321,61 +330,83 @@ class _PathTable:
         self.scan = sorted(range(len(paths)), key=bounds.__getitem__)
         self.bounds = [bounds[j] for j in self.scan] + [math.inf]
 
-    def outcome(self, bids: tuple[int, ...]) -> _Outcome | None:
-        """The outcome of one profile of scaled bids, in sorted agent order."""
-        bid_of = bids.__getitem__
+    def outcomes(self) -> list[_Outcome | None]:
+        """The outcome of every profile of the scaled grid, in product order."""
         owners, masks, scan, bounds = self.owners, self.masks, self.scan, self.bounds
+        spec, true_scaled, shapes = self.spec, self.true_scaled, self.shapes
         name = self.mechanism
-        n = len(scan)
-        heap: list[tuple[int, int]] = []
-        ranked: list[int] = []
-        s = 0
-        while True:
-            if heap:
-                while bounds[s] <= heap[0][0]:
-                    j = scan[s]
-                    heappush(heap, (sum(map(bid_of, owners[j])), j))
-                    s += 1
-                cost, j = heappop(heap)
-            elif s < n:
-                # A path below the next bound ranks at once, without the heap.
-                j = scan[s]
-                cost = sum(map(bid_of, owners[j]))
-                s += 1
-                if bounds[s] <= cost:
-                    heappush(heap, (cost, j))
-                    continue
-            else:
-                break
-            ranked.append(cost)
-            if len(ranked) == 1:
-                first, winners, remaining = j, owners[j], masks[j]
-                group_of = dict.fromkeys(winners, 0)
-            elif name == "fp-path":
-                break
-            elif gone := remaining & ~masks[j]:
-                remaining ^= gone
-                for i in winners:
-                    if gone >> i & 1:
-                        group_of[i] = len(ranked) - 1
-                if not remaining:
-                    break
         top_two = name in ("fp-path", "vcg")
-        if top_two and len(ranked) > 1 and ranked[1] == ranked[0]:
-            return None
-        if remaining and name != "fp-path":
-            self.reference({a: Fraction(b, self.scale) for a, b in zip(self.agents, bids)})
-            raise AssertionError("the reference priced a profile with a cut winner")
-        if not top_two and any(a == b for a, b in zip(ranked, ranked[1:])):
-            return None
-        pay, _ = _price(self.spec, bids, ranked, group_of)
-        utilities = [0] * len(bids)
-        for i, amount in pay.items():
-            utilities[i] = amount - self.true_scaled[i]
-        selected = self.selected.get(first)
-        if selected is None:
-            selected = self.selected[first] = frozenset(map(self.agents.__getitem__, winners))
-        return _Outcome(tuple(utilities), -sum(pay.values()), selected)
+        n, m = len(scan), len(self.agents)
+        outcomes: list[_Outcome | None] = []
+        emit = outcomes.append
+        for bids in itertools.product(*self.scaled):
+            bid_of = bids.__getitem__
+            heap: list[tuple[int, int]] = []
+            ranked: list[int] = []
+            tied = False
+            s = 0
+            while True:
+                if heap:
+                    while bounds[s] <= heap[0][0]:
+                        j = scan[s]
+                        heappush(heap, (sum(map(bid_of, owners[j])), j))
+                        s += 1
+                    cost, j = heappop(heap)
+                elif s < n:
+                    # A path below the next bound ranks at once, without the heap.
+                    j = scan[s]
+                    cost = sum(map(bid_of, owners[j]))
+                    s += 1
+                    if bounds[s] <= cost:
+                        heappush(heap, (cost, j))
+                        continue
+                else:
+                    break
+                if not ranked:
+                    ranked.append(cost)
+                    shape, remaining = [j], masks[j]
+                    continue
+                if cost == ranked[-1] and (len(ranked) == 1 or not top_two):
+                    tied = True
+                    if top_two:
+                        break
+                ranked.append(cost)
+                if name == "fp-path":
+                    break
+                if gone := remaining & ~masks[j]:
+                    remaining ^= gone
+                    shape += (len(ranked) - 1, gone)
+                    if not remaining:
+                        break
+            # A top-two tie scores None first; a ranking that runs out goes to
+            # the reference, which raises; only then does any other tie.
+            if tied and (top_two or not remaining):
+                emit(None)
+                continue
+            if remaining and name != "fp-path":
+                self.reference({a: Fraction(b, self.scale) for a, b in zip(self.agents, bids)})
+                raise AssertionError("the reference priced a profile with a cut winner")
+            key = tuple(shape)
+            grouped = shapes.get(key)
+            if grouped is None:
+                grouped = shapes[key] = self._shape(shape)
+            pay, _ = _price(spec, bids, ranked, grouped[0])
+            utilities = [0] * m
+            for i, amount in pay.items():
+                utilities[i] = amount - true_scaled[i]
+            emit(_Outcome(tuple(utilities), -sum(pay.values()), grouped[1]))
+        return outcomes
+
+    def _shape(self, shape: list[int]) -> tuple[tuple, frozenset[str]]:
+        """The winners of a ranking shape, [first path, rank, absent winners'
+        mask, rank, mask, ...], grouped for _price, and their selected set."""
+        winners = self.owners[shape[0]]
+        group_of = dict.fromkeys(winners, 0)
+        for rank, gone in zip(shape[1::2], shape[2::2]):
+            for i in winners:
+                if gone >> i & 1:
+                    group_of[i] = rank
+        return _grouped(group_of), frozenset(map(self.agents.__getitem__, winners))
 
 
 def _compile(
@@ -448,11 +479,11 @@ class _Evaluator:
         self._table = _compile(game, self.agents, self.values)
         if self._table is None:
             self.scale = 1
-            priced, price = self.values, functools.partial(_run_profile, game.run, self.agents)
+            price = functools.partial(_run_profile, game.run, self.agents)
+            self.outcomes = list(map(price, itertools.product(*self.values)))
         else:
             self.scale = self._table.scale
-            priced, price = self._table.scaled, self._table.outcome
-        self.outcomes: list[_Outcome | None] = list(map(price, itertools.product(*priced)))
+            self.outcomes = self._table.outcomes()
 
     def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(vs[p] for vs, p in zip(self.values, profile))
@@ -859,7 +890,7 @@ def check_strongly_critical(
     resolved = _resolve_bids(network, bids)
     ranked, assignment = _group_structure(network, resolved)
     costs = ranked.costs
-    pay, _ = _price(MechanismSpec("x", rule=rule), resolved, costs, assignment.group_of)
+    pay, _ = _price(MechanismSpec("x", rule=rule), resolved, costs, _grouped(assignment.group_of))
     rows = []
     failures = []
     for j, q in enumerate(assignment.present_groups):
@@ -905,14 +936,15 @@ def check_group_truthfulness(
         raise TooLarge(f"{trials} trials exceed the trials guard of {_TRIALS_GUARD}")
     resolved = _resolve_bids(network, bids)
     ranked, assignment = _group_structure(network, resolved)
-    groups = {q: assignment.members(q) for q in assignment.present_groups}
+    grouped = _grouped(assignment.group_of)
+    groups = dict(grouped)
     # Each trial's delta k/d, d in 2..5, is a whole number of units, and
     # so is a delta's mean over any present group.
     factor = 60 * math.lcm(*range(1, max(map(len, groups.values())) + 1))
     scale, spec = _unit_scale(MechanismSpec("x", rule=rule), resolved.values(), factor)
     units = {agent: _units(v, scale) for agent, v in resolved.items()}
-    group_of, prefix = assignment.group_of, assignment.max_group + 1
-    base, _ = _price(spec, units, [_units(c, scale) for c in ranked.costs], group_of)
+    prefix = assignment.max_group + 1
+    base, _ = _price(spec, units, [_units(c, scale) for c in ranked.costs], grouped)
     before = {q: sum(base[a] for a in members) for q, members in groups.items()}
     paths = [(p.edges, p.owners) for p in enumerate_paths(network, resolved)]
     rng = random.Random(seed)
@@ -937,7 +969,7 @@ def check_group_truthfulness(
         costs = [cost for cost, _ in keys[:prefix]]
         if any(a > b for a, b in zip(keys, keys[1:])) or len(set(costs)) < len(costs):
             continue  # The order, and with it the groups, moved; or ranks x reads tie.
-        pay, _ = _price(spec, perturbed, costs, group_of)
+        pay, _ = _price(spec, perturbed, costs, grouped)
         accepted += 1
         after = sum(pay[a] for a in members)
         if before[q] != after:
@@ -993,8 +1025,9 @@ def check_degenerate_vickrey(
             detail="cheapest path is not a single edge",
         )
     winner = chosen.owners[0]
-    shared = _price(MechanismSpec("x"), resolved, ranked.costs, assignment.group_of)[0][winner]
-    marginal = _price(MechanismSpec("vcg"), resolved, ranked.costs, assignment.group_of)[0][winner]
+    grouped = _grouped(assignment.group_of)
+    shared = _price(MechanismSpec("x"), resolved, ranked.costs, grouped)[0][winner]
+    marginal = _price(MechanismSpec("vcg"), resolved, ranked.costs, grouped)[0][winner]
     runner_up = ranked.costs[1]
     ok = shared == marginal and shared == runner_up
     return PropertyReport(

@@ -323,26 +323,30 @@ def cmd_analyze(args) -> int:
 
 def cmd_check(args) -> int:
     network = _load_graph(args.graph)
-    bids = _resolve_bid_source(network, args.bids)
     prop = args.prop
+    if args.mechanism and prop not in ("partly-truthful", "critical"):
+        raise FormatError("--mechanism only applies to properties partly-truthful and critical")
     if prop == "partly-truthful":
         game = PathGame(network, MechanismSpec(args.mechanism or "x"))
         grid = _procurement_grid(network, Fraction(1), args.cap)
         report = check_partly_truthful(game, grid)
-    elif prop == "critical":
-        report = check_critical(network, MechanismSpec(args.mechanism or "x"), bids)
-    elif prop == "strongly-critical":
-        report = check_strongly_critical(network, bids)
-    elif prop == "group-truthful":
-        report = check_group_truthfulness(
-            network, bids, trials=args.trials, seed=args.seed
-        )
     elif prop == "vcg-truthful":
         game = PathGame(network, MechanismSpec("vcg"))
         grid = _procurement_grid(network, Fraction(1), args.cap)
         report = check_vcg_truthful(game, grid)
     else:
-        report = check_degenerate_vickrey(network, bids)
+        # Only these properties read --bids; the grid ones above price every bid.
+        bids = _resolve_bid_source(network, args.bids)
+        if prop == "critical":
+            report = check_critical(network, MechanismSpec(args.mechanism or "x"), bids)
+        elif prop == "strongly-critical":
+            report = check_strongly_critical(network, bids)
+        elif prop == "group-truthful":
+            report = check_group_truthfulness(
+                network, bids, trials=args.trials, seed=args.seed
+            )
+        else:
+            report = check_degenerate_vickrey(network, bids)
     print(f"{report.name}: {report.verdict}")
     if report.detail:
         print(report.detail)

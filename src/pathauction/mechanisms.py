@@ -275,7 +275,7 @@ def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int,
             f"need {assignment.max_group + 1} ranked paths, got {len(paths)}"
         )
     _read_prefix(paths, assignment.max_group + 1)
-    return _pools(ranked.costs, assignment.present_groups, telescoping=True)
+    return _pools(ranked.costs, _grouped(assignment.group_of), telescoping=True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,50 +358,56 @@ def distribute(
 # ---------------------------------------------------------------------------
 
 
-def _pools(costs: Sequence, groups: Iterable[int], telescoping: bool) -> dict:
-    """Pool per present group q, in increasing q: the cost gap to q's own
-    substitute path (rank q+1) from the previous present group's substitute
-    when telescoping, from the cheapest path otherwise."""
+def _pools(costs: Sequence, groups: tuple, telescoping: bool) -> dict:
+    """Pool per group q of `groups`, grouped winners as _price reads them, in
+    increasing q: the cost gap to q's own substitute path (rank q+1) from
+    the previous group's substitute when telescoping, from the cheapest
+    path otherwise."""
     pools = {}
     floor = 0
-    for q in groups:
+    for q, _ in groups:
         pools[q] = costs[q] - costs[floor]
         if telescoping:
             floor = q
     return pools
 
 
-def _split(
-    rule: DistributionRule, bids, group_of: Mapping, costs: Sequence, telescoping: bool
-) -> dict:
+def _grouped(group_of: Mapping) -> tuple:
+    """Winners grouped as _price reads them, from each winner's group:
+    ((q, (k, ...)), ...), in increasing q, each group's keys sorted."""
+    members: dict = {}
+    for k in sorted(group_of):
+        members.setdefault(group_of[k], []).append(k)
+    return tuple((q, tuple(members[q])) for q in sorted(members))
+
+
+def _split(rule: DistributionRule, bids, groups: tuple, costs: Sequence, telescoping: bool) -> dict:
     """Each winner's bid plus its share, under `rule`, of its group's pool."""
-    members: dict[int, list] = {}
-    for k, q in group_of.items():
-        members.setdefault(q, []).append((k, bids[k]))
+    pools = _pools(costs, groups, telescoping)
     pay = {}
-    for q, pool in _pools(costs, sorted(members), telescoping).items():
-        shares = distribute(rule, members[q], pool)
-        for k, bid in members[q]:
+    for q, members in groups:
+        group_bids = list(zip(members, map(bids.__getitem__, members)))
+        shares = distribute(rule, group_bids, pools[q])
+        for k, bid in group_bids:
             pay[k] = bid + shares[k]
     return pay
 
 
-def _price(
-    spec: MechanismSpec, bids, costs: Sequence, group_of: Mapping
-) -> tuple[dict, str | None]:
+def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[dict, str | None]:
     """Payments of the cheapest path's agents under a path rule, and the
     branch tradeoff1 took (None for the other rules).
 
     This is the one copy of the path rules' payment formulas, shared by
     MechanismSpec.run and the compiled path table of grid analysis. The
-    keys of `group_of` are the winners, and `bids[k]` is winner k's bid.
-    Keys are opaque: agent ids in MechanismSpec.run, positions in the
-    sorted agent order in the table, which sort as the ids do. Money may be
-    Fractions, or integers in a common unit (the rule's delta in that unit
-    too). costs[0] is the cheapest path's cost and costs[group_of[k]] the
-    cost of the cheapest path without k. For the group rules costs is the
-    ranked prefix, strictly increasing, and group_of[k] the rank of k's
-    first absence; fp-path reads only the keys.
+    winners come grouped, as _grouped builds them: `groups` holds (q, keys)
+    pairs in increasing q, and `bids[k]` is winner k's bid. Keys are
+    opaque: agent ids in MechanismSpec.run, positions in the sorted agent
+    order in the table, which sort as the ids do. Money may be Fractions,
+    or integers in a common unit (the rule's delta in that unit too).
+    costs[0] is the cheapest path's cost and costs[q] the cost of the
+    cheapest path without the keys of group q. For the group rules costs
+    is the ranked prefix, strictly increasing, and q the rank of its
+    members' first absence; fp-path reads only the keys.
 
     vcg pays the excluded detour minus the zeroed one. For a winner on the
     cheapest path P the zeroed detour is cost(P) - bid in closed form:
@@ -410,24 +416,27 @@ def _price(
     """
     name = spec.mechanism
     if name == "tradeoff3":
-        return _split(EQUAL_SPLIT, bids, group_of, costs, False), None
+        return _split(EQUAL_SPLIT, bids, groups, costs, False), None
     if name in ("x", "tradeoff1"):
-        shared = _split(spec.rule, bids, group_of, costs, True)
+        shared = _split(spec.rule, bids, groups, costs, True)
         if name == "x":
             return shared, None
     # Loops, not comprehensions: in CPython 3.11 each comprehension is a
     # function call of its own, and the compiled table prices every profile.
     pay = {}
     if name == "fp-path":
-        for k in group_of:
-            pay[k] = bids[k]
+        for _, members in groups:
+            for k in members:
+                pay[k] = bids[k]
         return pay, None
     if name == "tradeoff2":
-        for k, q in group_of.items():
-            pay[k] = bids[k] + costs[q] - costs[q - 1]
+        for q, members in groups:
+            for k in members:
+                pay[k] = bids[k] + costs[q] - costs[q - 1]
         return pay, None
-    for k, q in group_of.items():
-        pay[k] = costs[q] - (costs[0] - bids[k])
+    for q, members in groups:
+        for k in members:
+            pay[k] = costs[q] - (costs[0] - bids[k])
     if name == "vcg":
         return pay, None
     # tradeoff1 compares the relative saving (marginal - shared) / marginal
@@ -476,7 +485,8 @@ def group_structure(
 ) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
     """Ranked prefix, survival groups and pooled profits for the cheapest path."""
     ranked, assignment = _group_structure(network, _resolve_bids(network, bids))
-    return ranked, assignment, _pools(ranked.costs, assignment.present_groups, telescoping=True)
+    pools = _pools(ranked.costs, _grouped(assignment.group_of), telescoping=True)
+    return ranked, assignment, pools
 
 
 def member_gap_schedule(
@@ -585,5 +595,5 @@ class MechanismSpec:
             ranked, assignment = _group_structure(network, resolved)
             chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of
             groups = group_of
-        pay, branch = _price(self, resolved, costs, group_of)
+        pay, branch = _price(self, resolved, costs, _grouped(group_of))
         return _path_result(network, chosen, pay, groups, branch)

@@ -469,8 +469,8 @@ def test_group_truthfulness_reports_the_reference_counterexamples(monkeypatch, e
     total moves with its bids: the checker must report the reference's rows."""
     from pathauction import analysis, mechanisms
 
-    def doubled(spec, bids, costs, group_of):
-        return {k: 2 * bids[k] for k in group_of}, None
+    def doubled(spec, bids, costs, groups):
+        return {k: 2 * bids[k] for _, members in groups for k in members}, None
 
     monkeypatch.setattr(mechanisms, "_price", doubled)
     monkeypatch.setattr(analysis, "_price", doubled)

@@ -217,6 +217,32 @@ def test_check_exit_codes(ex1_file, fig3_file, capsys):
                  "--trials", "20", "--seed", "3"]) == 0
 
 
+def test_check_rejects_a_mechanism_its_property_ignores(fig3_file, capsys):
+    """Four properties fix their own rule, so --mechanism fails there before
+    anything is checked; partly-truthful and critical still take it."""
+    error = "error: --mechanism only applies to properties partly-truthful and critical\n"
+    for prop in ("vcg-truthful", "strongly-critical", "degenerate-vickrey", "group-truthful"):
+        assert main(["check", fig3_file, "--property", prop, "--mechanism", "fp-path"]) == 1
+        assert capsys.readouterr() == ("", error)
+    for prop in ("partly-truthful", "critical"):
+        main(["check", fig3_file, "--property", prop, "--mechanism", "fp-path"])
+        assert capsys.readouterr().out.startswith(f"{prop}: ")
+
+
+def test_check_reads_bids_only_where_its_property_uses_them(fig3_file, tmp_path, capsys):
+    """The grid properties price every bid of their grid, so a missing
+    --bids file changes nothing there; the others fail on reading it."""
+    missing = str(tmp_path / "missing.json")
+    for prop in ("partly-truthful", "vcg-truthful"):
+        expected = main(["check", fig3_file, "--property", prop])
+        answer = capsys.readouterr()
+        assert main(["check", fig3_file, "--property", prop, "--bids", missing]) == expected
+        assert capsys.readouterr() == answer
+    for prop in ("critical", "strongly-critical", "group-truthful", "degenerate-vickrey"):
+        assert main(["check", fig3_file, "--property", prop, "--bids", missing]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_negative_trials_exit_1(ex1_file, capsys):
     assert main(["check", ex1_file, "--property", "group-truthful", "--trials", "-5"]) == 1
     captured = capsys.readouterr()

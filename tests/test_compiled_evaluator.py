@@ -227,6 +227,36 @@ def test_many_paths_compile_and_match_the_reference(parallel_pairs, mechanism):
     assert ties < grid.product_size()
 
 
+def _reference_shapes(spec, net, ev):
+    """The (chosen path, groups) pairs of the grid's tie-free reference runs."""
+    shapes = set()
+    for profile in ev.profiles():
+        try:
+            result = spec.run(net, dict(zip(ev.agents, ev.bids(profile))))
+        except TieError:
+            continue
+        groups = tuple(sorted(result.groups.items())) if result.groups else None
+        shapes.add((result.chosen_path.edges, groups))
+    return shapes
+
+
+@pytest.mark.parametrize("mechanism", ["fp-path", "x", "tradeoff3"])
+def test_shape_cache_holds_one_entry_per_ranking_shape(parallel_pairs, mechanism):
+    """The table groups the winners once per ranking shape, its first path
+    and each winner's first absence: one entry per shape the reference
+    reports (vcg reports no groups, so its shapes are not counted here)."""
+    spec = MechanismSpec(mechanism)
+    chain = parallel_pairs(12)
+    varied = chain.agents[:3]
+    chain_grid = BidGrid(
+        {a: (t, t + F(1, 64)) if a in varied else (t,) for a, t in chain.true_cost.items()}
+    )
+    fig2 = fixture("fig2")
+    for net, grid in ((fig2, _half_grid(fig2)), (chain, chain_grid)):
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        assert len(ev._table.shapes) == len(_reference_shapes(spec, net, ev))
+
+
 def _chain_grid(net, varied):
     """Half a unit below and above the type for the `varied` agents; every
     other agent bids its type."""
@@ -327,6 +357,27 @@ def test_errors_match_reference(monkeypatch, rows, mechanism, error):
         check_vcg_truthful(game, grid)
 
 
+@pytest.mark.parametrize("mechanism, error", [
+    ("fp-path", None), ("vcg", None), ("x", InsufficientPaths), ("tradeoff2", InsufficientPaths)
+])
+def test_tie_and_cut_keep_the_reference_precedence(monkeypatch, mechanism, error):
+    """With a at 1 and b, c at 2 the two paths tie and a owns a cut. A
+    top-two tie scores the profile as a tie before the cut is seen; a group
+    rule's ranking runs out first, and the reference's error wins."""
+    net = _net(_CUT)
+    game = PathGame(net, MechanismSpec(mechanism))
+    grid = BidGrid({"a": (F(1),), "b": (F(2),), "c": (F(2),)})
+    for compiled in (True, False):
+        if not compiled:
+            monkeypatch.setattr(analysis, "_compile", lambda *args: None)
+        if error is None:
+            ev = analysis._Evaluator(game, grid)
+            assert (ev._table is not None) == compiled and ev.outcomes == [None]
+        else:
+            with pytest.raises(error, match=f"^{re.escape(_ON_EVERY_PATH)}$"):
+                analysis._Evaluator(game, grid)
+
+
 def test_out_of_range_spec_fields_raise_at_construction():
     """A spec checks its own fields when it is built, so neither the
     compiled table nor the reference ever sees an out-of-range one."""
@@ -415,14 +466,18 @@ def test_product_guard_fires_before_anything_is_compiled(monkeypatch):
 
 def test_reference_evaluator_is_freed_without_the_cycle_collector():
     """An evaluator without a table prices through a function of the game's
-    `run`, not a method of its own, so no reference cycle keeps it alive."""
-    game = SingleItemGame({"a": F(3), "b": F(5)})
-    ev = analysis._Evaluator(game, default_grid(game))
+    `run`, not a method of its own, so no reference cycle keeps it alive;
+    nor does a table, whose shape cache holds only tuples and frozensets."""
+    single = SingleItemGame({"a": F(3), "b": F(5)})
+    ev = analysis._Evaluator(single, default_grid(single))
     assert ev._table is None and len(ev.outcomes) == 15
-    ref = weakref.ref(ev)
+    net = fixture("fig2")
+    compiled = analysis._Evaluator(PathGame(net, MechanismSpec("x")), _half_grid(net))
+    assert compiled._table.shapes
+    refs = [weakref.ref(ev), weakref.ref(compiled), weakref.ref(compiled._table)]
     gc.disable()
     try:
-        del ev
-        assert ref() is None
+        del ev, compiled
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()

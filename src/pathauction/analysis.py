@@ -179,6 +179,8 @@ class BidGrid:
         cls, types: Mapping[str, Fraction], unit: Fraction = Fraction(1), cap: int = 3
     ) -> "BidGrid":
         """Each agent may bid its true cost or up to `cap` units above it."""
+        if unit <= 0:
+            raise ValueError("unit must be positive")
         _require_grid_size(cap + 1)
         return cls(
             {a: tuple(t + i * unit for i in range(cap + 1)) for a, t in types.items()}

@@ -8,8 +8,11 @@ A process reuses a network it has already parsed and validated: the
 loader keys each parse by the file's contents, so a rewritten file is read
 afresh, and it holds at most 32 networks.
 
-Exit codes: 0 success (or property holds), 1 failure or parse error,
-2 cost tie where a strict order was required, 3 enumeration guard hit.
+The tables MECHANISMS (with RULES) and PROPERTIES decide which flags of
+run, analyze and check a request reads; it may give no other.
+
+Exit codes: 0 success (or property holds), 1 failure, a refused flag or
+malformed input, 2 cost tie or argparse usage error, 3 enumeration guard hit.
 """
 
 from __future__ import annotations
@@ -20,37 +23,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .analysis import (
-    BidGrid,
-    PathGame,
-    check_critical,
-    check_degenerate_vickrey,
-    check_group_truthfulness,
-    check_partly_truthful,
-    check_strongly_critical,
-    check_vcg_truthful,
-    alignment_report,
-    _require_enumerable,
-    _require_grid_size,
-)
+from .analysis import BidGrid, PathGame, alignment_report, _require_enumerable, _require_grid_size
+from .analysis import check_critical, check_degenerate_vickrey, check_group_truthfulness
+from .analysis import check_partly_truthful, check_strongly_critical, check_vcg_truthful
 from .errors import FormatError, GridTooLarge, PathAuctionError, TieError, TooLarge
 from .fixtures import FIXTURES, fixture
-from .graph import (
-    Network,
-    Violation,
-    bids_from_json,
-    network_from_json,
-    network_to_json,
-    rank_paths,
-    validate,
-)
-from .mechanisms import (
-    MECHANISM_IDS,
-    RULE_KINDS,
-    DistributionRule,
-    MechanismSpec,
-    PaymentResult,
-)
+from .graph import Network, Violation, bids_from_json, network_from_json, network_to_json
+from .graph import rank_paths, validate
+from .mechanisms import DistributionRule, MechanismSpec, PaymentResult
 from .rational import approx_suffix, format_cost, parse_cost
 
 EXIT_OK = 0
@@ -58,14 +38,52 @@ EXIT_FAIL = 1
 EXIT_TIE = 2
 EXIT_GUARD = 3
 
-PROPERTIES = (
-    "partly-truthful",
-    "critical",
-    "strongly-critical",
-    "group-truthful",
-    "vcg-truthful",
-    "degenerate-vickrey",
-)
+# The flags of run and analyze that each mechanism reads, and of those
+# that read --rule, each rule: flag -> the value used when it is not given.
+MECHANISMS = {
+    "fp-single": {"orientation": "reverse"},
+    "vickrey-single": {"orientation": "reverse"},
+    "avg-single": {"lambda": "1/2", "orientation": "reverse"},
+    "fp-path": {},
+    "vcg": {},
+    "x": {"rule": "equal"},
+    "tradeoff1": {"rule": "equal", "c": "0"},
+    "tradeoff2": {},
+    "tradeoff3": {},
+}
+RULES = {"equal": {}, "reverse-rank": {}, "waterfall": {"delta": "1"}, "compound": {"delta": "1"}}
+
+# Each property of check: the flags it reads with their defaults, and its
+# checker on the loaded network and the request.
+PROPERTIES = {
+    "partly-truthful": ({"mechanism": "x", "cap": 3}, lambda net, a: check_partly_truthful(
+        PathGame(net, MechanismSpec(a.mechanism)), _procurement_grid(net, Fraction(1), a.cap))),
+    "critical": ({"mechanism": "x", "bids": "declared"}, lambda net, a: check_critical(
+        net, MechanismSpec(a.mechanism), _resolve_bid_source(net, a.bids))),
+    "strongly-critical": ({"bids": "declared"}, lambda net, a: check_strongly_critical(
+        net, _resolve_bid_source(net, a.bids))),
+    "group-truthful": ({"bids": "declared", "trials": 50, "seed": 0}, lambda net, a:
+                       check_group_truthfulness(net, _resolve_bid_source(net, a.bids),
+                                                trials=a.trials, seed=a.seed)),
+    "vcg-truthful": ({"cap": 3}, lambda net, a: check_vcg_truthful(
+        PathGame(net, MechanismSpec("vcg")), _procurement_grid(net, Fraction(1), a.cap))),
+    "degenerate-vickrey": ({"bids": "declared"}, lambda net, a: check_degenerate_vickrey(
+        net, _resolve_bid_source(net, a.bids))),
+}
+
+
+def _applies(kind: str, table: dict[str, dict]) -> dict[str, str]:
+    """Per flag, 'KIND A, B and C': the names in `table` that read it."""
+    readers: dict[str, list[str]] = {}
+    for name, reads in table.items():
+        for flag in reads:
+            readers.setdefault(flag, []).append(name)
+    return {flag: f"{kind} " + " and ".join(filter(None, [", ".join(names[:-1]), names[-1]]))
+            for flag, names in readers.items()}
+
+
+_APPLIES = {**_applies("mechanisms", MECHANISMS), **_applies("rules", RULES),
+            **_applies("properties", {p: reads for p, (reads, _) in PROPERTIES.items()})}
 
 
 # Built on the first main() call, once per process: building costs more
@@ -93,14 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("run", "run one payment mechanism")
     p.add_argument("graph")
-    p.add_argument("--mechanism", required=True, choices=list(MECHANISM_IDS))
-    p.add_argument("--rule", choices=list(RULE_KINDS))
+    p.add_argument("--mechanism", required=True, choices=list(MECHANISMS))
+    p.add_argument("--rule", choices=list(RULES))
     p.add_argument("--delta", help="waterfall minimum profit (cost string)")
-    p.add_argument("--lambda", dest="lam", help="blend weight for avg-single (cost string)")
-    p.add_argument("--c", dest="threshold", help="savings threshold for tradeoff1 (cost string)")
+    p.add_argument("--lambda", metavar="LAM", help="blend weight for avg-single (cost string)")
+    p.add_argument("--c", metavar="THRESHOLD",
+                   help="savings threshold for tradeoff1 (cost string)")
     p.add_argument("--bids", default="declared",
                    help="'declared', 'truthful', or a bid-profile JSON file")
-    p.add_argument("--orientation", choices=["forward", "reverse"], default="reverse",
+    p.add_argument("--orientation", choices=["forward", "reverse"],
                    help="single-item mechanisms only")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
@@ -111,21 +130,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", default="1", help="currency unit (cost string)")
     p.add_argument("--mode", choices=["undominated", "all", "dominant"],
                    default="undominated")
-    p.add_argument("--rule", choices=list(RULE_KINDS))
+    p.add_argument("--rule", choices=list(RULES))
     p.add_argument("--delta", help="waterfall minimum profit (cost string)")
     p.add_argument("--format", choices=["table", "json"], default="table")
-    # The run options analyze lacks, so that one function builds both specs.
-    p.set_defaults(lam=None, threshold=None, orientation="reverse")
 
     p = command("check", "run one property checker")
     p.add_argument("graph")
-    p.add_argument("--property", required=True, dest="prop", choices=list(PROPERTIES))
-    p.add_argument("--mechanism", default=None,
-                   choices=["vcg", "x", "fp-path", "tradeoff2", "tradeoff3"])
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--bids", default="declared")
+    p.add_argument("--property", required=True, choices=list(PROPERTIES))
+    p.add_argument("--mechanism", choices=["vcg", "x", "fp-path", "tradeoff2", "tradeoff3"])
+    for flag in ("--trials", "--seed", "--cap"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--bids")
 
     p = command("fixtures", "write a built-in benchmark network to a file")
     p.add_argument("name", choices=sorted(FIXTURES))
@@ -168,33 +183,18 @@ def _resolve_bid_source(network: Network, source: str) -> dict[str, Fraction]:
         return bids_from_json(handle.read(), network)
 
 
-def _rule_from_args(args) -> DistributionRule:
-    kind = args.rule or "equal"
-    if kind in ("waterfall", "compound"):
-        delta = parse_cost(args.delta) if args.delta else Fraction(1)
-        return DistributionRule(kind, delta)
-    if args.delta:
-        raise FormatError("--delta only applies to the waterfall and compound rules")
-    return DistributionRule(kind)
+def _cost(text: str | None) -> Fraction | None:
+    return None if text is None else parse_cost(text)
 
 
 def _spec_from_args(args) -> MechanismSpec:
-    name = args.mechanism
-    if args.rule and name not in ("x", "tradeoff1"):
-        raise FormatError("--rule only applies to mechanisms x and tradeoff1")
-    if args.lam and name != "avg-single":
-        raise FormatError("--lambda only applies to avg-single")
-    if args.threshold and name != "tradeoff1":
-        raise FormatError("--c only applies to tradeoff1")
-    lam = parse_cost(args.lam) if args.lam else None
-    threshold = parse_cost(args.threshold) if args.threshold else None
-    return MechanismSpec(
-        mechanism=name,
-        rule=_rule_from_args(args),
-        lam=lam,
-        threshold=threshold,
-        orientation=args.orientation,
-    )
+    """A run or analyze request's spec. A flag its mechanism and rule do not
+    read is None or absent, and leaves the spec's default."""
+    flags = vars(args)
+    lam, threshold = _cost(flags.get("lambda")), _cost(flags.get("c"))
+    given = {"rule": args.rule and DistributionRule(args.rule, _cost(args.delta)),
+             "lam": lam, "threshold": threshold, "orientation": flags.get("orientation")}
+    return MechanismSpec(args.mechanism, **{f: v for f, v in given.items() if v is not None})
 
 
 def _procurement_grid(network: Network, unit: Fraction, cap: int) -> BidGrid:
@@ -242,7 +242,7 @@ def _is_example1(network: Network) -> bool:
 def _print_result_table(network: Network, spec: MechanismSpec,
                         bids: dict[str, Fraction], result: PaymentResult) -> None:
     header = f"mechanism: {spec.mechanism}"
-    if spec.mechanism in ("x", "tradeoff1"):
+    if "rule" in MECHANISMS[spec.mechanism]:
         header += f" (rule={spec.rule.kind})"
     if result.branch:
         header += f" [branch: {result.branch}]"
@@ -323,30 +323,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_check(args) -> int:
     network = _load_graph(args.graph)
-    prop = args.prop
-    if args.mechanism and prop not in ("partly-truthful", "critical"):
-        raise FormatError("--mechanism only applies to properties partly-truthful and critical")
-    if prop == "partly-truthful":
-        game = PathGame(network, MechanismSpec(args.mechanism or "x"))
-        grid = _procurement_grid(network, Fraction(1), args.cap)
-        report = check_partly_truthful(game, grid)
-    elif prop == "vcg-truthful":
-        game = PathGame(network, MechanismSpec("vcg"))
-        grid = _procurement_grid(network, Fraction(1), args.cap)
-        report = check_vcg_truthful(game, grid)
-    else:
-        # Only these properties read --bids; the grid ones above price every bid.
-        bids = _resolve_bid_source(network, args.bids)
-        if prop == "critical":
-            report = check_critical(network, MechanismSpec(args.mechanism or "x"), bids)
-        elif prop == "strongly-critical":
-            report = check_strongly_critical(network, bids)
-        elif prop == "group-truthful":
-            report = check_group_truthfulness(
-                network, bids, trials=args.trials, seed=args.seed
-            )
-        else:
-            report = check_degenerate_vickrey(network, bids)
+    report = PROPERTIES[args.property][1](network, args)
     print(f"{report.name}: {report.verdict}")
     if report.detail:
         print(report.detail)
@@ -395,18 +372,39 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+# Each subcommand's handler, and the flags the tables decide, in refusal order.
+_COMMANDS = {
+    "validate": (cmd_validate, ()),
+    "rank": (cmd_rank, ()),
+    "run": (cmd_run, ("rule", "delta", "lambda", "c", "orientation")),
+    "analyze": (cmd_analyze, ("rule", "delta")),
+    "check": (cmd_check, ("mechanism", "trials", "seed", "cap", "bids")),
+    "fixtures": (cmd_fixtures, ()),
+}
+
+
+def _read_flags(args) -> None:
+    """Refuse a flag the request gives that its property, or its mechanism
+    and rule, do not read; then default each flag they read that it omits."""
+    flags = _COMMANDS[args.command][1]
+    if args.command == "check":
+        reads = PROPERTIES[args.property][0]
+    elif flags:
+        reads = MECHANISMS[args.mechanism]
+        if "rule" in reads:
+            reads = {**reads, **RULES[args.rule or reads["rule"]]}
+    for flag in flags:
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise FormatError(f"--{flag} only applies to {_APPLIES[flag]}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    handlers = {
-        "validate": cmd_validate,
-        "rank": cmd_rank,
-        "run": cmd_run,
-        "analyze": cmd_analyze,
-        "check": cmd_check,
-        "fixtures": cmd_fixtures,
-    }
     try:
-        return handlers[args.command](args)
+        _read_flags(args)
+        return _COMMANDS[args.command][0](args)
     except TieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TIE

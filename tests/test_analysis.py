@@ -278,6 +278,15 @@ def test_forward_grid_rejects_a_nonpositive_unit():
     assert done.stdout == "unit must be positive\n" * 2
 
 
+def test_procurement_grid_rejects_a_nonpositive_unit():
+    """A unit of zero or less would not make a grid rising from the type; at
+    cap 0 it would even pass as the one-bid grid."""
+    for unit in (F(0), F(-1)):
+        for cap in (0, 3):
+            with pytest.raises(ValueError, match="^unit must be positive$"):
+                BidGrid.procurement({"a": F(3), "b": F(5)}, unit, cap)
+
+
 def test_report_json_shape(fig3):
     game, grid = _vcg_game(fig3)
     payload = alignment_report(game, grid).to_json_dict()

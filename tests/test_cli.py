@@ -7,6 +7,7 @@ import pytest
 from pathauction import cli
 from pathauction.cli import main
 from pathauction.graph import network_from_json
+from pathauction.mechanisms import MECHANISM_IDS, RULE_KINDS
 
 
 @pytest.fixture()
@@ -185,20 +186,6 @@ def test_guarded_grid_exits_3_before_any_bid_is_built(ex1_file, fig3_file, capsy
     assert capsys.readouterr().err == "error: empty grid for agent e\n"
 
 
-def test_analyze_rejects_a_rule_its_mechanism_ignores(fig3_file, capsys):
-    """analyze builds its spec as run does, so --rule on vcg or fp-path
-    fails there as it does in run."""
-    error = "error: --rule only applies to mechanisms x and tradeoff1\n"
-    for command in ("analyze", "run"):
-        for mechanism in ("vcg", "fp-path"):
-            argv = [command, fig3_file, "--mechanism", mechanism, "--rule", "waterfall",
-                    "--delta", "1/2"]
-            assert main(argv) == 1
-            assert capsys.readouterr().err == error
-    assert main(["analyze", fig3_file, "--mechanism", "x", "--rule", "waterfall",
-                 "--delta", "1/2"]) == 0
-
-
 def test_analyze_json(fig3_file, capsys):
     assert main(["analyze", fig3_file, "--mechanism", "vcg", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -217,27 +204,83 @@ def test_check_exit_codes(ex1_file, fig3_file, capsys):
                  "--trials", "20", "--seed", "3"]) == 0
 
 
-def test_check_rejects_a_mechanism_its_property_ignores(fig3_file, capsys):
-    """Four properties fix their own rule, so --mechanism fails there before
-    anything is checked; partly-truthful and critical still take it."""
-    error = "error: --mechanism only applies to properties partly-truthful and critical\n"
-    for prop in ("vcg-truthful", "strongly-critical", "degenerate-vickrey", "group-truthful"):
-        assert main(["check", fig3_file, "--property", prop, "--mechanism", "fp-path"]) == 1
-        assert capsys.readouterr() == ("", error)
-    for prop in ("partly-truthful", "critical"):
-        main(["check", fig3_file, "--property", prop, "--mechanism", "fp-path"])
-        assert capsys.readouterr().out.startswith(f"{prop}: ")
+# Who reads each flag the tables decide, as the refusal names them.
+_READERS = {
+    "rule": "mechanisms x and tradeoff1",
+    "delta": "rules waterfall and compound",
+    "lambda": "mechanisms avg-single",
+    "c": "mechanisms tradeoff1",
+    "orientation": "mechanisms fp-single, vickrey-single and avg-single",
+    "mechanism": "properties partly-truthful and critical",
+    "trials": "properties group-truthful",
+    "seed": "properties group-truthful",
+    "cap": "properties partly-truthful and vcg-truthful",
+    "bids": "properties critical, strongly-critical, group-truthful and degenerate-vickrey",
+}
+_VALUES = {"rule": "equal", "delta": "1/2", "lambda": "1/2", "c": "1/4",
+           "orientation": "forward", "mechanism": "fp-path", "trials": "7", "seed": "5",
+           "cap": "2", "bids": "truthful"}
+
+
+def _reads(entry, flag):
+    names = _READERS[flag].split(" ", 1)[1].replace(" and ", ", ").split(", ")
+    return entry in names
+
+
+def _flag_requests(graph):
+    """(argv, flag or None): every mechanism of run and analyze with each flag
+    of its subcommand, x and tradeoff1 under every rule with --delta, every
+    property with each check flag, and the requests earlier tests pinned;
+    flag names the flag to refuse, None a request that refuses nothing."""
+    mechanisms = {"run": MECHANISM_IDS, "analyze": ("vcg", "x", "fp-path")}
+    for command, flags in (("run", ("rule", "delta", "lambda", "c", "orientation")),
+                           ("analyze", ("rule", "delta"))):
+        for mechanism in mechanisms[command]:
+            for flag in flags:
+                # --delta alone runs under the equal rule, which does not read it
+                read = _reads(mechanism, flag) and flag != "delta"
+                argv = [command, graph, "--mechanism", mechanism, f"--{flag}", _VALUES[flag]]
+                yield argv, None if read else flag
+        for mechanism in [m for m in mechanisms[command] if _reads(m, "rule")]:
+            for rule in RULE_KINDS:
+                argv = [command, graph, "--mechanism", mechanism, "--rule", rule,
+                        "--delta", "1/2"]
+                yield argv, None if _reads(rule, "delta") else "delta"
+        for mechanism in ("vcg", "fp-path"):
+            yield ([command, graph, "--mechanism", mechanism, "--rule", "waterfall",
+                    "--delta", "1/2"], "rule")
+    for prop in cli.PROPERTIES:
+        for flag in ("mechanism", "trials", "seed", "cap", "bids"):
+            argv = ["check", graph, "--property", prop, f"--{flag}", _VALUES[flag]]
+            yield argv, None if _reads(prop, flag) else flag
+
+
+def test_every_flag_is_read_or_refused(fig3_file, tmp_path, capsys):
+    """A flag the request's mechanism, rule or property does not read exits
+    1 with one message form, before any file is opened: the refused requests
+    name a missing network. Every flag that is read is not refused."""
+    missing = str(tmp_path / "missing.json")
+    refused = 0
+    for argv, flag in _flag_requests(fig3_file):
+        if flag is None:
+            assert "only applies to" not in _call(argv, capsys)[2], argv
+            continue
+        refused += 1
+        argv[1] = missing
+        error = f"error: --{flag} only applies to {_READERS[flag]}\n"
+        assert _call(argv, capsys) == (1, "", error), argv
+    assert refused == 73
+    assert tuple(cli.MECHANISMS) == MECHANISM_IDS and tuple(cli.RULES) == RULE_KINDS
 
 
 def test_check_reads_bids_only_where_its_property_uses_them(fig3_file, tmp_path, capsys):
-    """The grid properties price every bid of their grid, so a missing
-    --bids file changes nothing there; the others fail on reading it."""
+    """The grid properties price every bid of their grid, so they refuse
+    --bids before opening it; the others fail on reading a missing file."""
     missing = str(tmp_path / "missing.json")
+    error = f"error: --bids only applies to {_READERS['bids']}\n"
     for prop in ("partly-truthful", "vcg-truthful"):
-        expected = main(["check", fig3_file, "--property", prop])
-        answer = capsys.readouterr()
-        assert main(["check", fig3_file, "--property", prop, "--bids", missing]) == expected
-        assert capsys.readouterr() == answer
+        assert main(["check", fig3_file, "--property", prop, "--bids", missing]) == 1
+        assert capsys.readouterr() == ("", error)
     for prop in ("critical", "strongly-critical", "group-truthful", "degenerate-vickrey"):
         assert main(["check", fig3_file, "--property", prop, "--bids", missing]) == 1
         assert "No such file or directory" in capsys.readouterr().err

@@ -186,6 +186,20 @@ def test_guarded_grid_exits_3_before_any_bid_is_built(ex1_file, fig3_file, capsy
     assert capsys.readouterr().err == "error: empty grid for agent e\n"
 
 
+def test_analyze_rejects_a_rule_its_mechanism_ignores(fig3_file, capsys):
+    """analyze builds its spec as run does, so --rule on vcg or fp-path
+    fails there as it does in run."""
+    error = "error: --rule only applies to mechanisms x and tradeoff1\n"
+    for command in ("analyze", "run"):
+        for mechanism in ("vcg", "fp-path"):
+            argv = [command, fig3_file, "--mechanism", mechanism, "--rule", "waterfall",
+                    "--delta", "1/2"]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == error
+    assert main(["analyze", fig3_file, "--mechanism", "x", "--rule", "waterfall",
+                 "--delta", "1/2"]) == 0
+
+
 def test_analyze_json(fig3_file, capsys):
     assert main(["analyze", fig3_file, "--mechanism", "vcg", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -202,6 +216,18 @@ def test_check_exit_codes(ex1_file, fig3_file, capsys):
     assert main(["check", fig3_file, "--property", "degenerate-vickrey"]) == 0
     assert main(["check", ex1_file, "--property", "group-truthful",
                  "--trials", "20", "--seed", "3"]) == 0
+
+
+def test_check_rejects_a_mechanism_its_property_ignores(fig3_file, capsys):
+    """Four properties fix their own rule, so --mechanism fails there before
+    anything is checked; partly-truthful and critical still take it."""
+    error = "error: --mechanism only applies to properties partly-truthful and critical\n"
+    for prop in ("vcg-truthful", "strongly-critical", "degenerate-vickrey", "group-truthful"):
+        assert main(["check", fig3_file, "--property", prop, "--mechanism", "fp-path"]) == 1
+        assert capsys.readouterr() == ("", error)
+    for prop in ("partly-truthful", "critical"):
+        main(["check", fig3_file, "--property", prop, "--mechanism", "fp-path"])
+        assert capsys.readouterr().out.startswith(f"{prop}: ")
 
 
 # Who reads each flag the tables decide, as the refusal names them.

@@ -27,16 +27,17 @@ on enumeration order; enumeration may be parallelized freely.
 Every operation prices whole grids, each once its profile count passes
 PROFILE_GUARD: every profile once, in one pass, into a flat list read by
 stride. A query that reads one line of a grid prices the grid that is
-that line, the fixed agents narrowed to one bid. A PathGame of any path
-rule, on a network within ENUMERATION_EDGE_GUARD in which each agent
-owns one edge, is compiled once per grid: its loopless paths are listed
-a single time, and one loop of the table prices the whole grid. Each
-profile ranks the paths lazily, only as deep as its rule reads, checking
-ties as it ranks; the winners are grouped once per ranking shape, and
-the payment formulas MechanismSpec.run uses (mechanisms._price) price
-the profile. Single-item games, larger networks, agents that own more
-than one edge and nonpositive bids run MechanismSpec.run per profile;
-that path is also the reference the compiled one is tested against.
+that line, the fixed agents narrowed to one bid. A PathGame on a
+network within ENUMERATION_EDGE_GUARD is compiled once per grid: its
+loopless paths are listed a single time, and one loop of the table
+prices the whole grid. Each profile ranks the paths lazily, only as deep
+as its rule reads, checking ties as it ranks; the winners are grouped
+once per ranking shape, and the payment formulas MechanismSpec.run uses
+(mechanisms._price) price the profile. Single-item games and networks
+past the edge guard run the game's own `run` per profile; that path is
+also the reference the compiled one is tested against. Input is checked
+where it enters: a PathGame refuses a single-item rule and an agent that
+owns several edges, and a BidGrid a nonpositive bid.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -72,6 +73,7 @@ from .mechanisms import (
     DistributionRule,
     MechanismSpec,
     PaymentResult,
+    _check_bids,
     _group_structure,
     _grouped,
     _price,
@@ -119,15 +121,31 @@ class SingleItemGame:
         return self.spec.orientation == "reverse"
 
     def run(self, bids: Mapping[str, Fraction]) -> PaymentResult:
+        _check_bids(bids, self.types, "auction's bidders")
         return _run_single_item(self.spec, bids, self.types)
 
 
 @dataclass(frozen=True)
 class PathGame:
-    """A path mechanism played on a fixed network (procurement side)."""
+    """A path mechanism played on a fixed network (procurement side).
+
+    `spec` names a path mechanism, as SingleItemGame's names a single-item
+    one, and each agent of the network owns one edge, the model's rule
+    (`validate` reports a breach; `detour_cost` would remove only such an
+    agent's first edge). Both are checked here, once.
+    """
 
     network: Network
     spec: MechanismSpec = MechanismSpec("x")
+
+    def __post_init__(self) -> None:
+        if self.spec.mechanism.endswith("-single"):
+            raise ValueError(f"{self.spec.mechanism!r} is not a path mechanism")
+        owners = set()
+        for edge in self.network.edges:
+            if edge.owner in owners:
+                raise ValueError(f"agent owns multiple edges: {edge.owner}")
+            owners.add(edge.owner)
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -147,11 +165,13 @@ class PathGame:
 
 @dataclass(frozen=True)
 class BidGrid:
-    """A finite, strictly increasing list of allowed bids per agent.
+    """A finite, strictly increasing list of positive bids per agent.
 
     No agent may have more than PROFILE_GUARD bids: every evaluator builds
     state for each of them, and best_response_set prices them all. The
-    constructors raise GridTooLarge before building any bid.
+    constructors raise GridTooLarge before building any bid. A nonpositive
+    bid is refused here, as MechanismSpec.run refuses it, so no evaluator
+    prices one.
     """
 
     bids_for: dict[str, tuple[Fraction, ...]]
@@ -163,6 +183,8 @@ class BidGrid:
             _require_grid_size(len(bids))
             if any(b2 <= b1 for b1, b2 in zip(bids, bids[1:])):
                 raise ValueError(f"grid for agent {agent} must be strictly increasing")
+            if bids[0] <= 0:
+                raise ValueError(f"nonpositive bid for {agent}")
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -416,21 +438,14 @@ def _compile(
 ) -> _PathTable | None:
     """The compiled path table of `game`, or None where only MechanismSpec.run applies.
 
-    Compiled: a PathGame of any path rule, on a network within
-    ENUMERATION_EDGE_GUARD in which each agent owns one edge and some
-    path joins source to sink, with strictly positive bids. Everything
-    else, including bids the reference rejects, runs the reference; a
-    spec's own fields were checked when it was built.
+    Compiled: a PathGame on a network within ENUMERATION_EDGE_GUARD in
+    which some path joins source to sink. The rest was checked where it
+    entered: a PathGame holds a path rule and one edge per agent, a
+    BidGrid positive bids, and a spec its own fields.
     """
-    if not isinstance(game, PathGame) or game.spec.mechanism.endswith("-single"):
+    if not isinstance(game, PathGame) or len(game.network.edges) > ENUMERATION_EDGE_GUARD:
         return None
     network = game.network
-    if len(network.edges) > ENUMERATION_EDGE_GUARD:
-        return None
-    if len({e.owner for e in network.edges}) != len(network.edges):
-        return None
-    if any(v <= 0 for vs in values for v in vs):
-        return None
     # The walk ignores costs; the routes' order is set here.
     walk = _walk_all(network, dict.fromkeys(agents, 0), frozenset(), frozenset(), network.source)
     routes = sorted(walk, key=lambda route: route[1])
@@ -797,14 +812,16 @@ def classify_consistency(
 @dataclass(frozen=True)
 class PropertyReport:
     name: str
-    verdict: str  # "holds" | "fails" | "holds-budget-exhausted"
+    # "holds" | "fails" | "holds-budget-exhausted" | "inconclusive" (no
+    # evidence either way, which does not hold).
+    verdict: str
     witnesses: tuple = ()
     counterexamples: tuple = ()
     detail: str = ""
 
     @property
     def holds(self) -> bool:
-        return self.verdict != "fails"
+        return self.verdict.startswith("holds")
 
 
 def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
@@ -930,7 +947,9 @@ def check_group_truthfulness(
     call, at which every bid, drawn change and group mean is whole; the
     rows of a counterexample convert back to Fractions. The verdict is
     budget-relative: it reports no counterexample found within the accepted
-    trials. More than 10,000 trials raise TooLarge before any path is listed.
+    trials, and is inconclusive, which does not hold, when none was
+    accepted. More than 10,000 trials raise TooLarge before any path is
+    listed.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -979,7 +998,10 @@ def check_group_truthfulness(
             counterexamples.append(
                 (q, trial_bids, Fraction(before[q]) / scale, Fraction(after) / scale)
             )
-    verdict = "fails" if counterexamples else "holds-budget-exhausted"
+    if counterexamples:
+        verdict = "fails"
+    else:
+        verdict = "holds-budget-exhausted" if accepted else "inconclusive"
     return PropertyReport(
         name="group-truthful",
         verdict=verdict,
@@ -1016,9 +1038,13 @@ def check_degenerate_vickrey(
     network: Network, bids: Mapping[str, Fraction] | None = None
 ) -> PropertyReport:
     """On a network whose cheapest path is a single edge, group sharing,
-    marginal pricing and a reverse second-price award must coincide."""
+    marginal pricing and a reverse second-price award must coincide.
+
+    Three computations meet: the runner-up cost of x's ranking, and the
+    winner's payment from an `x` run and from a `vcg` run, which prices
+    with its own detour search."""
     resolved = _resolve_bids(network, bids)
-    ranked, assignment = _group_structure(network, resolved)
+    ranked, _ = _group_structure(network, resolved)
     chosen = ranked.paths[0]
     if len(chosen.edges) != 1:
         return PropertyReport(
@@ -1027,9 +1053,8 @@ def check_degenerate_vickrey(
             detail="cheapest path is not a single edge",
         )
     winner = chosen.owners[0]
-    grouped = _grouped(assignment.group_of)
-    shared = _price(MechanismSpec("x"), resolved, ranked.costs, grouped)[0][winner]
-    marginal = _price(MechanismSpec("vcg"), resolved, ranked.costs, grouped)[0][winner]
+    shared = MechanismSpec("x").run(network, resolved).payments[winner]
+    marginal = MechanismSpec("vcg").run(network, resolved).payments[winner]
     runner_up = ranked.costs[1]
     ok = shared == marginal and shared == runner_up
     return PropertyReport(

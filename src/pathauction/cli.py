@@ -220,27 +220,8 @@ def _result_json(spec: MechanismSpec, result: PaymentResult) -> str:
     return json.dumps(payload, indent=2)
 
 
-_EXAMPLE1_NOTE = (
-    "note: payments follow p = detour(excluded) - detour(zeroed) exactly; "
-    "for B and C that gives 2 each (total 35), not the sometimes-quoted "
-    "1 each (total 33), which contradicts that formula."
-)
-
-
-@functools.cache
-def _example1_json() -> tuple[int, str]:
-    """Edge count and canonical JSON of the example1 fixture."""
-    example = fixture("example1")
-    return len(example.edges), network_to_json(example)
-
-
-def _is_example1(network: Network) -> bool:
-    edge_count, text = _example1_json()
-    return len(network.edges) == edge_count and network_to_json(network) == text
-
-
-def _print_result_table(network: Network, spec: MechanismSpec,
-                        bids: dict[str, Fraction], result: PaymentResult) -> None:
+def _print_result_table(spec: MechanismSpec, bids: dict[str, Fraction],
+                        result: PaymentResult) -> None:
     header = f"mechanism: {spec.mechanism}"
     if "rule" in MECHANISMS[spec.mechanism]:
         header += f" (rule={spec.rule.kind})"
@@ -292,9 +273,7 @@ def cmd_run(args) -> int:
     if args.format == "json":
         print(_result_json(spec, result))
     else:
-        _print_result_table(network, spec, bids, result)
-        if spec.mechanism == "vcg" and _is_example1(network):
-            print(_EXAMPLE1_NOTE)
+        _print_result_table(spec, bids, result)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyGroup,
@@ -136,19 +136,31 @@ class PaymentResult:
 # ---------------------------------------------------------------------------
 
 
-def _single_item(
-    bids: Mapping[str, Fraction],
-    orientation: str,
-    price: Callable[[Fraction, Fraction], Fraction],
-    types: Mapping[str, Fraction],
-) -> PaymentResult:
-    if len(bids) < 2:
-        raise ValueError("single-item auctions need at least two participants")
+def _check_bids(bids: Mapping[str, Fraction], bidders: Iterable[str], who: str) -> None:
+    """The one check of a bid profile: it names exactly `bidders` (`who` in
+    the message) and every bid is positive."""
+    if set(bids) != set(bidders):
+        raise ValueError(f"bid profile must cover exactly the {who}")
     for agent, value in bids.items():
         if value <= 0:
             raise ValueError(f"nonpositive bid for {agent}")
 
-    forward = orientation == "forward"
+
+def _run_single_item(
+    spec: MechanismSpec, bids: Mapping[str, Fraction], types: Mapping[str, Fraction]
+) -> PaymentResult:
+    """The single-item rule of a `*-single` spec, in the spec's orientation,
+    on bids _check_bids has checked. The winner's price is lam * own +
+    (1 - lam) * second: lam is 1 for fp-single, 0 for vickrey-single and
+    spec.lam, 1/2 by default, for avg-single."""
+    if len(bids) < 2:
+        raise ValueError("single-item auctions need at least two participants")
+    if spec.mechanism == "avg-single":
+        lam = Fraction(1, 2) if spec.lam is None else spec.lam
+    else:
+        lam = 1 if spec.mechanism == "fp-single" else 0
+
+    forward = spec.orientation == "forward"
     best = max(bids.values()) if forward else min(bids.values())
     winners = sorted(a for a, v in bids.items() if v == best)
     if len(winners) > 1:
@@ -156,7 +168,7 @@ def _single_item(
     winner = winners[0]
     rest = [v for a, v in bids.items() if a != winner]
     second = max(rest) if forward else min(rest)
-    amount = price(best, second)
+    amount = lam * best + (1 - lam) * second
 
     payments = {a: Fraction(0) for a in bids}
     utilities = {a: Fraction(0) for a in bids}
@@ -177,21 +189,6 @@ def _single_item(
     )
 
 
-def _run_single_item(
-    spec: MechanismSpec, bids: Mapping[str, Fraction], types: Mapping[str, Fraction]
-) -> PaymentResult:
-    """The single-item rule of a `*-single` spec, in the spec's orientation."""
-    if set(bids) != set(types):
-        raise ValueError("bid profile must cover exactly the auction's bidders")
-    lam = Fraction(1, 2) if spec.lam is None else spec.lam
-    price = {
-        "fp-single": lambda own, second: own,
-        "vickrey-single": lambda own, second: second,
-        "avg-single": lambda own, second: lam * own + (1 - lam) * second,
-    }[spec.mechanism]
-    return _single_item(bids, spec.orientation, price, types)
-
-
 # ---------------------------------------------------------------------------
 # Ranking prefix shared by the path mechanisms
 # ---------------------------------------------------------------------------
@@ -199,11 +196,7 @@ def _run_single_item(
 
 def _resolve_bids(network: Network, bids: Mapping[str, Fraction] | None) -> dict[str, Fraction]:
     resolved = dict(network.bid if bids is None else bids)
-    if set(resolved) != set(network.agents):
-        raise ValueError("bid profile must cover exactly the network's agents")
-    for agent, value in resolved.items():
-        if value <= 0:
-            raise ValueError(f"nonpositive bid for {agent}")
+    _check_bids(resolved, network.agents, "network's agents")
     return resolved
 
 

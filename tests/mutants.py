@@ -1,0 +1,135 @@
+"""Mutants of the source that the test suite must kill.
+
+Each mutant replaces one text of a module under src/pathauction, a text
+that occurs exactly once in src/, and names the test files of which at
+least one must fail under it. Run
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+to apply each patch in a temporary copy of the repository and run its
+test files there with pytest. It prints one line per mutant and exits 1
+unless every mutant is killed. pytest does not collect this file (its name
+does not start with test_); tests/test_mutants.py checks that each target
+text still occurs exactly once, so the list breaks loudly when the code
+moves. Add a mutant here when a change is proved by one.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pathauction"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/pathauction
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "tie-before-cut",
+        "analysis.py",
+        "            if tied and (top_two or not remaining):\n",
+        "            if tied:\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "trial-unit-without-bids",
+        "analysis.py",
+        'MechanismSpec("x", rule=rule), resolved.values(), factor)',
+        'MechanismSpec("x", rule=rule), (), factor)',
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "tradeoff1-switches-at-equality",
+        "mechanisms.py",
+        "    if saving * threshold.denominator > threshold.numerator * marginal_total:\n",
+        "    if saving * threshold.denominator >= threshold.numerator * marginal_total:\n",
+        ("tests/test_tradeoffs.py",),
+    ),
+    Mutant(
+        "tradeoff1-ranks-again",
+        "mechanisms.py",
+        "            chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of\n",
+        "            chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of\n"
+        '            if name == "tradeoff1":\n'
+        "                _group_structure(network, resolved)\n"
+        '                [detour_cost(network, a, "excluded", resolved) for a in chosen.owners]\n',
+        ("tests/test_tradeoffs.py",),
+    ),
+    Mutant(
+        "fp-single-at-lam-0",
+        "mechanisms.py",
+        '        lam = 1 if spec.mechanism == "fp-single" else 0\n',
+        "        lam = 0\n",
+        ("tests/test_mechanisms_single.py",),
+    ),
+    Mutant(
+        "bid-sign-unchecked",
+        "mechanisms.py",
+        "        if value <= 0:\n",
+        "        if False:\n",
+        ("tests/test_analysis.py", "tests/test_mechanisms_single.py"),
+    ),
+    Mutant(
+        "path-game-owners-unchecked",
+        "analysis.py",
+        "            if edge.owner in owners:\n",
+        "            if False:\n",
+        ("tests/test_analysis.py",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or 'error ...' when pytest could not run."""
+    with tempfile.TemporaryDirectory(prefix="pathauction-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT,
+            copy,
+            ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", "build", "*.egg-info"
+            ),
+        )
+        target = copy / "src" / "pathauction" / mutant.module
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "error: the target text does not occur exactly once"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        done = subprocess.run(
+            [*argv, *mutant.tests], cwd=copy, env=env, capture_output=True, text=True
+        )
+    return {0: "survived", 1: "killed"}.get(done.returncode, f"error: pytest exit {done.returncode}")
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    verdicts = []
+    for mutant in [known[n] for n in names] or MUTANTS:
+        verdicts.append(run(mutant))
+        print(f"{mutant.name:<32}{verdicts[-1]}", flush=True)
+    return 0 if all(v == "killed" for v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pathauction import mechanisms
 from pathauction import (
     EQUAL_SPLIT,
     BidGrid,
@@ -511,9 +512,10 @@ def test_group_truthfulness_enumerates_once_and_runs_nothing(monkeypatch, exampl
 def test_group_truthfulness_rejects_negative_trials(fig2):
     with pytest.raises(ValueError, match="trials must be nonnegative"):
         check_group_truthfulness(fig2, trials=-5)
-    assert check_group_truthfulness(fig2, trials=0).detail == (
-        "0 ranking-preserving perturbations accepted of 0 trials"
-    )
+    untested = check_group_truthfulness(fig2, trials=0)
+    assert untested.detail == "0 ranking-preserving perturbations accepted of 0 trials"
+    assert untested.verdict == "inconclusive"
+    assert not untested.holds
 
 
 def test_vcg_truthful_checker(fig2):
@@ -524,6 +526,16 @@ def test_vcg_truthful_checker(fig2):
 def test_degenerate_vickrey_checker(fig3, example1):
     assert check_degenerate_vickrey(fig3).holds
     assert not check_degenerate_vickrey(example1).holds
+
+
+def test_degenerate_vickrey_checks_the_vcg_run_against_the_ranking(monkeypatch, fig3):
+    """The vcg payment comes from a run with its own detour search, so a
+    detour one unit too dear breaks the check on a one-edge cheapest path."""
+    detour = mechanisms.detour_cost
+    monkeypatch.setattr(mechanisms, "detour_cost", lambda *args: detour(*args) + 1)
+    report = check_degenerate_vickrey(fig3)
+    assert report.verdict == "fails" and not report.holds
+    assert report.detail == "winner e paid 5"
 
 
 @pytest.mark.parametrize(
@@ -547,6 +559,30 @@ def test_degenerate_vickrey_checker(fig3, example1):
 def test_checkers_reject_invalid_bid_profiles(fig3, checker, broken, message):
     with pytest.raises(ValueError, match=message):
         checker(fig3, broken(dict(fig3.true_cost)))
+
+
+@pytest.mark.parametrize("mechanism", ["fp-single", "vickrey-single", "avg-single"])
+def test_path_game_refuses_a_single_item_rule(fig3, mechanism):
+    with pytest.raises(ValueError, match=f"^'{mechanism}' is not a path mechanism$"):
+        PathGame(fig3, MechanismSpec(mechanism))
+
+
+def test_path_game_refuses_an_agent_that_owns_two_edges():
+    edges = (Edge("e1", "X", "Y", "a"), Edge("e2", "X", "Y", "b"), Edge("e3", "X", "Y", "a"))
+    costs = {"a": F(1), "b": F(2)}
+    net = Network(("X", "Y"), edges, "X", "Y", costs, dict(costs))
+    with pytest.raises(ValueError, match="^agent owns multiple edges: a$"):
+        PathGame(net, MechanismSpec("vcg"))
+
+
+@pytest.mark.parametrize("bids", [(F(0), F(1)), (F(-3), F(-1, 2))], ids=["zero", "negative"])
+def test_bid_grid_refuses_a_nonpositive_bid(fig3, bids):
+    with pytest.raises(ValueError, match="^nonpositive bid for f$"):
+        BidGrid({"e": (F(1), F(2)), "f": bids})
+    game = PathGame(fig3, MechanismSpec("x"))
+    grid = BidGrid.procurement(fig3.true_cost, F(1), 1)
+    with pytest.raises(ValueError, match="^nonpositive bid for f$"):
+        selection_probability(game, grid, "f", F(0))
 
 
 def test_single_item_game_runs_the_spec_of_the_network_run(fig3):

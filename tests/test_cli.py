@@ -82,7 +82,7 @@ def test_run_marginal_with_note(ex1_file, capsys):
     assert main(["run", ex1_file, "--mechanism", "vcg", "--bids", "truthful"]) == 0
     out = capsys.readouterr().out
     assert "total: 35" in out
-    assert "note:" in out
+    assert "note:" not in out
 
 
 def test_run_switch_uses_group_branch(ex1_file, capsys):

@@ -100,3 +100,16 @@ def test_bid_profile_must_match_the_bidders(bids):
     game = SingleItemGame({"p": F(3), "q": F(5)}, VICKREY_FORWARD)
     with pytest.raises(ValueError, match="bid profile must cover exactly the auction's bidders"):
         game.run(bids)
+
+
+@pytest.mark.parametrize("orientation", ["forward", "reverse"])
+@pytest.mark.parametrize("mechanism, lam", [("fp-single", F(1)), ("vickrey-single", F(0))])
+def test_first_and_second_price_are_the_blend_at_its_ends(fig3, mechanism, lam, orientation):
+    """fp-single is avg-single at lam 1 and vickrey-single at lam 0, over a
+    type vector and over a network's agents alike."""
+    spec = MechanismSpec(mechanism, orientation=orientation)
+    blend = MechanismSpec("avg-single", lam=lam, orientation=orientation)
+    for bids in (THREE, {"p": F(9, 2), "q": F(2)}):
+        assert SingleItemGame(bids, spec).run(bids) == SingleItemGame(bids, blend).run(bids)
+    bids = {"e": F(2), "f": F(9, 2)}
+    assert spec.run(fig3, bids) == blend.run(fig3, bids)

@@ -82,8 +82,8 @@ def test_zeroed_detour_identity(random_nets_200):
 
 def test_excluded_detour_is_the_first_absence(random_nets_200):
     """The cheapest path avoiding a cheapest-path agent is the first ranked
-    path without it, so its cost is costs[group]; tradeoff1 and
-    check_degenerate_vickrey price marginal payments from this."""
+    path without it, so its cost is costs[group]; tradeoff1 prices marginal
+    payments from this."""
     for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200:
         ranked, assignment, _ = group_structure(net, net.true_cost)
         for agent, q in assignment.group_of.items():

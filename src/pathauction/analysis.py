@@ -36,8 +36,9 @@ once per ranking shape, and the payment formulas MechanismSpec.run uses
 (mechanisms._price) price the profile. Single-item games and networks
 past the edge guard run the game's own `run` per profile; that path is
 also the reference the compiled one is tested against. Input is checked
-where it enters: a PathGame refuses a single-item rule and an agent that
-owns several edges, and a BidGrid a nonpositive bid.
+where it enters: a PathGame refuses a single-item rule and any network
+`validate` rejects, so no winner owns a cut and the table's ranking
+never runs out; a BidGrid refuses a nonpositive bid.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -130,9 +131,10 @@ class PathGame:
     """A path mechanism played on a fixed network (procurement side).
 
     `spec` names a path mechanism, as SingleItemGame's names a single-item
-    one, and each agent of the network owns one edge, the model's rule
-    (`validate` reports a breach; `detour_cost` would remove only such an
-    agent's first edge). Both are checked here, once.
+    one, and the network keeps every model rule: the game raises
+    ValueError with the first violation `validate` reports. So each agent
+    owns one edge and none owns a cut, and every winner has a detour.
+    Both are checked here, once.
     """
 
     network: Network
@@ -141,11 +143,8 @@ class PathGame:
     def __post_init__(self) -> None:
         if self.spec.mechanism.endswith("-single"):
             raise ValueError(f"{self.spec.mechanism!r} is not a path mechanism")
-        owners = set()
-        for edge in self.network.edges:
-            if edge.owner in owners:
-                raise ValueError(f"agent owns multiple edges: {edge.owner}")
-            owners.add(edge.owner)
+        if violations := validate(self.network):
+            raise ValueError(str(violations[0]))
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -231,9 +230,12 @@ def _require_grid_size(bids: int) -> None:
         raise GridTooLarge(f"{bids} bids for one agent exceed {PROFILE_GUARD}")
 
 
-def _require_cover(game, grid: BidGrid) -> None:
+def _require_cover(game, grid: BidGrid, agent: str | None = None) -> None:
+    """ValueError unless `grid` covers exactly the game's agents, `agent` among them."""
     if set(grid.agents) != set(game.agents):
         raise ValueError("grid must cover exactly the game's agents")
+    if agent is not None and agent not in grid.bids_for:
+        raise ValueError(f"unknown agent {agent!r}")
 
 
 def _require_enumerable(size: int) -> None:
@@ -303,11 +305,11 @@ class _PathTable:
 
     `outcomes` prices every profile of the grid in one loop. It ranks
     until every winner has been absent once (fp-path stops at two) and
-    compares each rank with the one before it as it is ranked. The
-    verdicts keep the run's precedence: a tie of the two cheapest paths
-    (fp-path, vcg) scores None at once; a ranking that runs out (a winner
-    owns a cut) is left to `reference`, the game's run, to raise; only
-    then does a tie within a group rule's prefix score None. The ranking's
+    compares each rank with the one before it as it is ranked. A tie the
+    rule reads (of the two cheapest paths for fp-path and vcg, anywhere
+    in the prefix for the group rules) ends the ranking and scores None,
+    the run's TieError. The ranking never runs out: a PathGame's network
+    has no cut, so every winner is absent from some path. The ranking's
     shape, its first path and each winner's first absence, keys `shapes`,
     which holds the winners grouped as mechanisms._price reads them (agent
     positions for keys) and the selected set, built the first time the
@@ -334,7 +336,6 @@ class _PathTable:
         paths: tuple[tuple[int, ...], ...],
     ):
         self.owners = paths
-        self.reference = game.run
         bits = [1 << i for i in range(len(agents))]
         self.masks = [sum(map(bits.__getitem__, owners)) for owners in paths]
         # Per ranking shape priced so far, its winners grouped and its selected set.
@@ -360,7 +361,7 @@ class _PathTable:
         spec, true_scaled, shapes = self.spec, self.true_scaled, self.shapes
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
-        n, m = len(scan), len(self.agents)
+        m = len(self.agents)
         outcomes: list[_Outcome | None] = []
         emit = outcomes.append
         for bids in itertools.product(*self.scaled):
@@ -376,7 +377,7 @@ class _PathTable:
                         heappush(heap, (sum(map(bid_of, owners[j])), j))
                         s += 1
                     cost, j = heappop(heap)
-                elif s < n:
+                else:
                     # A path below the next bound ranks at once, without the heap.
                     j = scan[s]
                     cost = sum(map(bid_of, owners[j]))
@@ -384,16 +385,13 @@ class _PathTable:
                     if bounds[s] <= cost:
                         heappush(heap, (cost, j))
                         continue
-                else:
-                    break
                 if not ranked:
                     ranked.append(cost)
                     shape, remaining = [j], masks[j]
                     continue
                 if cost == ranked[-1] and (len(ranked) == 1 or not top_two):
                     tied = True
-                    if top_two:
-                        break
+                    break
                 ranked.append(cost)
                 if name == "fp-path":
                     break
@@ -402,14 +400,9 @@ class _PathTable:
                     shape += (len(ranked) - 1, gone)
                     if not remaining:
                         break
-            # A top-two tie scores None first; a ranking that runs out goes to
-            # the reference, which raises; only then does any other tie.
-            if tied and (top_two or not remaining):
+            if tied:
                 emit(None)
                 continue
-            if remaining and name != "fp-path":
-                self.reference({a: Fraction(b, self.scale) for a, b in zip(self.agents, bids)})
-                raise AssertionError("the reference priced a profile with a cut winner")
             key = tuple(shape)
             grouped = shapes.get(key)
             if grouped is None:
@@ -438,10 +431,9 @@ def _compile(
 ) -> _PathTable | None:
     """The compiled path table of `game`, or None where only MechanismSpec.run applies.
 
-    Compiled: a PathGame on a network within ENUMERATION_EDGE_GUARD in
-    which some path joins source to sink. The rest was checked where it
-    entered: a PathGame holds a path rule and one edge per agent, a
-    BidGrid positive bids, and a spec its own fields.
+    Compiled: a PathGame on a network within ENUMERATION_EDGE_GUARD. The
+    rest was checked where it entered: a PathGame holds a path rule and a
+    valid network, a BidGrid positive bids, and a spec its own fields.
     """
     if not isinstance(game, PathGame) or len(game.network.edges) > ENUMERATION_EDGE_GUARD:
         return None
@@ -449,8 +441,6 @@ def _compile(
     # The walk ignores costs; the routes' order is set here.
     walk = _walk_all(network, dict.fromkeys(agents, 0), frozenset(), frozenset(), network.source)
     routes = sorted(walk, key=lambda route: route[1])
-    if not routes:
-        return None
     index = {a: i for i, a in enumerate(agents)}
     owners = tuple(tuple(map(index.__getitem__, route[2])) for route in routes)
     true_cost = tuple(network.true_cost[a] for a in agents)
@@ -543,7 +533,7 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     vector violates the mechanism's preconditions are excluded from the
     count entirely.
     """
-    _require_cover(game, grid)
+    _require_cover(game, grid, agent)
     ev = _Evaluator(game, _line(grid, {agent: bid}))
     return _selection_probability(agent, ev.outcomes)
 
@@ -569,7 +559,7 @@ def best_response_set(
 
     Profiles that hit a cost tie score as "not selected, utility 0".
     """
-    _require_cover(game, grid)
+    _require_cover(game, grid, agent)
     others = tuple(a for a in grid.agents if a != agent)
     if set(opponent_profile) != set(others):
         raise ValueError("opponent profile must cover exactly the other agents")
@@ -658,6 +648,7 @@ def agent_optimal_bids(
     """
     if mode not in MODES:
         raise ValueError(f"unknown strategy mode {mode!r}")
+    _require_cover(game, grid, agent)
     ev = _Evaluator(game, grid)
     return tuple(grid.bids_for[agent][p] for p in _optimal_positions(ev, agent, mode))
 

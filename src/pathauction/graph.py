@@ -645,8 +645,10 @@ def detour_cost(
 
     mode "excluded": the agent's edge is removed entirely (the agent must
     not own a cut). mode "zeroed": the agent's edge is kept but priced at
-    zero.
+    zero. An agent that owns no edge is a ValueError.
     """
+    if agent not in network._edge_of_owner:
+        raise ValueError(f"unknown agent {agent!r}")
     scaled, scale = _scaled_costs(network, costs)
     if mode == "excluded":
         route = _best_path(

@@ -39,13 +39,6 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "tie-before-cut",
-        "analysis.py",
-        "            if tied and (top_two or not remaining):\n",
-        "            if tied:\n",
-        ("tests/test_compiled_evaluator.py",),
-    ),
-    Mutant(
         "trial-unit-without-bids",
         "analysis.py",
         'MechanismSpec("x", rule=rule), resolved.values(), factor)',
@@ -84,11 +77,11 @@ MUTANTS = (
         ("tests/test_analysis.py", "tests/test_mechanisms_single.py"),
     ),
     Mutant(
-        "path-game-owners-unchecked",
+        "path-game-network-unchecked",
         "analysis.py",
-        "            if edge.owner in owners:\n",
-        "            if False:\n",
-        ("tests/test_analysis.py",),
+        "        if violations := validate(self.network):\n",
+        "        if violations := []:\n",
+        ("tests/test_analysis.py", "tests/test_compiled_evaluator.py"),
     ),
 )
 

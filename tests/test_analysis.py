@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -559,6 +561,57 @@ def test_degenerate_vickrey_checks_the_vcg_run_against_the_ranking(monkeypatch, 
 def test_checkers_reject_invalid_bid_profiles(fig3, checker, broken, message):
     with pytest.raises(ValueError, match=message):
         checker(fig3, broken(dict(fig3.true_cost)))
+
+
+_NOBODY = "unknown agent 'nobody'"
+_BUDGETS = "need room for at least two parallel edges"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda game, grid: best_response_set(game, grid, "nobody", dict(game.types)), _NOBODY),
+        (lambda game, grid: agent_optimal_bids(game, grid, "nobody"), _NOBODY),
+        (lambda game, grid: selection_probability(game, grid, "nobody", F(2)), _NOBODY),
+        (lambda game, grid: selection_probability(game, BidGrid({"a": (F(1),)}), "a", F(1)),
+         "grid must cover exactly the game's agents"),
+        (lambda game, grid: best_response_set(game, grid, "a", {}),
+         "opponent profile must cover exactly the other agents"),
+        (lambda game, grid: best_response_set(game, grid, "a", {"b": F(9), "c": F(1), "d": F(5)}),
+         "bid 9 for b is off the grid"),
+        (lambda game, grid: agent_optimal_bids(game, grid, "a", "sideways"),
+         "unknown strategy mode 'sideways'"),
+        (lambda game, grid: alignment_report(game, grid, "sideways"),
+         "unknown strategy mode 'sideways'"),
+        (lambda game, grid: classify_consistency([]), "need at least one instance"),
+        (lambda game, grid: classify_consistency([_tied_fig2(game)]),
+         "an instance admitted no tie-free profile at all"),
+        (lambda game, grid: BidGrid({"a": (F(2), F(2))}),
+         "grid for agent a must be strictly increasing"),
+        (lambda game, grid: BidGrid.forward({"a": F(3)}, F(0)), "unit must be positive"),
+        (lambda game, grid: BidGrid.forward({"a": F(1, 2)}),
+         "type 1/2 of a is below one currency unit"),
+        (lambda game, grid: random_network(0, node_budget=1), _BUDGETS),
+        (lambda game, grid: random_network(0, edge_budget=1), _BUDGETS),
+        (lambda game, grid: MechanismSpec("nope"), "unknown mechanism 'nope'"),
+    ],
+    ids=["best-response-agent", "optimal-bids-agent", "selection-agent", "grid-cover",
+         "opponent-cover", "opponent-off-grid", "optimal-bids-mode", "report-mode",
+         "empty-suite", "inadmissible-suite", "grid-order", "forward-unit", "forward-type",
+         "node-budget", "edge-budget", "mechanism-id"],
+)
+def test_arguments_outside_their_domain_are_refused(fig2, call, message):
+    game, grid = _vcg_game(fig2, cap=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(game, grid)
+
+
+def _tied_fig2(game):
+    """fig2's game with d's true cost 3, the series path's, and the grid of
+    truthful bids, whose one profile ties."""
+    costs = {**game.network.true_cost, "d": F(3)}
+    net = dataclasses.replace(game.network, true_cost=costs, bid=dict(costs))
+    return PathGame(net, game.spec), BidGrid.procurement(costs, F(1), 0)
 
 
 @pytest.mark.parametrize("mechanism", ["fp-single", "vickrey-single", "avg-single"])

@@ -9,6 +9,7 @@ back to Fractions first.
 import gc
 import re
 import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -327,55 +328,51 @@ def test_tradeoff1_switch_is_exact_at_the_threshold(threshold, branch, total):
 _CUT = [("a", "X", "M", 1), ("b", "M", "Y", 1), ("c", "M", "Y", 2)]
 _NO_PATH = [("a", "X", "M", 1), ("b", "Y", "M", 1)]
 _ON_EVERY_PATH = "agents ['a'] appear on every source-to-sink path"
-# The reference's message per (mechanism, error), pinned on both pricers.
-_MESSAGES = {
-    ("vcg", Disconnected): "removing agent a disconnects the network",
-    ("x", InsufficientPaths): _ON_EVERY_PATH,
-    ("tradeoff2", InsufficientPaths): _ON_EVERY_PATH,
-    ("x", Disconnected): "no path X -> Y",
-}
+# With b and c at 2 the two paths of _CUT tie at 3.
+_TIED = {"a": F(1), "b": F(2), "c": F(2)}
 
 
 @pytest.mark.parametrize(
-    "rows, mechanism, error",
+    "net, message",
     [
-        (_CUT, "vcg", Disconnected),
-        (_CUT, "x", InsufficientPaths),
-        (_NO_PATH, "x", Disconnected),
-        (_CUT, "tradeoff2", InsufficientPaths),
+        (_net(_CUT), "agent owns a cut: a"),
+        (_net(_NO_PATH), "disconnected: no path X -> Y"),
+        (
+            replace(_net([("a", "X", "Y", 1), ("b", "X", "Y", 2)]), bid={"a": F(0), "b": F(2)}),
+            "nonpositive cost: bid a=0",
+        ),
     ],
+    ids=["cut", "no-path", "nonpositive-bid"],
 )
-def test_errors_match_reference(monkeypatch, rows, mechanism, error):
-    net = _net(rows)
-    game = PathGame(net, MechanismSpec(mechanism))
-    grid = BidGrid.procurement(net.true_cost, F(1), 1)
-    message = f"^{re.escape(_MESSAGES[mechanism, error])}$"
-    with pytest.raises(error, match=message):
-        check_vcg_truthful(game, grid)
-    monkeypatch.setattr(analysis, "_compile", lambda *args: None)
-    with pytest.raises(error, match=message):
-        check_vcg_truthful(game, grid)
+def test_path_game_refuses_what_validate_rejects(net, message):
+    """No grid is priced on an invalid network, so the table never meets a
+    winner without a detour."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PathGame(net, MechanismSpec("x"))
 
 
-@pytest.mark.parametrize("mechanism, error", [
-    ("fp-path", None), ("vcg", None), ("x", InsufficientPaths), ("tradeoff2", InsufficientPaths)
-])
-def test_tie_and_cut_keep_the_reference_precedence(monkeypatch, mechanism, error):
-    """With a at 1 and b, c at 2 the two paths tie and a owns a cut. A
-    top-two tie scores the profile as a tie before the cut is seen; a group
-    rule's ranking runs out first, and the reference's error wins."""
-    net = _net(_CUT)
-    game = PathGame(net, MechanismSpec(mechanism))
-    grid = BidGrid({"a": (F(1),), "b": (F(2),), "c": (F(2),)})
-    for compiled in (True, False):
-        if not compiled:
-            monkeypatch.setattr(analysis, "_compile", lambda *args: None)
-        if error is None:
-            ev = analysis._Evaluator(game, grid)
-            assert (ev._table is not None) == compiled and ev.outcomes == [None]
-        else:
-            with pytest.raises(error, match=f"^{re.escape(_ON_EVERY_PATH)}$"):
-                analysis._Evaluator(game, grid)
+@pytest.mark.parametrize(
+    "rows, mechanism, bids, error, message",
+    [
+        (_CUT, "vcg", None, Disconnected, "removing agent a disconnects the network"),
+        (_CUT, "x", None, InsufficientPaths, _ON_EVERY_PATH),
+        (_CUT, "tradeoff2", None, InsufficientPaths, _ON_EVERY_PATH),
+        (_NO_PATH, "x", None, Disconnected, "no path X -> Y"),
+        (_CUT, "fp-path", _TIED, TieError, "paths ranked 1 and 2 tie at cost 3"),
+        (_CUT, "vcg", _TIED, TieError, "paths ranked 1 and 2 tie at cost 3"),
+        (_CUT, "x", _TIED, InsufficientPaths, _ON_EVERY_PATH),
+        (_CUT, "tradeoff2", _TIED, InsufficientPaths, _ON_EVERY_PATH),
+    ],
+    ids=["vcg-cut", "x-cut", "tradeoff2-cut", "x-no-path", "fp-path-tie", "vcg-tie", "x-tie",
+         "tradeoff2-tie"],
+)
+def test_reference_run_errors_on_raw_networks(rows, mechanism, bids, error, message):
+    """MechanismSpec.run takes networks no PathGame holds. fp-path and vcg
+    read only the two cheapest paths, so they report the tie on _CUT; a
+    group rule's ranking runs out first, and that is reported before any
+    tie."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        MechanismSpec(mechanism).run(_net(rows), bids)
 
 
 def test_out_of_range_spec_fields_raise_at_construction():

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -16,14 +19,18 @@ from pathauction import (
     Network,
     TieError,
     TooLarge,
+    bids_from_json,
+    bids_to_json,
     detour_cost,
     enumerate_paths,
     iter_ranked_paths,
     fixture,
+    load_network,
     network_from_json,
     network_to_json,
     random_network,
     rank_paths,
+    save_network,
     shortest_path,
     validate,
 )
@@ -66,6 +73,32 @@ def test_duplicate_owner_and_unknown_node_flagged():
     rules = {v.rule for v in validate(net)}
     assert "agent owns multiple edges" in rules
     assert "unknown node" in rules
+
+
+_PAIR = _net([("a", "X", "Y", 1), ("b", "X", "Y", 2)], "X", "Y")
+
+
+@pytest.mark.parametrize(
+    "changes, violations",
+    [
+        ({"nodes": ("X", "Y", "X")}, ["duplicate node: nodes list repeats a name"]),
+        ({"source": "S"}, ["unknown node: source 'S'"]),
+        ({"sink": "X"}, ["source equals sink: X"]),
+        (
+            {"edges": (Edge("a", "X", "Y", "a"), Edge("a", "X", "Y", "b"))},
+            ["duplicate edge id: a"],
+        ),
+        ({"true_cost": {"a": Fraction(1)}}, ["missing cost: true_cost for agent b"]),
+        (
+            {"bid": {"a": Fraction(1), "b": Fraction(2), "z": Fraction(3)}},
+            ["unexpected cost entry: bid for z"],
+        ),
+    ],
+    ids=["duplicate-node", "unknown-node", "source-is-sink", "duplicate-edge", "missing-cost",
+         "unexpected-cost"],
+)
+def test_validate_names_each_structural_violation(changes, violations):
+    assert [str(v) for v in validate(dataclasses.replace(_PAIR, **changes))] == violations
 
 
 def test_disconnected_flagged():
@@ -238,9 +271,23 @@ _ALL_TIED = _multigraph(
 )
 
 
+# The source's tight walk takes e00, then the zero-cost e01 into v2, whose
+# only way on is back to v1: the first path falls back to exhaustive search.
+_ZERO_CYCLE = _multigraph(
+    4,
+    [
+        ("e00", "v0", "v1", 0),
+        ("e01", "v1", "v2", 0),
+        ("e02", "v2", "v1", 0),
+        ("e03", "v1", "v3", 1),
+    ],
+)
+
+
 @settings(max_examples=600, deadline=None)
 @given(_multigraphs())
 @example(_ALL_TIED)
+@example(_ZERO_CYCLE)
 def test_ranking_yields_the_enumeration_order(net):
     """Tie verdicts that read the ranked order depend on this equality."""
     try:
@@ -460,10 +507,73 @@ def test_detour_costs_example1(example1, agent, mode, expected):
     assert detour_cost(example1, agent, mode, example1.true_cost) == expected
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda net: rank_paths(net, k=0), "k must be a positive integer"),
+        (lambda net: detour_cost(net, "A", "sideways"), "unknown detour mode 'sideways'"),
+        (lambda net: detour_cost(net, "nobody", "excluded"), "unknown agent 'nobody'"),
+        (lambda net: detour_cost(net, "nobody", "zeroed"), "unknown agent 'nobody'"),
+    ],
+    ids=["k-zero", "unknown-mode", "unknown-agent-excluded", "unknown-agent-zeroed"],
+)
+def test_searches_refuse_arguments_outside_their_domain(example1, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(example1)
+
+
 def test_json_round_trip_is_byte_exact(example1):
     text = network_to_json(example1)
     again = network_to_json(network_from_json(text))
     assert text == again
+
+
+def test_files_round_trip(example1, tmp_path):
+    path = tmp_path / "net.json"
+    save_network(example1, str(path))
+    assert network_to_json(load_network(str(path))) == network_to_json(example1)
+    bids = {**example1.bid, "A": Fraction(7, 3)}
+    assert bids_from_json(bids_to_json(bids), example1) == bids
+
+
+def _edited(edit):
+    """A valid two-edge network file, its parsed JSON changed by `edit`."""
+    raw = json.loads(network_to_json(_PAIR))
+    edit(raw)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (network_from_json, "[]", "network file must be a JSON object"),
+        (network_from_json, _edited(lambda raw: raw.pop("sink")),
+         "missing network keys: ['sink']"),
+        (network_from_json, _edited(lambda raw: raw.update(nodes="XY")),
+         "nodes must be an array of strings"),
+        (network_from_json, _edited(lambda raw: raw.update(edges={})),
+         "edges must be an array of objects"),
+        (network_from_json, _edited(lambda raw: raw["edges"].append("c")),
+         "each edge must be a JSON object"),
+        (network_from_json, _edited(lambda raw: raw["edges"][0].update(weight=1)),
+         "unknown edge keys: ['weight']"),
+        (network_from_json, _edited(lambda raw: raw["edges"][0].pop("owner")),
+         "edge missing keys: ['owner']"),
+        (network_from_json, _edited(lambda raw: raw["edges"][0].update(to=2)),
+         "edge field to must be a string"),
+        (network_from_json, _edited(lambda raw: raw["edges"][1].update(owner="a")),
+         "agent a appears on more than one edge"),
+        (network_from_json, _edited(lambda raw: raw.update(source=None)),
+         "source must be a string"),
+        (bids_from_json, '["1"]', "bid file must be a JSON object"),
+    ],
+    ids=["not-an-object", "missing-key", "nodes", "edges", "edge-not-an-object",
+         "unknown-edge-key", "edge-missing-key", "edge-field", "shared-owner", "source",
+         "bids-not-an-object"],
+)
+def test_json_refuses_each_malformed_file(parse, text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def test_json_rejects_unknown_keys(example1):

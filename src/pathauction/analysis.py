@@ -25,8 +25,8 @@ inside best-response evaluation. All reports are canonically ordered
 on enumeration order; enumeration may be parallelized freely.
 
 Every operation prices whole grids, each once its profile count passes
-PROFILE_GUARD: every profile once, in one pass, into a flat list read by
-stride. A query that reads one line of a grid prices the grid that is
+PROFILE_GUARD: every profile once, in one pass, into columns read by
+stride (see _Evaluator). A query that reads one line of a grid prices the grid that is
 that line, the fixed agents narrowed to one bid. A PathGame on a
 network within ENUMERATION_EDGE_GUARD is compiled once per grid: its
 loopless paths are listed a single time, and one loop of the table
@@ -51,14 +51,13 @@ converts back to a Fraction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     Disconnected,
@@ -256,19 +255,6 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 # ---------------------------------------------------------------------------
 
 
-class _Outcome(NamedTuple):
-    """One profile's outcome, its money in units of 1/scale of its evaluator.
-
-    Utilities align with the sorted agent order. Compiled outcomes hold
-    ints, or exact Fractions where a reverse-rank share is not whole at the
-    table's scale; reference outcomes hold the run's Fractions at scale 1.
-    """
-
-    utilities: tuple
-    mechanism_utility: int | Fraction
-    selected: frozenset[str]
-
-
 def _units(value: Fraction, scale: int) -> int:
     """`value` in units of 1/scale, for a scale its denominator divides."""
     return value.numerator * (scale // value.denominator)
@@ -303,18 +289,20 @@ class _PathTable:
     `enumerate_paths` and `iter_ranked_paths`, so the tie checks see the
     same ranks as MechanismSpec.run and give the same verdicts.
 
-    `outcomes` prices every profile of the grid in one loop. It ranks
-    until every winner has been absent once (fp-path stops at two) and
-    compares each rank with the one before it as it is ranked. A tie the
-    rule reads (of the two cheapest paths for fp-path and vcg, anywhere
-    in the prefix for the group rules) ends the ranking and scores None,
-    the run's TieError. The ranking never runs out: a PathGame's network
-    has no cut, so every winner is absent from some path. The ranking's
-    shape, its first path and each winner's first absence, keys `shapes`,
-    which holds the winners grouped as mechanisms._price reads them (agent
-    positions for keys) and the selected set, built the first time the
-    shape is priced. mechanisms._price, the formulas MechanismSpec.run
-    uses, then pays the profile from the ranked costs.
+    `fill` prices every profile of the grid in one loop, into _Evaluator's
+    columns. It ranks until every winner has been absent once (fp-path
+    stops at two) and compares each rank with the one before it as it is
+    ranked. A tie the rule reads (of the two cheapest paths for fp-path and
+    vcg, anywhere in the prefix for the group rules) ends the ranking and
+    leaves the profile's prefilled tie entries, the run's TieError. The
+    ranking never runs out: a PathGame's network has no cut, so every
+    winner is absent from some path. The ranking's shape, its first path
+    and each winner's first absence, keys `shapes`, which holds the winners
+    grouped as mechanisms._price reads them (agent positions for keys) and
+    their selected mask, built the first time the shape is priced.
+    mechanisms._price, the formulas MechanismSpec.run uses, then pays the
+    profile from the ranked costs, and only the winners' utilities are
+    written.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -330,18 +318,16 @@ class _PathTable:
     def __init__(
         self,
         game: PathGame,
-        agents: tuple[str, ...],
         values: tuple[tuple[Fraction, ...], ...],
         true_cost: tuple[Fraction, ...],
         paths: tuple[tuple[int, ...], ...],
     ):
         self.owners = paths
-        bits = [1 << i for i in range(len(agents))]
+        bits = [1 << i for i in range(len(values))]
         self.masks = [sum(map(bits.__getitem__, owners)) for owners in paths]
-        # Per ranking shape priced so far, its winners grouped and its selected set.
-        self.shapes: dict[tuple, tuple[tuple, frozenset[str]]] = {}
+        # Per ranking shape priced so far, its winners grouped and its selected mask.
+        self.shapes: dict[tuple, tuple[tuple, int]] = {}
         self.mechanism = game.spec.mechanism
-        self.agents = agents
         factor = 1
         if self.mechanism in ("x", "tradeoff1", "tradeoff3"):
             factor = math.lcm(*range(1, max(map(len, paths)) + 1))
@@ -355,16 +341,13 @@ class _PathTable:
         self.scan = sorted(range(len(paths)), key=bounds.__getitem__)
         self.bounds = [bounds[j] for j in self.scan] + [math.inf]
 
-    def outcomes(self) -> list[_Outcome | None]:
-        """The outcome of every profile of the scaled grid, in product order."""
+    def fill(self, utilities: list[list], mechanism: list, selected: list[int]) -> None:
+        """Price every profile of the scaled grid, in product order, into the columns."""
         owners, masks, scan, bounds = self.owners, self.masks, self.scan, self.bounds
         spec, true_scaled, shapes = self.spec, self.true_scaled, self.shapes
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
-        m = len(self.agents)
-        outcomes: list[_Outcome | None] = []
-        emit = outcomes.append
-        for bids in itertools.product(*self.scaled):
+        for p, bids in enumerate(itertools.product(*self.scaled)):
             bid_of = bids.__getitem__
             heap: list[tuple[int, int]] = []
             ranked: list[int] = []
@@ -401,29 +384,27 @@ class _PathTable:
                     if not remaining:
                         break
             if tied:
-                emit(None)
                 continue
             key = tuple(shape)
             grouped = shapes.get(key)
             if grouped is None:
                 grouped = shapes[key] = self._shape(shape)
             pay, _ = _price(spec, bids, ranked, grouped[0])
-            utilities = [0] * m
             for i, amount in pay.items():
-                utilities[i] = amount - true_scaled[i]
-            emit(_Outcome(tuple(utilities), -sum(pay.values()), grouped[1]))
-        return outcomes
+                utilities[i][p] = amount - true_scaled[i]
+            mechanism[p] = -sum(pay.values())
+            selected[p] = grouped[1]
 
-    def _shape(self, shape: list[int]) -> tuple[tuple, frozenset[str]]:
+    def _shape(self, shape: list[int]) -> tuple[tuple, int]:
         """The winners of a ranking shape, [first path, rank, absent winners'
-        mask, rank, mask, ...], grouped for _price, and their selected set."""
+        mask, rank, mask, ...], grouped for _price, and their selected mask."""
         winners = self.owners[shape[0]]
         group_of = dict.fromkeys(winners, 0)
         for rank, gone in zip(shape[1::2], shape[2::2]):
             for i in winners:
                 if gone >> i & 1:
                     group_of[i] = rank
-        return _grouped(group_of), frozenset(map(self.agents.__getitem__, winners))
+        return _grouped(group_of), self.masks[shape[0]]
 
 
 def _compile(
@@ -444,17 +425,7 @@ def _compile(
     index = {a: i for i, a in enumerate(agents)}
     owners = tuple(tuple(map(index.__getitem__, route[2])) for route in routes)
     true_cost = tuple(network.true_cost[a] for a in agents)
-    return _PathTable(game, agents, values, true_cost, owners)
-
-
-def _run_profile(run, agents: tuple[str, ...], bids: tuple) -> _Outcome | None:
-    """The reference pricer: a game's `run` on one bid tuple in `agents` order."""
-    try:
-        result = run(dict(zip(agents, bids)))
-    except TieError:
-        return None
-    utilities = tuple(result.utilities[a] for a in agents)
-    return _Outcome(utilities, result.mechanism_utility, frozenset(result.selected))
+    return _PathTable(game, values, true_cost, owners)
 
 
 class _Evaluator:
@@ -462,55 +433,75 @@ class _Evaluator:
     once the grid has passed the product guard.
 
     A profile is a tuple of positions aligned with the sorted agent order;
-    entry i indexes `values[i]`, agent i's grid bids. `outcomes` lists the
-    outcomes in product order, profile p at sum(p[i] * strides[i]), and
-    `section` reads it at one agent's bid by stride. None marks a profile
-    that violates the mechanism's preconditions (a cost tie). The compiled
-    path table prices the games it covers, the game's own `run` all others.
+    entry i indexes `values[i]`, agent i's grid bids. The outcomes are held
+    as columns in product order, profile p at flat index sum(p[i] *
+    strides[i]): `utilities[i]`, agent i's utility; `mechanism_utility`,
+    the mechanism's, None where the profile violates the mechanism's
+    preconditions (a cost tie); and `selected`, a bitmask in which bit i is
+    set when agent i is selected. A tie leaves every utility 0 and the mask
+    empty, which is how best responses score it. `section` reads a column
+    at one agent's bid by stride. The compiled path table fills the columns
+    for the games it covers, the game's own `run` for all others.
 
-    Outcome money is in units of 1/`scale`: the table's scale, or 1 (the
-    run's own Fractions). Comparisons within one evaluator need no
-    conversion; a value handed to a caller converts back as
-    `Fraction(u) / scale`.
+    Money is in units of 1/`scale`: the table's scale, or 1 (the run's own
+    Fractions). Comparisons within one evaluator need no conversion; a
+    value handed to a caller converts back as `Fraction(u) / scale`.
     """
 
     def __init__(self, game, grid: BidGrid):
         _require_cover(game, grid)
-        _require_enumerable(grid.product_size())
+        size = grid.product_size()
+        _require_enumerable(size)
         self.game = game
         self.agents: tuple[str, ...] = grid.agents
         self.index = {a: i for i, a in enumerate(self.agents)}
         self.values = tuple(grid.bids_for[a] for a in self.agents)
         self.sizes = tuple(map(len, self.values))
         self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
+        self.utilities = [[0] * size for _ in self.agents]
+        self.mechanism_utility: list = [None] * size
+        self.selected = [0] * size
         self._table = _compile(game, self.agents, self.values)
         if self._table is None:
             self.scale = 1
-            price = functools.partial(_run_profile, game.run, self.agents)
-            self.outcomes = list(map(price, itertools.product(*self.values)))
+            self._run_each()
         else:
             self.scale = self._table.scale
-            self.outcomes = self._table.outcomes()
+            self._table.fill(self.utilities, self.mechanism_utility, self.selected)
+
+    def _run_each(self) -> None:
+        """The reference filler: the game's `run` on every profile; a TieError
+        leaves a tie."""
+        for p, bids in enumerate(itertools.product(*self.values)):
+            try:
+                result = self.game.run(dict(zip(self.agents, bids)))
+            except TieError:
+                continue
+            for column, agent in zip(self.utilities, self.agents):
+                column[p] = result.utilities[agent]
+            self.mechanism_utility[p] = result.mechanism_utility
+            self.selected[p] = sum(1 << self.index[a] for a in result.selected)
 
     def bids(self, profile: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(vs[p] for vs, p in zip(self.values, profile))
+
+    def profile(self, k: int) -> tuple[int, ...]:
+        """The positions of the profile at flat index `k`."""
+        return tuple(k // stride % n for stride, n in zip(self.strides, self.sizes))
 
     def opponent_bids(self, agent: str, opponents: tuple[int, ...]) -> tuple[Fraction, ...]:
         others = [vs for a, vs in zip(self.agents, self.values) if a != agent]
         return tuple(vs[p] for vs, p in zip(others, opponents))
 
-    def section(self, agent: str, pos: int) -> list[_Outcome | None]:
-        """The outcomes with `agent` at `pos`, in opponent-product order."""
+    def section(self, column: list, agent: str, pos: int) -> list:
+        """`column` at the profiles with `agent` at `pos`, in opponent-product order."""
         i = self.index[agent]
-        outcomes, stride = self.outcomes, self.strides[i]
+        stride = self.strides[i]
         block = stride * self.sizes[i]
         if stride == 1:
-            return outcomes[pos::block]
-        starts = range(pos * stride, len(outcomes), block)
-        return list(itertools.chain.from_iterable(outcomes[s : s + stride] for s in starts))
-
-    def profiles(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*map(range, self.sizes))
+            return column[pos::block]
+        starts = range(pos * stride, len(column), block)
+        return list(itertools.chain.from_iterable(column[s : s + stride] for s in starts))
 
     def opponent_profiles(self, agent: str) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(n) for a, n in zip(self.agents, self.sizes) if a != agent))
@@ -535,20 +526,17 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     """
     _require_cover(game, grid, agent)
     ev = _Evaluator(game, _line(grid, {agent: bid}))
-    return _selection_probability(agent, ev.outcomes)
+    return _selection_probability(ev, agent, 0)
 
 
-def _selection_probability(agent: str, outcomes: Iterable[_Outcome | None]) -> Fraction:
-    admissible = 0
-    selected = 0
-    for out in outcomes:
-        if out is None:
-            continue
-        admissible += 1
-        if agent in out.selected:
-            selected += 1
+def _selection_probability(ev: _Evaluator, agent: str, pos: int) -> Fraction:
+    """The share of the tie-free profiles with `agent` at `pos` that select it."""
+    mechanism = ev.section(ev.mechanism_utility, agent, pos)
+    admissible = len(mechanism) - mechanism.count(None)
     if admissible == 0:
         return Fraction(0)
+    bit = 1 << ev.index[agent]
+    selected = list(map(bit.__and__, ev.section(ev.selected, agent, pos))).count(bit)
     return Fraction(selected, admissible)
 
 
@@ -567,19 +555,14 @@ def best_response_set(
         if opponent_profile[other] not in grid.bids_for[other]:
             raise ValueError(f"bid {opponent_profile[other]} for {other} is off the grid")
     ev = _Evaluator(game, _line(grid, opponent_profile))
-    i = ev.index[agent]
-    utilities = {
-        bid: 0 if out is None else out.utilities[i]
-        for bid, out in zip(grid.bids_for[agent], ev.outcomes)
-    }
+    utilities = dict(zip(grid.bids_for[agent], ev.utilities[ev.index[agent]]))
     best = max(utilities.values())
     return {bid for bid, u in utilities.items() if u == best}
 
 
 def _utilities(ev: _Evaluator, agent: str, pos: int) -> tuple:
     """The agent's utility at `pos` over the ordered opponent product; a tie scores 0."""
-    i = ev.index[agent]
-    return tuple(0 if out is None else out.utilities[i] for out in ev.section(agent, pos))
+    return tuple(ev.section(ev.utilities[ev.index[agent]], agent, pos))
 
 
 def _utility_vectors(ev: _Evaluator, agent: str) -> list[tuple]:
@@ -698,9 +681,9 @@ def _joint_optimal(
     ev: _Evaluator, per_agent: Mapping[str, tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """The admissible profiles of the per-agent positions' product, in lexicographic order."""
-    outcomes, strides = ev.outcomes, ev.strides
+    mechanism, strides = ev.mechanism_utility, ev.strides
     product = itertools.product(*(per_agent[a] for a in ev.agents))
-    return tuple(p for p in product if outcomes[sum(map(int.__mul__, p, strides))] is not None)
+    return tuple(p for p in product if mechanism[sum(map(int.__mul__, p, strides))] is not None)
 
 
 def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...], ...]:
@@ -710,17 +693,13 @@ def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...
 
 
 def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:
-    best = None
-    argmax: list[tuple[int, ...]] = []
-    for profile, out in zip(ev.profiles(), ev.outcomes):
-        if out is None:
-            continue
-        if best is None or out.mechanism_utility > best:
-            best = out.mechanism_utility
-            argmax = [profile]
-        elif out.mechanism_utility == best:
-            argmax.append(profile)
-    return tuple(sorted(argmax))
+    mechanism = ev.mechanism_utility
+    admissible = [u for u in mechanism if u is not None]
+    if not admissible:
+        return ()
+    best = max(admissible)
+    # Flat indices run in product order, which is lexicographic.
+    return tuple(ev.profile(k) for k, u in enumerate(mechanism) if u == best)
 
 
 def alignment_report(game, grid: BidGrid, mode: str = "undominated") -> ConsistencyReport:
@@ -824,7 +803,7 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
     for agent in ev.agents:
         truthful = game.types[agent]
         own = grid.bids_for[agent]
-        probs = [_selection_probability(agent, ev.section(agent, pos)) for pos in range(len(own))]
+        probs = [_selection_probability(ev, agent, pos) for pos in range(len(own))]
         if truthful not in own or probs[own.index(truthful)] != max(probs):
             counterexamples.append(
                 ("selection probability not maximal at truthful bid", agent)
@@ -834,20 +813,20 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
                 counterexamples.append(
                     ("selection probability rises with the bid", agent, own[pos], own[pos + 1])
                 )
-    for profile, out in zip(ev.profiles(), ev.outcomes):
-        if out is None:
-            continue
-        for agent in sorted(out.selected):
-            u = out.utilities[ev.index[agent]]
-            if u <= 0:
-                counterexamples.append(
-                    (
-                        "selected agent with nonpositive utility",
-                        agent,
-                        ev.bids(profile),
-                        Fraction(u) / ev.scale,
-                    )
-                )
+    # (flat index, agent index) pairs sort as profiles, then agents, do.
+    failing = []
+    for i, column in enumerate(ev.utilities):
+        chosen = itertools.compress(range(len(column)), map((1 << i).__and__, ev.selected))
+        failing.extend((k, i) for k in chosen if column[k] <= 0)
+    for k, i in sorted(failing):
+        counterexamples.append(
+            (
+                "selected agent with nonpositive utility",
+                ev.agents[i],
+                ev.bids(ev.profile(k)),
+                Fraction(ev.utilities[i][k]) / ev.scale,
+            )
+        )
     verdict = "holds" if not counterexamples else "fails"
     return PropertyReport(
         name="partly-truthful", verdict=verdict, counterexamples=tuple(counterexamples)

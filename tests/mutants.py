@@ -83,6 +83,20 @@ MUTANTS = (
         "        if violations := []:\n",
         ("tests/test_analysis.py", "tests/test_compiled_evaluator.py"),
     ),
+    Mutant(
+        "tie-scores-zero",
+        "analysis.py",
+        "            if tied:\n                continue\n",
+        "            if tied:\n                mechanism[p] = 0\n                continue\n",
+        ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
+    ),
+    Mutant(
+        "shape-mask-shifted",
+        "analysis.py",
+        "        return _grouped(group_of), self.masks[shape[0]]\n",
+        "        return _grouped(group_of), self.masks[shape[0]] << 1\n",
+        ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
+    ),
 )
 
 

@@ -1,12 +1,16 @@
-"""The compiled path table against MechanismSpec.run, profile by profile.
+"""The evaluator's columns against MechanismSpec.run, profile by profile.
 
 Grids use half-unit steps over integer costs, so path costs tie on many
 profiles and the tie verdicts are exercised alongside the payments. The
-table's money is in units of 1/ev.scale; every comparison converts it
-back to Fractions first.
+columns' money is in units of 1/ev.scale; every comparison converts it
+back to Fractions first. Both fillers are checked: the compiled path table
+and the reference, which runs the game's own `run` on single-item games and
+on networks past the edge guard.
 """
 
 import gc
+import itertools
+import math
 import re
 import weakref
 from dataclasses import replace
@@ -36,6 +40,7 @@ from pathauction import (
     selection_probability,
 )
 from pathauction import analysis
+from pathauction.graph import ENUMERATION_EDGE_GUARD
 from pathauction.mechanisms import MECHANISM_IDS
 
 HALF = F(1, 2)
@@ -68,9 +73,11 @@ def _half_grid(net):
     return BidGrid.procurement(net.true_cost, HALF, cap)
 
 
-def _reference(spec, net, bids):
+def _reference(game, bids):
+    """One profile's outcome from the game's `run`: the utilities in sorted
+    agent order, the mechanism's utility and the selected set; None on a tie."""
     try:
-        result = spec.run(net, bids)
+        result = game.run(bids)
     except TieError:
         return None
     return (
@@ -80,30 +87,40 @@ def _reference(spec, net, bids):
     )
 
 
-def _converted(ev, out):
-    """An evaluator outcome with its money back in Fractions."""
-    if out is None:
+def _row(ev, k):
+    """Profile k of `ev`'s columns, as _reference gives it, with the money
+    back in Fractions and the selected mask decoded. A tie must read 0 in
+    every utility column and an empty mask."""
+    utilities = tuple(F(column[k]) / ev.scale for column in ev.utilities)
+    mask = ev.selected[k]
+    if ev.mechanism_utility[k] is None:
+        assert not any(utilities) and mask == 0, k
         return None
-    money = [F(u) / ev.scale for u in (*out.utilities, out.mechanism_utility)]
-    return tuple(money[:-1]), money[-1], out.selected
+    assert mask >> len(ev.agents) == 0, k
+    selected = frozenset(a for i, a in enumerate(ev.agents) if mask >> i & 1)
+    return utilities, F(ev.mechanism_utility[k]) / ev.scale, selected
 
 
-def _assert_outcomes_match_reference(ev, spec, net, priced):
-    """`priced` yields (profile, outcome) pairs of `ev`."""
+def _column_lengths(ev):
+    return {len(column) for column in (*ev.utilities, ev.mechanism_utility, ev.selected)}
+
+
+def _assert_columns_match_reference(ev):
+    """Every profile of `ev`'s columns against the game's `run`; the tie count."""
+    assert _column_lengths(ev) == {math.prod(ev.sizes)}
     ties = 0
-    for profile, out in priced:
-        got = _converted(ev, out)
-        want = _reference(spec, net, dict(zip(ev.agents, ev.bids(profile))))
-        assert got == want, (spec, ev.bids(profile))
+    for k, bids in enumerate(itertools.product(*ev.values)):
+        assert ev.bids(ev.profile(k)) == bids
+        got = _row(ev, k)
+        assert got == _reference(ev.game, dict(zip(ev.agents, bids))), (ev.game.spec, bids)
         ties += got is None
     return ties
 
 
 def _assert_matches_reference(net, spec):
     ev = analysis._Evaluator(PathGame(net, spec), _half_grid(net))
-    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
     assert ev._table is not None
-    return ties
+    return _assert_columns_match_reference(ev)
 
 
 def _net(rows):
@@ -146,6 +163,38 @@ def test_random_outcomes_match_reference(spec):
     assert ties > 0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MechanismSpec("vickrey-single", orientation="forward"),
+        MechanismSpec("fp-single", orientation="reverse"),
+        MechanismSpec("avg-single", lam=F(1, 3), orientation="forward"),
+    ],
+    ids=lambda s: f"{s.mechanism}-{s.orientation}",
+)
+def test_reference_filler_matches_single_item_runs(spec):
+    """Without a table the game's own `run` fills the columns, a tied
+    winning bid as a tie."""
+    game = SingleItemGame({"a": F(3), "b": F(5), "c": F(4)}, spec)
+    ev = analysis._Evaluator(game, default_grid(game))
+    assert ev._table is None and ev.scale == 1
+    assert 0 < _assert_columns_match_reference(ev) < math.prod(ev.sizes)
+
+
+def test_reference_filler_matches_past_the_edge_guard(parallel_pairs):
+    """A 13-stage chain has 26 edges, past ENUMERATION_EDGE_GUARD: the game's
+    own `run` fills the columns of every rule, ties among them."""
+    net = parallel_pairs(13)
+    assert len(net.edges) > ENUMERATION_EDGE_GUARD
+    grid = _chain_grid(net, ("a00", "a12", "b05"))
+    ties = 0
+    for spec in SPECS:
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        assert ev._table is None
+        ties += _assert_columns_match_reference(ev)
+    assert ties > 0
+
+
 def test_off_grid_bid_after_evaluation():
     """A bid off the grid with a new denominator: its line grid compiles at
     three times the grid's own scale and matches the reference profile by
@@ -157,8 +206,8 @@ def test_off_grid_bid_after_evaluation():
         plain = analysis._Evaluator(PathGame(net, spec), grid)
         ev = analysis._Evaluator(PathGame(net, spec), analysis._line(grid, {agent: F(7, 3)}))
         assert ev._table is not None and ev.scale == 3 * plain.scale
-        assert len(ev.outcomes) == grid.product_size() // len(grid.bids_for[agent])
-        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
+        assert _column_lengths(ev) == {grid.product_size() // len(grid.bids_for[agent])}
+        _assert_columns_match_reference(ev)
 
 
 def _unequal_grid(net):
@@ -169,18 +218,25 @@ def _unequal_grid(net):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
 def test_grid_is_the_outcomes_profile_by_profile(spec):
-    """A section of the one-pass grid at each bid holds, in opponent-product
-    order, the outcomes of the grid that is that bid's line."""
+    """A section of each column of the one-pass grid at each bid holds, in
+    opponent-product order, the column of the grid that is that bid's line."""
     net = fixture("fig2")
     game = PathGame(net, spec)
+
+    def money(ev, values):
+        return [None if u is None else F(u) / ev.scale for u in values]
+
     for grid in (_half_grid(net), _unequal_grid(net)):
         ev = analysis._Evaluator(game, grid)
-        assert ev._table is not None and len(ev.outcomes) == grid.product_size()
+        assert ev._table is not None and _column_lengths(ev) == {grid.product_size()}
         for agent, values in zip(ev.agents, ev.values):
             for pos, bid in enumerate(values):
                 line = analysis._Evaluator(game, analysis._line(grid, {agent: bid}))
-                section = [_converted(ev, out) for out in ev.section(agent, pos)]
-                assert section == [_converted(line, out) for out in line.outcomes]
+                for column, whole in zip(ev.utilities, line.utilities):
+                    assert money(ev, ev.section(column, agent, pos)) == money(line, whole)
+                section = ev.section(ev.mechanism_utility, agent, pos)
+                assert money(ev, section) == money(line, line.mechanism_utility)
+                assert ev.section(ev.selected, agent, pos) == line.selected
 
 
 @pytest.mark.parametrize("mechanism", sorted(m for m in MECHANISM_IDS if not m.endswith("-single")))
@@ -197,8 +253,8 @@ def test_compiled_money_is_integral_on_fig2(mechanism):
     net = fixture("fig2")
     ev = analysis._Evaluator(PathGame(net, MechanismSpec(mechanism)), _half_grid(net))
     assert ev._table is not None
-    money = [u for out in ev.outcomes if out for u in (*out.utilities, out.mechanism_utility)]
-    assert money and all(type(u) is int for u in money)
+    money = [u for u in ev.mechanism_utility if u is not None]
+    assert money and all(type(u) is int for u in [*money, *itertools.chain(*ev.utilities)])
 
 
 def test_partly_truthful_counterexamples_carry_fractions():
@@ -224,16 +280,15 @@ def test_many_paths_compile_and_match_the_reference(parallel_pairs, mechanism):
     )
     ev = analysis._Evaluator(PathGame(net, spec), grid)
     assert ev._table is not None and len(ev._table.owners) == 2**12
-    ties = _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
-    assert ties < grid.product_size()
+    assert _assert_columns_match_reference(ev) < grid.product_size()
 
 
 def _reference_shapes(spec, net, ev):
     """The (chosen path, groups) pairs of the grid's tie-free reference runs."""
     shapes = set()
-    for profile in ev.profiles():
+    for bids in itertools.product(*ev.values):
         try:
-            result = spec.run(net, dict(zip(ev.agents, ev.bids(profile))))
+            result = spec.run(net, dict(zip(ev.agents, bids)))
         except TieError:
             continue
         groups = tuple(sorted(result.groups.items())) if result.groups else None
@@ -286,7 +341,7 @@ def test_long_chains_match_the_reference(parallel_pairs, stages, tied, varied):
     for spec in SPECS:
         ev = analysis._Evaluator(PathGame(net, spec), grid)
         assert ev._table is not None
-        _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes))
+        _assert_columns_match_reference(ev)
 
 
 def test_tied_paths_rank_by_edge_ids_across_the_scan():
@@ -301,7 +356,7 @@ def test_tied_paths_rank_by_edge_ids_across_the_scan():
     grid = BidGrid({a: (2 - F(1, 16), 2) if a == "c" else (t,) for a, t in net.true_cost.items()})
     for spec in SPECS:
         ev = analysis._Evaluator(PathGame(net, spec), grid)
-        assert _assert_outcomes_match_reference(ev, spec, net, zip(ev.profiles(), ev.outcomes)) == 0
+        assert _assert_columns_match_reference(ev) == 0
 
 
 @pytest.mark.parametrize(
@@ -319,9 +374,8 @@ def test_tradeoff1_switch_is_exact_at_the_threshold(threshold, branch, total):
     assert (result.branch, result.total) == (branch, total)
     grid = BidGrid({a: (b,) for a, b in bids.items()})
     ev = analysis._Evaluator(PathGame(net, spec), grid)
-    out = ev.outcomes[0]
     assert ev._table is not None
-    assert F(out.mechanism_utility) / ev.scale == -total
+    assert F(ev.mechanism_utility[0]) / ev.scale == -total
 
 
 # Agent a's edge is a cut: vcg cannot price a, and x cannot group it.
@@ -462,12 +516,13 @@ def test_product_guard_fires_before_anything_is_compiled(monkeypatch):
 
 
 def test_reference_evaluator_is_freed_without_the_cycle_collector():
-    """An evaluator without a table prices through a function of the game's
-    `run`, not a method of its own, so no reference cycle keeps it alive;
-    nor does a table, whose shape cache holds only tuples and frozensets."""
+    """An evaluator without a table calls the game's `run` while it fills
+    its columns and keeps no reference to it, so no reference cycle keeps
+    it alive; nor does a table, whose shape cache holds only tuples and
+    ints."""
     single = SingleItemGame({"a": F(3), "b": F(5)})
     ev = analysis._Evaluator(single, default_grid(single))
-    assert ev._table is None and len(ev.outcomes) == 15
+    assert ev._table is None and _column_lengths(ev) == {15}
     net = fixture("fig2")
     compiled = analysis._Evaluator(PathGame(net, MechanismSpec("x")), _half_grid(net))
     assert compiled._table.shapes

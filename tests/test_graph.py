@@ -17,6 +17,7 @@ from pathauction import (
     FormatError,
     MechanismSpec,
     Network,
+    Path,
     TieError,
     TooLarge,
     bids_from_json,
@@ -48,6 +49,11 @@ def _net(rows, source, sink, bids=None):
         true_cost=costs,
         bid=dict(bids) if bids else dict(costs),
     )
+
+
+def test_path_refuses_misaligned_edges_and_owners():
+    with pytest.raises(ValueError, match="^edges and owners must be aligned$"):
+        Path(edges=("a", "b"), owners=("a",), cost=Fraction(2))
 
 
 def test_example1_is_valid(example1):

@@ -15,6 +15,7 @@ import pytest
 
 from pathauction import (
     BidGrid,
+    DistributionRule,
     MechanismSpec,
     PathGame,
     SingleItemGame,
@@ -23,10 +24,12 @@ from pathauction import (
     alignment_report,
     check_partly_truthful,
     check_vcg_truthful,
+    default_grid,
     fixture,
     random_network,
     selection_probability,
 )
+from pathauction import analysis
 from pathauction.analysis import MODES
 
 HALF = F(1, 2)
@@ -263,3 +266,34 @@ def test_the_grids_exercise_the_orders():
     assert any(t not in grids[1].bids_for[a] for a, t in game.types.items())
     found = Oracle(game, grids[1]).vcg_truthful()
     assert len({c[1] for c in found}) > 1 and len({c[2] for c in found}) > 1
+
+
+def _failing_instances():
+    """fp-path on xsmall pays every winner its bid, so truthful winners earn
+    0; reverse-rank x on fig2 with bids half a unit below the types pays
+    shares that are not whole at the table's scale."""
+    xsmall = PathGame(fixture("xsmall"), MechanismSpec("fp-path"))
+    yield xsmall, default_grid(xsmall)
+    fig2 = fixture("fig2")
+    reverse = MechanismSpec("x", rule=DistributionRule("reverse-rank"))
+    yield PathGame(fig2, reverse), BidGrid(
+        {a: (t - HALF, t, t + F(1, 3)) for a, t in fig2.true_cost.items()}
+    )
+
+
+@pytest.mark.parametrize("game, grid", list(_failing_instances()), ids=["fp-path", "reverse-rank"])
+def test_partly_truthful_rows_are_the_loops_rows(game, grid):
+    """The selected-agent rows come out as the plain loop lists them: in
+    profile order, then agents in sorted order, each utility converted from
+    the columns' units to the run's exact Fraction."""
+    report = check_partly_truthful(game, grid)
+    want = Oracle(game, grid).partly_truthful()
+    rows = [c for c in report.counterexamples if c[0] == "selected agent with nonpositive utility"]
+    assert report.verdict == "fails" and len(rows) > 1
+    assert list(report.counterexamples) == want
+    assert all(type(c[3]) is F for c in rows)
+    if game.spec.rule.kind == "reverse-rank":
+        scale = analysis._Evaluator(game, grid).scale
+        assert any((c[3] * scale).denominator != 1 for c in rows)
+    else:
+        assert len({c[2] for c in rows}) < len(rows)  # profiles with two failing winners

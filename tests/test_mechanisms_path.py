@@ -91,6 +91,8 @@ def test_classify_needs_enough_paths(example1):
     short = rank_paths(example1, example1.true_cost, k=2)
     with pytest.raises(InsufficientPaths):
         classify_groups(short)
+    with pytest.raises(InsufficientPaths, match="^no ranked paths supplied$"):
+        classify_groups(RankedPaths(()))
 
 
 def test_classify_rejects_tied_prefix():
@@ -111,6 +113,15 @@ def test_group_profits_example1(example1):
     assert pools == {1: F(1), 3: F(3), 4: F(5), 5: F(1)}
     # Telescoping: pools sum to the gap from rank 1 to rank max+1.
     assert sum(pools.values()) == ranked.costs[assignment.max_group] - ranked.costs[0]
+
+
+def test_group_profits_needs_the_prefix_through_the_last_group(example1):
+    ranked = enumerate_paths(example1, example1.true_cost)
+    assignment = classify_groups(ranked)
+    short = RankedPaths(ranked.paths[: assignment.max_group])
+    message = f"^need {assignment.max_group + 1} ranked paths, got {assignment.max_group}$"
+    with pytest.raises(InsufficientPaths, match=message):
+        group_profits(assignment, short)
 
 
 def test_group_profits_fig2(fig2):

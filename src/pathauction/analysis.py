@@ -420,7 +420,7 @@ def _compile(
         return None
     network = game.network
     # The walk ignores costs; the routes' order is set here.
-    walk = _walk_all(network, dict.fromkeys(agents, 0), frozenset(), frozenset(), network.source)
+    walk = _walk_all(network, dict.fromkeys(agents, 0))
     routes = sorted(walk, key=lambda route: route[1])
     index = {a: i for i, a in enumerate(agents)}
     owners = tuple(tuple(map(index.__getitem__, route[2])) for route in routes)

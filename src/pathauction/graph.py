@@ -3,7 +3,10 @@
 The model is a directed multigraph with a source and a sink in which every
 edge is owned by exactly one self-interested agent and every agent owns
 exactly one edge. Each agent carries a private true cost and a declared
-bid, both strictly positive exact rationals.
+bid, both strictly positive exact rationals. Every search refuses a cost
+that is not, so the one zero a search sees is the edge that a "zeroed"
+detour prices at 0, no zero-cost cycle forms, and only the enumeration
+oracle does exponential work.
 
 This module provides:
 
@@ -278,12 +281,12 @@ def _cut_edge_ids(network: Network) -> set[str] | None:
 def _scaled_costs(
     network: Network, costs: Mapping[str, Fraction] | None
 ) -> tuple[dict[str, int], int]:
-    """The validated cost map in integers, and the scale it was multiplied by.
+    """The cost map in integers, and the scale it was multiplied by.
 
     The scale is the least common denominator of the map, so a sum of
     scaled costs over the scale is the exact rational sum. Searches add and
     compare these integers; the paths they return carry
-    `Fraction(cost, scale)`.
+    `Fraction(cost, scale)`. A cost that is not positive is a ValueError.
     """
     resolved = network.bid if costs is None else costs
     scale = math.lcm(*(value.denominator for value in resolved.values()))
@@ -293,8 +296,8 @@ def _scaled_costs(
     }
     # Checked on the integers, which compare far faster than Fractions.
     for agent, value in scaled.items():
-        if value < 0:
-            raise ValueError(f"negative cost for agent {agent}")
+        if value < 1:
+            raise ValueError(f"nonpositive cost for agent {agent}")
     return scaled, scale
 
 
@@ -316,24 +319,21 @@ def _distance_to_sink(
 ) -> dict[str, int]:
     """Dijkstra over reversed edges: exact min cost from each node to the sink.
 
-    The search stops once `origin` and every node no farther from the sink
-    are settled; a tight-edge walk from `origin` reaches no other node. It
-    goes on while the heap minimum equals the origin's distance, because
-    zero-cost edges can lead to more nodes at that distance. With no
-    origin it settles every node that reaches the sink.
+    The search stops once `origin` is settled: costs are positive, so the
+    nodes a tight-edge walk from `origin` takes are closer to the sink and
+    settled first. (A "zeroed" detour, which reads only the cost, may walk
+    past its zero edge to another path of that cost.) With no origin it
+    settles every node that reaches the sink.
     """
     dist: dict[str, int] = {}
     heap: list[tuple[int, str]] = [(0, network.sink)]
-    limit: int | None = None
     while heap:
         d, node = heapq.heappop(heap)
-        if limit is not None and d > limit:
-            break
         if node in dist:
             continue
         dist[node] = d
         if node == origin:
-            limit = d
+            break
         for edge in network.in_edges(node):
             if edge.id in excluded_edges or edge.tail in excluded_nodes or edge.tail in dist:
                 continue
@@ -351,16 +351,15 @@ def _tight_walk(
     dist: Mapping[str, int],
     origin: str,
     excluded_edges: frozenset[str] = frozenset(),
-) -> _Walk | None:
+) -> _Walk:
     """The walk from `origin` to the sink along tight edges under `dist`.
 
     At each node it takes the first out-edge by id, not excluded and not
     back to a node already walked, with cost + dist[head] == dist[node].
     This is the one tie-break rule of every search: with strictly positive
-    costs (at most one zeroed edge) the walk cannot revisit a node, so it
-    is the lexicographic minimum over all minimum-cost paths. None means
-    the walk got stuck, which only a zero-cost cycle can cause. Nodes that
-    `dist` lacks are never entered.
+    costs (at most one zeroed edge) such an edge always exists and the
+    walk cannot revisit a node, so it is the lexicographic minimum over
+    all minimum-cost paths. Nodes that `dist` lacks are never entered.
     """
     sink = network.sink
     edges: list[str] = []
@@ -375,8 +374,6 @@ def _tight_walk(
             head_dist = dist.get(edge.head)
             if head_dist is not None and costs[edge.owner] + head_dist == target:
                 break
-        else:
-            return None
         edges.append(edge.id)
         owners.append(edge.owner)
         visited.add(edge.head)
@@ -395,26 +392,14 @@ def _best_path(
 
     Works by computing exact distances to the sink, which leave out the
     excluded nodes (never the origin or sink), then taking the tight walk
-    (`_tight_walk`). A walk stuck in a zero-cost cycle falls back to
-    exhaustive search, which raises TooLarge past ENUMERATION_EDGE_GUARD.
+    (`_tight_walk`); None when the sink is out of reach.
     """
     origin = network.source if start is None else start
     dist = _distance_to_sink(network, costs, excluded_edges, excluded_nodes, origin)
     if origin not in dist:
         return None
-    walk = _tight_walk(network, costs, dist, origin, excluded_edges)
-    if walk is None:
-        # Only reachable through a zero-cost cycle; fall back to brute
-        # force, which is exponential and so bound by the same guard.
-        if len(network.edges) > ENUMERATION_EDGE_GUARD:
-            raise TooLarge(
-                f"a zero-cost cycle needs exhaustive search, and {len(network.edges)} "
-                f"edges exceeds the enumeration guard of {ENUMERATION_EDGE_GUARD}"
-            )
-        return min(
-            _walk_all(network, costs, excluded_edges, excluded_nodes, origin), default=None
-        )
-    return dist[origin], walk[0], walk[1]
+    edges, owners, _ = _tight_walk(network, costs, dist, origin, excluded_edges)
+    return dist[origin], edges, owners
 
 
 class _ReverseTree:
@@ -428,9 +413,9 @@ class _ReverseTree:
         self.network = network
         self.costs = costs
         self.dist = _distance_to_sink(network, costs, frozenset(), frozenset(), None)
-        self.walks: dict[str, _Walk | None] = {}
+        self.walks: dict[str, _Walk] = {}
 
-    def walk(self, node: str) -> _Walk | None:
+    def walk(self, node: str) -> _Walk:
         if node not in self.walks:
             self.walks[node] = _tight_walk(self.network, self.costs, self.dist, node)
         return self.walks[node]
@@ -466,7 +451,7 @@ class _ReverseTree:
         if best is None:
             return True, None
         walk = self.walk(best.head)
-        if walk is None or not blocked.isdisjoint(walk[2]):
+        if not blocked.isdisjoint(walk[2]):
             return False, None
         return True, (best_cost, (best.id,) + walk[0], (best.owner,) + walk[1])
 
@@ -474,11 +459,12 @@ class _ReverseTree:
 def shortest_path(network: Network, costs: Mapping[str, Fraction] | None = None) -> Path:
     """Minimum-cost loopless source-to-sink path under the given cost map.
 
-    `costs` maps agent id to a nonnegative cost; None means the declared
+    `costs` maps agent id to a positive cost; None means the declared
     bids. Ties at the minimum are resolved toward the lexicographically
     smallest edge-id sequence, so the result is deterministic.
 
-    Raises Disconnected when the sink is unreachable.
+    Raises Disconnected when the sink is unreachable, and ValueError for a
+    cost that is not positive.
     """
     scaled, scale = _scaled_costs(network, costs)
     route = _best_path(network, scaled)
@@ -507,23 +493,18 @@ def iter_ranked_paths(
     walk under the unrestricted distances to the sink, and each spur is
     read off the same tree (`_ReverseTree.spur`, after Feng's node
     classification). Only a spur the tree does not settle, which needs a
-    cycle through a root node, runs its own restricted search.
+    cycle through a root node, runs its own restricted search. Costs must
+    be positive (ValueError otherwise), so no search here is exhaustive.
     """
     scaled, scale = _scaled_costs(network, costs)
     tree = _ReverseTree(network, scaled)
-    first: _Route | None = None
-    if network.source in tree.dist:
-        walk = tree.walk(network.source)
-        if walk is None:
-            first = _best_path(network, scaled)
-        else:
-            first = tree.dist[network.source], walk[0], walk[1]
-    if first is None:
+    if network.source not in tree.dist:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
+    edges, owners, _ = tree.walk(network.source)
     # Heap entries: route fields, then the deviation index. Edge sequences
     # are unique in the heap, so entries never compare past them.
-    heap: list[tuple[int, tuple[str, ...], tuple[str, ...], int]] = [(*first, 0)]
-    seen = {first[1]}
+    heap = [(tree.dist[network.source], edges, owners, 0)]
+    seen = {edges}
     branches: dict[tuple[str, ...], set[str]] = {}
     while heap:
         cost, edges, owners, deviation = heapq.heappop(heap)
@@ -581,33 +562,20 @@ def _node_sequence(network: Network, edges: tuple[str, ...]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _walk_all(
-    network: Network,
-    costs: Mapping[str, int],
-    excluded_edges: frozenset[str],
-    excluded_nodes: frozenset[str],
-    start: str,
-) -> Iterator[_Route]:
+def _walk_all(network: Network, costs: Mapping[str, int]) -> Iterator[_Route]:
+    """Every loopless source-to-sink route, in no set order. The explicit
+    stack leaves no reference cycle behind, as a self-calling closure would."""
     sink = network.sink
-
-    def recurse(
-        node: str, visited: set[str], edges: list[str], owners: list[str], cost: int
-    ) -> Iterator[_Route]:
-        if node == sink:
-            yield cost, tuple(edges), tuple(owners)
-            return
-        for edge in network.out_edges(node):
-            if edge.id in excluded_edges or edge.head in excluded_nodes or edge.head in visited:
-                continue
-            visited.add(edge.head)
-            edges.append(edge.id)
-            owners.append(edge.owner)
-            yield from recurse(edge.head, visited, edges, owners, cost + costs[edge.owner])
-            owners.pop()
-            edges.pop()
-            visited.remove(edge.head)
-
-    yield from recurse(start, {start}, [], [], 0)
+    stack = [(0, (), (), (network.source,))]  # route fields, then the nodes walked
+    while stack:
+        cost, edges, owners, nodes = stack.pop()
+        if nodes[-1] == sink:
+            yield cost, edges, owners
+            continue
+        for edge in network.out_edges(nodes[-1]):
+            if edge.head not in nodes:
+                stack.append((cost + costs[edge.owner], edges + (edge.id,),
+                              owners + (edge.owner,), nodes + (edge.head,)))
 
 
 def enumerate_paths(
@@ -616,7 +584,8 @@ def enumerate_paths(
     """Every loopless source-to-sink path, sorted exactly as rank_paths sorts.
 
     This is the desk-scale oracle the ranking algorithms are checked
-    against; it refuses graphs with more than ENUMERATION_EDGE_GUARD edges.
+    against, and the only search that raises TooLarge: it refuses graphs
+    with more than ENUMERATION_EDGE_GUARD edges.
     """
     if len(network.edges) > ENUMERATION_EDGE_GUARD:
         raise TooLarge(
@@ -624,7 +593,7 @@ def enumerate_paths(
             f"{ENUMERATION_EDGE_GUARD}"
         )
     scaled, scale = _scaled_costs(network, costs)
-    routes = sorted(_walk_all(network, scaled, frozenset(), frozenset(), network.source))
+    routes = sorted(_walk_all(network, scaled))
     if not routes:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
     return RankedPaths(tuple(_path(route, scale) for route in routes))
@@ -645,10 +614,15 @@ def detour_cost(
 
     mode "excluded": the agent's edge is removed entirely (the agent must
     not own a cut). mode "zeroed": the agent's edge is kept but priced at
-    zero. An agent that owns no edge is a ValueError.
+    zero, the one zero a search ever sees. An agent that owns no edge, or
+    more than one, is a ValueError, as is a cost that is not positive.
     """
     if agent not in network._edge_of_owner:
         raise ValueError(f"unknown agent {agent!r}")
+    # Counted only when some agent owns several edges; vcg calls this per winner.
+    shared = len(network._edge_of_owner) < len(network.edges)
+    if shared and sum(edge.owner == agent for edge in network.edges) > 1:
+        raise ValueError(f"agent owns multiple edges: {agent}")
     scaled, scale = _scaled_costs(network, costs)
     if mode == "excluded":
         route = _best_path(

@@ -97,6 +97,27 @@ MUTANTS = (
         "        return _grouped(group_of), self.masks[shape[0]] << 1\n",
         ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
     ),
+    Mutant(
+        "search-admits-zero-cost",
+        "graph.py",
+        "        if value < 1:\n",
+        "        if value < 0:\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "detour-admits-several-edges",
+        "graph.py",
+        '        raise ValueError(f"agent owns multiple edges: {agent}")\n',
+        "        pass\n",
+        ("tests/test_graph.py", "tests/test_mechanisms_path.py"),
+    ),
+    Mutant(
+        "search-stops-before-the-origin",
+        "graph.py",
+        "        dist[node] = d\n        if node == origin:\n            break\n",
+        "        if node == origin:\n            break\n        dist[node] = d\n",
+        ("tests/test_graph.py",),
+    ),
 )
 
 

@@ -52,6 +52,22 @@ def test_vcg_matches_enumeration_oracle(example1):
         assert res.payments[agent] == excluded - zeroed
 
 
+def test_vcg_refuses_a_winner_that_owns_several_edges():
+    """a owns both edges of the cheapest path X -> M -> Y. An excluded
+    detour that removed only X -> M would price a from a path through
+    M -> Y."""
+    edges = (
+        Edge("a1", "X", "M", "a"),
+        Edge("a2", "M", "Y", "a"),
+        Edge("b", "X", "Y", "b"),
+        Edge("c", "X", "M", "c"),
+    )
+    costs = {"a": F(1), "b": F(5), "c": F(2)}
+    net = Network(("M", "X", "Y"), edges, "X", "Y", costs, dict(costs))
+    with pytest.raises(ValueError, match="^agent owns multiple edges: a$"):
+        MechanismSpec("vcg").run(net)
+
+
 def test_vcg_requires_strict_best_path():
     edges = (Edge("a", "X", "Y", "a"), Edge("b", "X", "Y", "b"))
     costs = {"a": F(2), "b": F(2)}

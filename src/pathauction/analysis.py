@@ -130,10 +130,10 @@ class PathGame:
     """A path mechanism played on a fixed network (procurement side).
 
     `spec` names a path mechanism, as SingleItemGame's names a single-item
-    one, and the network keeps every model rule: the game raises
-    ValueError with the first violation `validate` reports. So each agent
-    owns one edge and none owns a cut, and every winner has a detour.
-    Both are checked here, once.
+    one, and the network keeps every model rule. A Network already holds
+    one edge and one cost per owner; the game raises ValueError with the
+    first violation `validate` reports, so no agent owns a cut and every
+    winner has a detour.
     """
 
     network: Network
@@ -419,7 +419,8 @@ def _compile(
     if not isinstance(game, PathGame) or len(game.network.edges) > ENUMERATION_EDGE_GUARD:
         return None
     network = game.network
-    # The walk ignores costs; the routes' order is set here.
+    # The walk ignores costs. The edge-id sort gives equal-cost paths the
+    # ranking's order, which decides whether a rule reads a tie at all.
     walk = _walk_all(network, dict.fromkeys(agents, 0))
     routes = sorted(walk, key=lambda route: route[1])
     index = {a: i for i, a in enumerate(agents)}

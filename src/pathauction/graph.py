@@ -2,11 +2,11 @@
 
 The model is a directed multigraph with a source and a sink in which every
 edge is owned by exactly one self-interested agent and every agent owns
-exactly one edge. Each agent carries a private true cost and a declared
-bid, both strictly positive exact rationals. Every search refuses a cost
-that is not, so the one zero a search sees is the edge that a "zeroed"
-detour prices at 0, no zero-cost cycle forms, and only the enumeration
-oracle does exponential work.
+exactly one edge, which a Network enforces. Each agent carries a private
+true cost and a declared bid, both strictly positive exact rationals.
+Every search refuses a cost that is not, so the one zero a search sees is
+the edge that a "zeroed" detour prices at 0, no zero-cost cycle forms,
+and only the enumeration oracle does exponential work.
 
 This module provides:
 
@@ -108,11 +108,12 @@ class Violation:
 class Network:
     """Directed multigraph with one pricing agent per edge.
 
-    `true_cost` and `bid` are keyed by agent id and must cover exactly the
-    set of edge owners. The fields cannot be reassigned, but the two cost
-    maps are the dicts given at construction, shared rather than copied:
-    callers must not mutate them. Derived lookup tables are built once at
-    construction.
+    Each agent owns exactly one edge, and `true_cost` and `bid` are keyed
+    by exactly the edge owners; construction raises ValueError otherwise
+    ("agent owns multiple edges: a"), so every layer prices an agent by its
+    one edge. The fields cannot be reassigned, but the two cost maps are the
+    dicts given at construction, shared rather than copied: callers must
+    not mutate them. Derived lookup tables are built once at construction.
     """
 
     nodes: tuple[str, ...]
@@ -142,7 +143,15 @@ class Network:
             fwd.setdefault(edge.tail, []).append(edge)
             rev.setdefault(edge.head, []).append(edge)
             self._edge_by_id.setdefault(edge.id, edge)
-            self._edge_of_owner.setdefault(edge.owner, edge)
+            if edge.owner in self._edge_of_owner:
+                raise ValueError(f"agent owns multiple edges: {edge.owner}")
+            self._edge_of_owner[edge.owner] = edge
+        owners = self._edge_of_owner.keys()
+        for label, costs in (("true_cost", self.true_cost), ("bid", self.bid)):
+            if missing := owners - costs.keys():
+                raise ValueError(f"missing cost: {label} for agent {min(missing)}")
+            if extra := costs.keys() - owners:
+                raise ValueError(f"unexpected cost entry: {label} for {min(extra)}")
         for node, out in fwd.items():
             self._adjacency[node] = tuple(sorted(out, key=lambda e: e.id))
         for node, inc in rev.items():
@@ -151,7 +160,7 @@ class Network:
     @property
     def agents(self) -> tuple[str, ...]:
         """All edge owners, sorted."""
-        return tuple(sorted(e.owner for e in self.edges))
+        return tuple(sorted(self._edge_of_owner))
 
     def edge_of(self, agent: str) -> Edge:
         return self._edge_of_owner[agent]
@@ -172,7 +181,8 @@ class Network:
 
 
 def validate(network: Network) -> list[Violation]:
-    """Check every model invariant; an empty list means the network is valid.
+    """Check every model invariant a Network admits breaking (it holds one
+    edge and one cost per owner); an empty list means the network is valid.
 
     Violations are data, not failures: each one names the broken rule and
     the offending element so callers can print or collect them. Cuts are
@@ -190,25 +200,15 @@ def validate(network: Network) -> list[Violation]:
         out.append(Violation("source equals sink", network.source))
 
     seen_edge_ids: set[str] = set()
-    owner_counts: dict[str, int] = {}
     for edge in network.edges:
         if edge.id in seen_edge_ids:
             out.append(Violation("duplicate edge id", edge.id))
         seen_edge_ids.add(edge.id)
-        owner_counts[edge.owner] = owner_counts.get(edge.owner, 0) + 1
         for endpoint in (edge.tail, edge.head):
             if endpoint not in nodes:
                 out.append(Violation("unknown node", f"edge {edge.id} endpoint {endpoint!r}"))
-    for owner, count in owner_counts.items():
-        if count > 1:
-            out.append(Violation("agent owns multiple edges", owner))
 
-    owners = set(owner_counts)
     for label, costs in (("true_cost", network.true_cost), ("bid", network.bid)):
-        for agent in owners - set(costs):
-            out.append(Violation("missing cost", f"{label} for agent {agent}"))
-        for agent in set(costs) - owners:
-            out.append(Violation("unexpected cost entry", f"{label} for {agent}"))
         for agent, value in costs.items():
             # A Fraction's sign is its numerator's; an int compares far faster.
             if value.numerator <= 0:
@@ -614,15 +614,11 @@ def detour_cost(
 
     mode "excluded": the agent's edge is removed entirely (the agent must
     not own a cut). mode "zeroed": the agent's edge is kept but priced at
-    zero, the one zero a search ever sees. An agent that owns no edge, or
-    more than one, is a ValueError, as is a cost that is not positive.
+    zero, the one zero a search ever sees. An agent that owns no edge is a
+    ValueError (the Network holds one per owner), as is a nonpositive cost.
     """
     if agent not in network._edge_of_owner:
         raise ValueError(f"unknown agent {agent!r}")
-    # Counted only when some agent owns several edges; vcg calls this per winner.
-    shared = len(network._edge_of_owner) < len(network.edges)
-    if shared and sum(edge.owner == agent for edge in network.edges) > 1:
-        raise ValueError(f"agent owns multiple edges: {agent}")
     scaled, scale = _scaled_costs(network, costs)
     if mode == "excluded":
         route = _best_path(

@@ -550,7 +550,9 @@ class MechanismSpec:
         member earns more than under vcg.
 
     Every field is checked here, once: the id, `orientation` (forward or
-    reverse) and `lam` and `threshold` (within [0, 1] when given).
+    reverse) and `lam` and `threshold` (within [0, 1] when given). `run`
+    checks the bids; the network needs no check, since a Network holds
+    one edge and one cost per owner and each rule prices an agent by it.
     """
 
     mechanism: str

@@ -105,11 +105,60 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
-        "detour-admits-several-edges",
+        "network-admits-a-second-edge",
         "graph.py",
-        '        raise ValueError(f"agent owns multiple edges: {agent}")\n',
-        "        pass\n",
+        '                raise ValueError(f"agent owns multiple edges: {edge.owner}")\n',
+        "                pass\n",
         ("tests/test_graph.py", "tests/test_mechanisms_path.py"),
+    ),
+    Mutant(
+        "network-admits-uncovered-costs",
+        "graph.py",
+        '        for label, costs in (("true_cost", self.true_cost), ("bid", self.bid)):\n',
+        "        for label, costs in ():\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "spur-route-from-walk-owners",
+        "graph.py",
+        "(best.id,) + walk[0]",
+        "(best.id,) + walk[1]",
+        ("tests/test_random_networks.py",),
+    ),
+    Mutant(
+        "candidate-from-spur-owners",
+        "graph.py",
+        "                candidate = root + spur[1]\n",
+        "                candidate = root + spur[2]\n",
+        ("tests/test_random_networks.py",),
+    ),
+    Mutant(
+        "grid-size-guard-at-its-bound",
+        "analysis.py",
+        "    if bids > PROFILE_GUARD:\n",
+        "    if bids >= PROFILE_GUARD:\n",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "profile-guard-at-its-bound",
+        "analysis.py",
+        "    if size > PROFILE_GUARD:\n",
+        "    if size >= PROFILE_GUARD:\n",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "trials-guard-at-its-bound",
+        "analysis.py",
+        "    if trials > _TRIALS_GUARD:\n",
+        "    if trials >= _TRIALS_GUARD:\n",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "enumeration-guard-at-its-bound",
+        "graph.py",
+        "    if len(network.edges) > ENUMERATION_EDGE_GUARD:\n",
+        "    if len(network.edges) >= ENUMERATION_EDGE_GUARD:\n",
+        ("tests/test_graph.py",),
     ),
     Mutant(
         "search-stops-before-the-origin",

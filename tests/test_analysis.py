@@ -19,6 +19,7 @@ from pathauction import (
     PropertyReport,
     SingleItemGame,
     TieError,
+    TooLarge,
     agent_optimal_bids,
     alignment_report,
     best_response_set,
@@ -253,6 +254,21 @@ def test_grid_limit_per_agent():
         BidGrid.procurement({"a": F(1)}, F(1), 10**6)
     with pytest.raises(GridTooLarge, match="^2000000 bids for one agent exceed 1000000$"):
         BidGrid.forward({"a": F(1)}, F(1, 2 * 10**6))
+
+
+def test_guards_admit_their_exact_bound(fig3):
+    """Each guard refuses only past its bound. The grid helpers are called
+    directly, so no grid of 10**6 bids is built."""
+    from pathauction import analysis
+
+    for require in (analysis._require_grid_size, analysis._require_enumerable):
+        require(analysis.PROFILE_GUARD)
+        with pytest.raises(GridTooLarge):
+            require(analysis.PROFILE_GUARD + 1)
+    report = check_group_truthfulness(fig3, trials=10_000)
+    assert report.detail.endswith(" accepted of 10000 trials")
+    with pytest.raises(TooLarge, match="^10001 trials exceed the trials guard of 10000$"):
+        check_group_truthfulness(fig3, trials=10_001)
 
 
 def test_forward_grid_rejects_a_nonpositive_unit():
@@ -618,14 +634,6 @@ def _tied_fig2(game):
 def test_path_game_refuses_a_single_item_rule(fig3, mechanism):
     with pytest.raises(ValueError, match=f"^'{mechanism}' is not a path mechanism$"):
         PathGame(fig3, MechanismSpec(mechanism))
-
-
-def test_path_game_refuses_an_agent_that_owns_two_edges():
-    edges = (Edge("e1", "X", "Y", "a"), Edge("e2", "X", "Y", "b"), Edge("e3", "X", "Y", "a"))
-    costs = {"a": F(1), "b": F(2)}
-    net = Network(("X", "Y"), edges, "X", "Y", costs, dict(costs))
-    with pytest.raises(ValueError, match="^agent owns multiple edges: a$"):
-        PathGame(net, MechanismSpec("vcg"))
 
 
 @pytest.mark.parametrize("bids", [(F(0), F(1)), (F(-3), F(-1, 2))], ids=["zero", "negative"])

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: output contracts and the exit-code table."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -24,6 +25,14 @@ def fig3_file(tmp_path, capsys):
     assert main(["fixtures", "fig3", "--out", str(path)]) == 0
     capsys.readouterr()
     return str(path)
+
+
+def test_format_row_prints_a_group_truthful_counterexample():
+    """A group-truthful counterexample row is (group, bids, total before,
+    total after). check cannot print one: x's group total does not change
+    under a within-group change that keeps the ranking."""
+    row = (2, {"f": F(7, 2), "e": F(3)}, F(9), F(19, 2))
+    assert cli._format_row(row) == "(2, {e=3, f=7/2}, 9, 19/2)"
 
 
 def test_validate_ok(ex1_file, capsys):

@@ -73,13 +73,11 @@ def test_zero_cost_edge_is_flagged():
     assert "nonpositive cost" in rules
 
 
-def test_duplicate_owner_and_unknown_node_flagged():
-    edges = (Edge("e1", "X", "Y", "a"), Edge("e2", "X", "Z", "a"))
-    costs = {"a": Fraction(1)}
+def test_unknown_edge_endpoint_flagged():
+    edges = (Edge("e1", "X", "Y", "a"), Edge("e2", "X", "Z", "b"))
+    costs = {"a": Fraction(1), "b": Fraction(2)}
     net = Network(("X", "Y"), edges, "X", "Y", costs, dict(costs))
-    rules = {v.rule for v in validate(net)}
-    assert "agent owns multiple edges" in rules
-    assert "unknown node" in rules
+    assert [str(v) for v in validate(net)] == ["unknown node: edge e2 endpoint 'Z'"]
 
 
 _PAIR = _net([("a", "X", "Y", 1), ("b", "X", "Y", 2)], "X", "Y")
@@ -95,17 +93,38 @@ _PAIR = _net([("a", "X", "Y", 1), ("b", "X", "Y", 2)], "X", "Y")
             {"edges": (Edge("a", "X", "Y", "a"), Edge("a", "X", "Y", "b"))},
             ["duplicate edge id: a"],
         ),
-        ({"true_cost": {"a": Fraction(1)}}, ["missing cost: true_cost for agent b"]),
-        (
-            {"bid": {"a": Fraction(1), "b": Fraction(2), "z": Fraction(3)}},
-            ["unexpected cost entry: bid for z"],
-        ),
     ],
-    ids=["duplicate-node", "unknown-node", "source-is-sink", "duplicate-edge", "missing-cost",
-         "unexpected-cost"],
+    ids=["duplicate-node", "unknown-node", "source-is-sink", "duplicate-edge"],
 )
 def test_validate_names_each_structural_violation(changes, violations):
     assert [str(v) for v in validate(dataclasses.replace(_PAIR, **changes))] == violations
+
+
+_A_AND_B = {"a": Fraction(1), "b": Fraction(2)}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"edges": (Edge("a", "X", "Y", "a"), Edge("b", "X", "Y", "a"))},
+         "agent owns multiple edges: a"),
+        ({"true_cost": {"a": Fraction(1)}}, "missing cost: true_cost for agent b"),
+        ({"bid": {}}, "missing cost: bid for agent a"),
+        ({"true_cost": {**_A_AND_B, "z": Fraction(3)}}, "unexpected cost entry: true_cost for z"),
+        ({"bid": {**_A_AND_B, "z": Fraction(3), "y": Fraction(1)}},
+         "unexpected cost entry: bid for y"),
+    ],
+    ids=["two-edge-owner", "missing-true-cost", "missing-bid", "unexpected-true-cost",
+         "unexpected-bid"],
+)
+def test_network_holds_one_edge_and_one_cost_per_owner(changes, message):
+    """A second edge for one owner, or a cost map that does not cover
+    exactly the owners, is refused however the network is built."""
+    fields = {f.name: getattr(_PAIR, f.name) for f in dataclasses.fields(Network) if f.init}
+    for build in (lambda: Network(**{**fields, **changes}),
+                  lambda: dataclasses.replace(_PAIR, **changes)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 def test_disconnected_flagged():
@@ -464,7 +483,11 @@ def test_a_spur_whose_walk_meets_its_root_runs_its_own_search(monkeypatch):
     assert ranked == enumerate_paths(net).paths
 
 
-def test_enumerate_guard():
+def test_enumerate_guard(parallel_pairs):
+    """24 edges enumerate; the 25th is refused."""
+    chain = parallel_pairs(12)
+    assert len(chain.edges) == graph_module.ENUMERATION_EDGE_GUARD
+    assert len(enumerate_paths(chain)) == 2**12
     rows = [(f"e{i:02d}", "X", "Y", i + 1) for i in range(25)]
     net = _net(rows, "X", "Y")
     with pytest.raises(TooLarge):
@@ -521,28 +544,6 @@ def test_disconnected_raises():
 )
 def test_detour_costs_example1(example1, agent, mode, expected):
     assert detour_cost(example1, agent, mode, example1.true_cost) == expected
-
-
-# a owns X -> M and M -> Y. A detour that removed only a's first edge
-# would read 3 (c, then a2), where the cheapest path without a is b at 5.
-_TWO_EDGE_OWNER = Network(
-    ("M", "X", "Y"),
-    (Edge("a1", "X", "M", "a"), Edge("a2", "M", "Y", "a"), Edge("b", "X", "Y", "b"),
-     Edge("c", "X", "M", "c")),
-    "X",
-    "Y",
-    {"a": Fraction(1), "b": Fraction(5), "c": Fraction(2)},
-    {"a": Fraction(1), "b": Fraction(5), "c": Fraction(2)},
-)
-
-
-def test_detour_refuses_an_agent_that_owns_several_edges():
-    for mode in ("excluded", "zeroed"):
-        with pytest.raises(ValueError, match="^agent owns multiple edges: a$"):
-            detour_cost(_TWO_EDGE_OWNER, "a", mode)
-    # c owns one edge and is priced as before.
-    assert detour_cost(_TWO_EDGE_OWNER, "c", "excluded") == 2
-    assert detour_cost(_TWO_EDGE_OWNER, "c", "zeroed") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -52,20 +53,48 @@ def test_vcg_matches_enumeration_oracle(example1):
         assert res.payments[agent] == excluded - zeroed
 
 
-def test_vcg_refuses_a_winner_that_owns_several_edges():
-    """a owns both edges of the cheapest path X -> M -> Y. An excluded
-    detour that removed only X -> M would price a from a path through
-    M -> Y."""
+def test_no_mechanism_can_price_an_agent_that_owns_two_edges():
+    """a owns both edges of the cheapest path X -> M -> Y. Every path rule
+    but vcg would count a's bid once (fp-path would pay 1 for a path that
+    costs 2), and vcg's excluded detour would remove only X -> M. No
+    Network holds such an agent, so no mechanism id ever sees one."""
     edges = (
         Edge("a1", "X", "M", "a"),
-        Edge("a2", "M", "Y", "a"),
+        Edge("a2", "M", "Y", "d"),
         Edge("b", "X", "Y", "b"),
         Edge("c", "X", "M", "c"),
     )
-    costs = {"a": F(1), "b": F(5), "c": F(2)}
-    net = Network(("M", "X", "Y"), edges, "X", "Y", costs, dict(costs))
+    costs = {"a": F(1), "b": F(5), "c": F(2), "d": F(1)}
+    apart = Network(("M", "X", "Y"), edges, "X", "Y", costs, dict(costs))
+    assert MechanismSpec("fp-path").run(apart).total == 2
+    joined = (edges[0], dataclasses.replace(edges[1], owner="a")) + edges[2:]
+    del costs["d"]
     with pytest.raises(ValueError, match="^agent owns multiple edges: a$"):
-        MechanismSpec("vcg").run(net)
+        Network(("M", "X", "Y"), joined, "X", "Y", costs, dict(costs))
+
+
+def _renamed(ids):
+    """w: s -> m at 1, u: m -> t at 1, v: m -> t at 4, z: s -> t at 5, with
+    the edges of w, u, v and z named by `ids`. The two paths after w u tie
+    at cost 5, and their edge-id order decides which one ranks second."""
+    rows = (("w", "s", "m", 1), ("u", "m", "t", 1), ("v", "m", "t", 4), ("z", "s", "t", 5))
+    edges = tuple(Edge(i, tail, head, owner) for i, (owner, tail, head, _) in zip(ids, rows))
+    costs = {owner: F(c) for owner, _, _, c in rows}
+    return Network(("m", "s", "t"), edges, "s", "t", costs, dict(costs))
+
+
+def test_edge_names_decide_which_tied_path_ranks_second():
+    """Names a, b, c, d rank w v (a c) before z (d): u leaves at rank 2
+    and w at rank 3, so x and tradeoff2 read the tie. Names b, c, d, a rank
+    z (a) second: both winners leave at rank 2, and the tie lies past what
+    either rule reads. So analysis._compile sorts its routes by edge ids."""
+    tied = _renamed("abcd")
+    for mechanism in ("x", "tradeoff2"):
+        with pytest.raises(TieError, match="^paths ranked 2 and 3 tie at cost 5$"):
+            MechanismSpec(mechanism).run(tied)
+    clear = _renamed("bcda")
+    assert MechanismSpec("x").run(clear).payments == {"u": F(5, 2), "w": F(5, 2), "v": 0, "z": 0}
+    assert MechanismSpec("tradeoff2").run(clear).payments == {"u": 4, "w": 4, "v": 0, "z": 0}
 
 
 def test_vcg_requires_strict_best_path():

@@ -1,5 +1,7 @@
 """Generator determinism plus oracle agreement on the random population."""
 
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +25,28 @@ from pathauction import (
     shortest_path,
     validate,
 )
+
+
+def _relabelled(seed):
+    """random_network(seed, 6, 6) with its owners renamed by a seeded
+    permutation, so that edge e03 may be owned by o1. The fixtures and the
+    generator name each edge after its owner, so only such networks catch
+    code that reads an owner where it needs an edge id."""
+    net = random_network(seed, 6, 6)
+    names = [f"o{i}" for i in range(len(net.edges))]
+    random.Random(seed).shuffle(names)
+    owner = {edge.owner: name for edge, name in zip(net.edges, names)}
+    edges = tuple(dataclasses.replace(edge, owner=owner[edge.owner]) for edge in net.edges)
+    costs = {owner[agent]: cost for agent, cost in net.true_cost.items()}
+    return dataclasses.replace(net, edges=edges, true_cost=costs, bid=dict(costs))
+
+
+_FIXTURES = [fixture(name) for name in sorted(FIXTURES)]
+
+
+@pytest.fixture(scope="module")
+def relabelled_300():
+    return [_relabelled(seed) for seed in range(300)]
 
 
 def test_generator_is_deterministic():
@@ -49,8 +73,8 @@ def test_generation_failure_surfaces():
         random_network(0, node_budget=2, edge_budget=2, cost_range=(1, 1), max_attempts=5)
 
 
-def test_rank_agrees_with_enumeration(random_nets_200):
-    for net in random_nets_200:
+def test_rank_agrees_with_enumeration(random_nets_200, relabelled_300):
+    for net in random_nets_200 + relabelled_300:
         ranked = enumerate_paths(net, net.true_cost)
         again = rank_paths(net, net.true_cost, k=len(ranked.paths) + 3)
         assert again.paths == ranked.paths
@@ -64,11 +88,11 @@ def test_shortest_is_the_enumeration_minimum(random_nets_200):
         assert best.cost == rank_paths(net, net.true_cost, k=1).costs[0]
 
 
-def test_zeroed_detour_identity(random_nets_200):
+def test_zeroed_detour_identity(random_nets_200, relabelled_300):
     """Zeroing an agent on the unique best path shaves exactly its own cost,
     the closed form vcg prices with; zeroing anyone never makes things
     dearer."""
-    for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200:
+    for net in _FIXTURES + random_nets_200 + relabelled_300:
         best = shortest_path(net, net.true_cost)
         marginal = MechanismSpec("vcg").run(net, net.true_cost)
         for agent in net.agents:
@@ -80,11 +104,11 @@ def test_zeroed_detour_identity(random_nets_200):
                 assert marginal.payments[agent] == excluded - zeroed
 
 
-def test_excluded_detour_is_the_first_absence(random_nets_200):
+def test_excluded_detour_is_the_first_absence(random_nets_200, relabelled_300):
     """The cheapest path avoiding a cheapest-path agent is the first ranked
     path without it, so its cost is costs[group]; tradeoff1 prices marginal
     payments from this."""
-    for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200:
+    for net in _FIXTURES + random_nets_200 + relabelled_300:
         ranked, assignment, _ = group_structure(net, net.true_cost)
         for agent, q in assignment.group_of.items():
             assert ranked.costs[q] == detour_cost(net, agent, "excluded", net.true_cost)
@@ -103,14 +127,14 @@ def _error(call):
     return type(info.value), str(info.value)
 
 
-def test_group_index_satisfies_the_membership_definition(random_nets_200):
+def test_group_index_satisfies_the_membership_definition(random_nets_200, relabelled_300):
     """Group q means: on every one of the q cheapest paths, off the next.
 
     The live ranking of group_structure agrees with classify_groups over a
     full enumeration, in groups, prefix costs and errors."""
     from pathauction import classify_groups
 
-    for net in [fixture(name) for name in sorted(FIXTURES)] + random_nets_200[:60]:
+    for net in _FIXTURES + random_nets_200[:60] + relabelled_300:
         ranked = enumerate_paths(net, net.true_cost)
         assignment = classify_groups(ranked)
         for agent, q in assignment.group_of.items():

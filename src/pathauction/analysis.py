@@ -36,9 +36,11 @@ once per ranking shape, and the payment formulas MechanismSpec.run uses
 (mechanisms._price) price the profile. Single-item games and networks
 past the edge guard run the game's own `run` per profile; that path is
 also the reference the compiled one is tested against. Input is checked
-where it enters: a PathGame refuses a single-item rule and any network
-`validate` rejects, so no winner owns a cut and the table's ranking
-never runs out; a BidGrid refuses a nonpositive bid.
+where it enters: a Network holds every structural rule from
+construction; a PathGame refuses a single-item rule and any network
+`validate` rejects (disconnected, or an agent owns a cut), so no winner
+owns a cut and the table's ranking never runs out; a BidGrid refuses a
+nonpositive bid.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -131,9 +133,9 @@ class PathGame:
 
     `spec` names a path mechanism, as SingleItemGame's names a single-item
     one, and the network keeps every model rule. A Network already holds
-    one edge and one cost per owner; the game raises ValueError with the
-    first violation `validate` reports, so no agent owns a cut and every
-    winner has a detour.
+    every structural rule; the game raises ValueError with the first
+    reachability violation `validate` reports, so some path joins source to
+    sink, no agent owns a cut and every winner has a detour.
     """
 
     network: Network
@@ -1058,6 +1060,8 @@ def random_network(
     """
     if node_budget < 2 or edge_budget < 2:
         raise ValueError("need room for at least two parallel edges")
+    if cost_range[0] < 1:
+        raise ValueError("cost_range must start at 1 or above: costs are positive")
     rng = random.Random(seed)
     lo, hi = cost_range
     for _ in range(max_attempts):

@@ -1,17 +1,18 @@
 """Directed-graph substrate for procurement path auctions.
 
-The model is a directed multigraph with a source and a sink in which every
-edge is owned by exactly one self-interested agent and every agent owns
-exactly one edge, which a Network enforces. Each agent carries a private
-true cost and a declared bid, both strictly positive exact rationals.
-Every search refuses a cost that is not, so the one zero a search sees is
-the edge that a "zeroed" detour prices at 0, no zero-cost cycle forms,
-and only the enumeration oracle does exponential work.
+The model is a directed multigraph from a source to a different sink in
+which every edge is owned by exactly one self-interested agent and every
+agent owns exactly one edge. Each agent carries a private true cost and a
+declared bid, both strictly positive exact rationals. A Network holds every
+one of these structural rules from construction. Every search refuses a
+cost map that breaks the sign rule too, so the one zero a search sees is
+the edge that a "zeroed" detour prices at 0, no zero-cost cycle forms, and
+only the enumeration oracle does exponential work.
 
 This module provides:
 
-* validation of the model invariants (including that no single agent's
-  edge is a cut between source and sink),
+* validation of the reachability rules a Network admits breaking: some
+  path joins source to sink, and no single agent's edge is a cut,
 * deterministic shortest and k-shortest loopless path computation
   (Dijkstra plus Yen-style deviations with Lawler's refinement, ties
   broken by the lexicographically smallest edge-id sequence), run in
@@ -108,12 +109,17 @@ class Violation:
 class Network:
     """Directed multigraph with one pricing agent per edge.
 
-    Each agent owns exactly one edge, and `true_cost` and `bid` are keyed
-    by exactly the edge owners; construction raises ValueError otherwise
-    ("agent owns multiple edges: a"), so every layer prices an agent by its
-    one edge. The fields cannot be reassigned, but the two cost maps are the
-    dicts given at construction, shared rather than copied: callers must
-    not mutate them. Derived lookup tables are built once at construction.
+    Construction, `dataclasses.replace` included, raises ValueError for
+    any structural rule broken, naming the first: node names are distinct,
+    source and sink are different nodes, edge ids are distinct and every
+    endpoint is a node ("unknown node: edge e2 endpoint 'Z'"), each agent
+    owns exactly one edge ("agent owns multiple edges: a"), and `true_cost`
+    and `bid` are keyed by exactly the edge owners with positive values
+    ("nonpositive cost: bid a=0"). So every layer prices an agent by its
+    one edge; only reachability is left to `validate`. The fields cannot be
+    reassigned, but the two cost maps are the dicts given at construction,
+    shared rather than copied: callers must not mutate them. Derived lookup
+    tables are built once at construction.
     """
 
     nodes: tuple[str, ...]
@@ -137,21 +143,38 @@ class Network:
     )
 
     def __post_init__(self) -> None:
+        nodes = set(self.nodes)
+        if len(nodes) != len(self.nodes):
+            raise ValueError("duplicate node: nodes list repeats a name")
+        for endpoint, label in ((self.source, "source"), (self.sink, "sink")):
+            if endpoint not in nodes:
+                raise ValueError(f"unknown node: {label} {endpoint!r}")
+        if self.source == self.sink:
+            raise ValueError(f"source equals sink: {self.source}")
         fwd: dict[str, list[Edge]] = {}
         rev: dict[str, list[Edge]] = {}
+        by_id, of_owner = self._edge_by_id, self._edge_of_owner
         for edge in self.edges:
+            if edge.id in by_id:
+                raise ValueError(f"duplicate edge id: {edge.id}")
+            if edge.tail not in nodes or edge.head not in nodes:
+                endpoint = edge.tail if edge.tail not in nodes else edge.head
+                raise ValueError(f"unknown node: edge {edge.id} endpoint {endpoint!r}")
+            if edge.owner in of_owner:
+                raise ValueError(f"agent owns multiple edges: {edge.owner}")
+            by_id[edge.id] = of_owner[edge.owner] = edge
             fwd.setdefault(edge.tail, []).append(edge)
             rev.setdefault(edge.head, []).append(edge)
-            self._edge_by_id.setdefault(edge.id, edge)
-            if edge.owner in self._edge_of_owner:
-                raise ValueError(f"agent owns multiple edges: {edge.owner}")
-            self._edge_of_owner[edge.owner] = edge
-        owners = self._edge_of_owner.keys()
+        owners = of_owner.keys()
         for label, costs in (("true_cost", self.true_cost), ("bid", self.bid)):
             if missing := owners - costs.keys():
                 raise ValueError(f"missing cost: {label} for agent {min(missing)}")
             if extra := costs.keys() - owners:
                 raise ValueError(f"unexpected cost entry: {label} for {min(extra)}")
+            for agent, value in costs.items():
+                # A Fraction's sign is its numerator's; an int compares far faster.
+                if value.numerator <= 0:
+                    raise ValueError(f"nonpositive cost: {label} {agent}={format_cost(value)}")
         for node, out in fwd.items():
             self._adjacency[node] = tuple(sorted(out, key=lambda e: e.id))
         for node, inc in rev.items():
@@ -181,51 +204,22 @@ class Network:
 
 
 def validate(network: Network) -> list[Violation]:
-    """Check every model invariant a Network admits breaking (it holds one
-    edge and one cost per owner); an empty list means the network is valid.
+    """Check the reachability rules, the model invariants a Network admits
+    breaking: some path joins source to sink, and no agent owns a cut. Every
+    structural rule holds from construction. An empty list means the
+    network is valid.
 
     Violations are data, not failures: each one names the broken rule and
     the offending element so callers can print or collect them. Cuts are
     found by one growing search, not one search per edge, and reported in
     edge order.
     """
-    out: list[Violation] = []
-    nodes = set(network.nodes)
-    if len(nodes) != len(network.nodes):
-        out.append(Violation("duplicate node", "nodes list repeats a name"))
-    for endpoint, label in ((network.source, "source"), (network.sink, "sink")):
-        if endpoint not in nodes:
-            out.append(Violation("unknown node", f"{label} {endpoint!r}"))
-    if network.source == network.sink:
-        out.append(Violation("source equals sink", network.source))
-
-    seen_edge_ids: set[str] = set()
-    for edge in network.edges:
-        if edge.id in seen_edge_ids:
-            out.append(Violation("duplicate edge id", edge.id))
-        seen_edge_ids.add(edge.id)
-        for endpoint in (edge.tail, edge.head):
-            if endpoint not in nodes:
-                out.append(Violation("unknown node", f"edge {edge.id} endpoint {endpoint!r}"))
-
-    for label, costs in (("true_cost", network.true_cost), ("bid", network.bid)):
-        for agent, value in costs.items():
-            # A Fraction's sign is its numerator's; an int compares far faster.
-            if value.numerator <= 0:
-                out.append(Violation("nonpositive cost", f"{label} {agent}={format_cost(value)}"))
-
-    if out:
-        # Structural problems make the reachability checks unreliable.
-        return out
-
     cuts = _cut_edge_ids(network)
     if cuts is None:
-        out.append(Violation("disconnected", f"no path {network.source} -> {network.sink}"))
-        return out
-    for edge in network.edges:
-        if edge.id in cuts:
-            out.append(Violation("agent owns a cut", edge.owner))
-    return out
+        return [Violation("disconnected", f"no path {network.source} -> {network.sink}")]
+    return [
+        Violation("agent owns a cut", edge.owner) for edge in network.edges if edge.id in cuts
+    ]
 
 
 def _cut_edge_ids(network: Network) -> set[str] | None:
@@ -649,7 +643,9 @@ def network_from_json(text: str) -> Network:
     """Parse the normative JSON network format.
 
     Unknown keys are rejected; a missing edge `bid` defaults to the edge's
-    `true_cost`. Costs must be canonical cost strings.
+    `true_cost`. Costs must be canonical cost strings. A file the Network
+    constructor refuses raises FormatError with the constructor's message,
+    so every file the library cannot model is a FormatError.
     """
     try:
         raw = json.loads(text)
@@ -684,8 +680,6 @@ def network_from_json(text: str) -> Network:
             if not isinstance(item[key], str):
                 raise FormatError(f"edge field {key} must be a string")
         owner = item["owner"]
-        if owner in true_cost:
-            raise FormatError(f"agent {owner} appears on more than one edge")
         edges.append(Edge(item["id"], item["from"], item["to"], owner))
         true_cost[owner] = parse_cost(item["true_cost"])
         bid[owner] = parse_cost(item["bid"]) if "bid" in item else true_cost[owner]
@@ -694,14 +688,17 @@ def network_from_json(text: str) -> Network:
         if not isinstance(raw[key], str):
             raise FormatError(f"{key} must be a string")
 
-    return Network(
-        nodes=tuple(raw["nodes"]),
-        edges=tuple(edges),
-        source=raw["source"],
-        sink=raw["sink"],
-        true_cost=true_cost,
-        bid=bid,
-    )
+    try:
+        return Network(
+            nodes=tuple(raw["nodes"]),
+            edges=tuple(edges),
+            source=raw["source"],
+            sink=raw["sink"],
+            true_cost=true_cost,
+            bid=bid,
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def network_to_json(network: Network) -> str:

@@ -40,12 +40,15 @@ def _parallel(costs: dict[str, int]) -> str:
 
 
 # Inputs besides the four fixtures: a tied network, one whose only edge is
-# a cut (invalid), a truncated file (malformed), a 25-edge network (past the
+# a cut (invalid), a truncated file (malformed), two files no Network can
+# hold (a repeated edge id, a zero cost), a 25-edge network (past the
 # enumeration guard) and bid files, one of them tied.
 INPUTS = {
     "tie.json": _parallel({"a": 2, "b": 2}),
     "cut.json": _parallel({"a": 1}),
     "bad.json": '{"nodes": ["X", "Y"], "edges": [',
+    "dup.json": _parallel({"a": 1, "b": 2}).replace('"id": "b"', '"id": "a"'),
+    "zero.json": _parallel({"a": 0, "b": 1}),
     "wide.json": _parallel({f"e{i:02d}": i + 1 for i in range(25)}),
     "fig3.bids.json": '{"e": "2", "f": "4"}',
     "fig3.tied.json": '{"e": "3", "f": "3"}',
@@ -213,6 +216,12 @@ def requests():
         for prop in ("critical", "vcg-truthful"):
             yield ["check", _f(name), "--property", prop]
     yield ["check", _f("cut"), "--property", "vcg-truthful", "--mechanism", "fp-path"]
+
+    # files the Network constructor refuses: one error line, as for bad.json
+    for name in ("dup", "zero"):
+        yield ["validate", _f(name)]
+        yield ["rank", _f(name)]
+        yield ["run", _f(name), "--mechanism", "x"]
 
 
 def answer(argv: list[str], directory: Path) -> dict:

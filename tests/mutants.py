@@ -119,6 +119,51 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
+        "network-admits-duplicate-edge-id",
+        "graph.py",
+        '                raise ValueError(f"duplicate edge id: {edge.id}")\n',
+        "                pass\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "network-admits-nonpositive-cost",
+        "graph.py",
+        "                if value.numerator <= 0:\n",
+        "                if False:\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "network-admits-source-as-sink",
+        "graph.py",
+        "        if self.source == self.sink:\n",
+        "        if False:\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "waterfall-refuses-zero-delta",
+        "mechanisms.py",
+        "        if self.delta is not None and self.delta < 0:\n",
+        "        if self.delta is not None and self.delta <= 0:\n",
+        ("tests/test_distribution.py",),
+    ),
+    Mutant(
+        "group-profits-one-rank-short",
+        "mechanisms.py",
+        "    _read_prefix(paths, assignment.max_group + 1)\n",
+        "    _read_prefix(paths, assignment.max_group)\n",
+        ("tests/test_mechanisms_path.py",),
+    ),
+    Mutant(
+        "consistent-is-always-strongly",
+        "analysis.py",
+        "        if all(\n"
+        "            r.aligned == r.joint_optimal or r.aligned == r.mechanism_optimal\n"
+        "            for r in reports\n"
+        "        ):\n",
+        "        if True:\n",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
         "spur-route-from-walk-owners",
         "graph.py",
         "(best.id,) + walk[0]",
@@ -204,7 +249,7 @@ def main(names: list[str]) -> int:
     verdicts = []
     for mutant in [known[n] for n in names] or MUTANTS:
         verdicts.append(run(mutant))
-        print(f"{mutant.name:<32}{verdicts[-1]}", flush=True)
+        print(f"{mutant.name:<36}{verdicts[-1]}", flush=True)
     return 0 if all(v == "killed" for v in verdicts) else 1
 
 

@@ -223,6 +223,15 @@ def test_classify_single_item_suites():
     assert classify_consistency(second).verdict == "strongly-consistent"
 
 
+def test_classify_consistent_short_of_strongly():
+    """x on this random network aligns the two sides on some profiles, but
+    the aligned set is neither side's optimal set."""
+    net = random_network(3, 4, 4)
+    grid = BidGrid.procurement(net.true_cost, F(1), 2)
+    result = classify_consistency([(PathGame(net, MechanismSpec("x")), grid)], "all")
+    assert result.verdict == "consistent"
+
+
 def test_second_price_forward_profile_sets():
     types = {"b1": F(3), "b2": F(7)}
     game = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))

@@ -13,7 +13,6 @@ import itertools
 import math
 import re
 import weakref
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -391,12 +390,8 @@ _TIED = {"a": F(1), "b": F(2), "c": F(2)}
     [
         (_net(_CUT), "agent owns a cut: a"),
         (_net(_NO_PATH), "disconnected: no path X -> Y"),
-        (
-            replace(_net([("a", "X", "Y", 1), ("b", "X", "Y", 2)]), bid={"a": F(0), "b": F(2)}),
-            "nonpositive cost: bid a=0",
-        ),
     ],
-    ids=["cut", "no-path", "nonpositive-bid"],
+    ids=["cut", "no-path"],
 )
 def test_path_game_refuses_what_validate_rejects(net, message):
     """No grid is priced on an invalid network, so the table never meets a

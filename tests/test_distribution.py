@@ -61,6 +61,12 @@ def test_compound_matches_waterfall_with_remainder_spread():
     assert len(set(payments.values())) == 1
 
 
+def test_waterfall_takes_a_zero_delta():
+    """A zero delta grants no flat bonus: the pool only levels the bids."""
+    shares = distribute(DistributionRule("waterfall", F(0)), [("a", F(1)), ("b", F(3))], F(4))
+    assert shares == {"a": F(3), "b": F(1)}
+
+
 def test_empty_group_and_bad_pool():
     with pytest.raises(EmptyGroup):
         distribute(DistributionRule("equal"), [], F(1))

@@ -67,45 +67,24 @@ def test_single_edge_network_owns_a_cut():
     assert "agent owns a cut" in rules
 
 
-def test_zero_cost_edge_is_flagged():
-    net = _net([("e1", "X", "Y", 0), ("e2", "X", "Y", 2)], "X", "Y")
-    rules = {v.rule for v in validate(net)}
-    assert "nonpositive cost" in rules
-
-
-def test_unknown_edge_endpoint_flagged():
-    edges = (Edge("e1", "X", "Y", "a"), Edge("e2", "X", "Z", "b"))
-    costs = {"a": Fraction(1), "b": Fraction(2)}
-    net = Network(("X", "Y"), edges, "X", "Y", costs, dict(costs))
-    assert [str(v) for v in validate(net)] == ["unknown node: edge e2 endpoint 'Z'"]
-
-
 _PAIR = _net([("a", "X", "Y", 1), ("b", "X", "Y", 2)], "X", "Y")
-
-
-@pytest.mark.parametrize(
-    "changes, violations",
-    [
-        ({"nodes": ("X", "Y", "X")}, ["duplicate node: nodes list repeats a name"]),
-        ({"source": "S"}, ["unknown node: source 'S'"]),
-        ({"sink": "X"}, ["source equals sink: X"]),
-        (
-            {"edges": (Edge("a", "X", "Y", "a"), Edge("a", "X", "Y", "b"))},
-            ["duplicate edge id: a"],
-        ),
-    ],
-    ids=["duplicate-node", "unknown-node", "source-is-sink", "duplicate-edge"],
-)
-def test_validate_names_each_structural_violation(changes, violations):
-    assert [str(v) for v in validate(dataclasses.replace(_PAIR, **changes))] == violations
-
-
 _A_AND_B = {"a": Fraction(1), "b": Fraction(2)}
 
 
 @pytest.mark.parametrize(
     "changes, message",
     [
+        ({"nodes": ("X", "Y", "X")}, "duplicate node: nodes list repeats a name"),
+        ({"source": "S"}, "unknown node: source 'S'"),
+        ({"sink": "Z"}, "unknown node: sink 'Z'"),
+        ({"sink": "X"}, "source equals sink: X"),
+        ({"edges": (Edge("a", "X", "Y", "a"), Edge("a", "X", "Y", "b"))},
+         "duplicate edge id: a"),
+        ({"edges": (Edge("a", "X", "Y", "a"), Edge("e2", "X", "Z", "b"))},
+         "unknown node: edge e2 endpoint 'Z'"),
+        ({"true_cost": {"a": Fraction(0), "b": Fraction(2)}}, "nonpositive cost: true_cost a=0"),
+        ({"bid": {"a": Fraction(0), "b": Fraction(2)}}, "nonpositive cost: bid a=0"),
+        ({"bid": {"a": Fraction(1), "b": Fraction(-1, 3)}}, "nonpositive cost: bid b=-1/3"),
         ({"edges": (Edge("a", "X", "Y", "a"), Edge("b", "X", "Y", "a"))},
          "agent owns multiple edges: a"),
         ({"true_cost": {"a": Fraction(1)}}, "missing cost: true_cost for agent b"),
@@ -114,17 +93,35 @@ _A_AND_B = {"a": Fraction(1), "b": Fraction(2)}
         ({"bid": {**_A_AND_B, "z": Fraction(3), "y": Fraction(1)}},
          "unexpected cost entry: bid for y"),
     ],
-    ids=["two-edge-owner", "missing-true-cost", "missing-bid", "unexpected-true-cost",
+    ids=["duplicate-node", "unknown-source", "unknown-sink", "source-is-sink",
+         "duplicate-edge", "unknown-endpoint", "zero-true-cost", "zero-bid", "negative-bid",
+         "two-edge-owner", "missing-true-cost", "missing-bid", "unexpected-true-cost",
          "unexpected-bid"],
 )
 def test_network_holds_one_edge_and_one_cost_per_owner(changes, message):
-    """A second edge for one owner, or a cost map that does not cover
-    exactly the owners, is refused however the network is built."""
+    """Every structural rule of the model is the constructor's: a repeated
+    node name or edge id, an unknown endpoint, one node as source and sink,
+    an owner with a second edge, and a cost map that does not give exactly
+    the owners a positive cost are each refused however the network is
+    built."""
     fields = {f.name: getattr(_PAIR, f.name) for f in dataclasses.fields(Network) if f.init}
     for build in (lambda: Network(**{**fields, **changes}),
                   lambda: dataclasses.replace(_PAIR, **changes)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+def test_network_refuses_the_walk_without_end():
+    """Two edges named `a` once let the ranking yield ('a', 'd', 'b'),
+    ('a', 'd', 'd', 'b'), ... without end, where the enumeration listed
+    three paths; the network cannot be built."""
+    rows = [("a", "v0", "v2", 3), ("c", "v2", "v3", 2), ("b", "v1", "v3", 1),
+            ("e", "v0", "v3", 4), ("a", "v3", "v2", 1), ("d", "v2", "v2", 2),
+            ("d", "v2", "v1", 3)]
+    edges = tuple(Edge(eid, t, h, f"o{i}") for i, (eid, t, h, _) in enumerate(rows))
+    costs = {f"o{i}": Fraction(c) for i, (*_, c) in enumerate(rows)}
+    with pytest.raises(ValueError, match="^duplicate edge id: a$"):
+        Network(("v0", "v1", "v2", "v3"), edges, "v0", "v3", costs, dict(costs))
 
 
 def test_disconnected_flagged():
@@ -265,10 +262,13 @@ def test_enumerate_counts(example1, fig2, fig3):
     assert len(enumerate_paths(fig3, fig3.true_cost)) == 2
 
 
-def _multigraph(n_nodes, rows):
+def _multigraph(n_nodes, rows, owners=None):
+    """Nodes v0..v{n_nodes-1}, source first, sink last; the edges of `rows`
+    are owned by `owners` in row order, or each by its own edge id."""
     nodes = [f"v{i}" for i in range(n_nodes)]
-    edges = tuple(Edge(eid, t, h, eid) for eid, t, h, _ in rows)
-    costs = {eid: Fraction(c) for eid, _, _, c in rows}
+    owners = owners or [eid for eid, *_ in rows]
+    edges = tuple(Edge(eid, t, h, owner) for (eid, t, h, _), owner in zip(rows, owners))
+    costs = {owner: Fraction(c) for (*_, c), owner in zip(rows, owners)}
     return Network(tuple(nodes), edges, nodes[0], nodes[-1], costs, dict(costs))
 
 
@@ -277,7 +277,9 @@ def _multigraphs(draw):
     """Up to ten edges on up to five nodes: parallel edges, cycles, self
     loops, and costs n/d with n drawn from 1..3, so ties are common. Each
     graph draws one to three denominators from 1..6, so the searches'
-    integer scale (their least common multiple) is often not 1."""
+    integer scale (their least common multiple) is often not 1. The owners
+    o0..o{m-1} go to the edges in a drawn order, so no edge is named after
+    its owner and the owners' order is seldom the edge ids'."""
     n_nodes = draw(st.integers(2, 5))
     endpoint = st.sampled_from([f"v{i}" for i in range(n_nodes)])
     denominator = st.sampled_from(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
@@ -286,7 +288,8 @@ def _multigraphs(draw):
          Fraction(draw(st.integers(1, 3)), draw(denominator)))
         for i in range(draw(st.integers(1, 10)))
     ]
-    return _multigraph(n_nodes, rows)
+    owners = draw(st.permutations([f"o{i}" for i in range(len(rows))]))
+    return _multigraph(n_nodes, rows, owners)
 
 
 # Two stages of parallel unit-cost edges: every path ties, and only the
@@ -601,14 +604,20 @@ def _edited(edit):
         (network_from_json, _edited(lambda raw: raw["edges"][0].update(to=2)),
          "edge field to must be a string"),
         (network_from_json, _edited(lambda raw: raw["edges"][1].update(owner="a")),
-         "agent a appears on more than one edge"),
+         "agent owns multiple edges: a"),
+        (network_from_json, _edited(lambda raw: raw["edges"][1].update(id="a")),
+         "duplicate edge id: a"),
+        (network_from_json, _edited(lambda raw: raw["edges"][0].update(true_cost="0")),
+         "nonpositive cost: true_cost a=0"),
+        (network_from_json, _edited(lambda raw: raw.update(sink="X")),
+         "source equals sink: X"),
         (network_from_json, _edited(lambda raw: raw.update(source=None)),
          "source must be a string"),
         (bids_from_json, '["1"]', "bid file must be a JSON object"),
     ],
     ids=["not-an-object", "missing-key", "nodes", "edges", "edge-not-an-object",
-         "unknown-edge-key", "edge-missing-key", "edge-field", "shared-owner", "source",
-         "bids-not-an-object"],
+         "unknown-edge-key", "edge-missing-key", "edge-field", "shared-owner",
+         "duplicate-edge-id", "zero-cost", "source-is-sink", "source", "bids-not-an-object"],
 )
 def test_json_refuses_each_malformed_file(parse, text, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):

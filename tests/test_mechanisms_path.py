@@ -6,6 +6,7 @@ import pytest
 from pathauction import (
     DistributionRule,
     Edge,
+    GroupAssignment,
     InsufficientPaths,
     MechanismSpec,
     Network,
@@ -167,6 +168,14 @@ def test_group_profits_needs_the_prefix_through_the_last_group(example1):
     message = f"^need {assignment.max_group + 1} ranked paths, got {assignment.max_group}$"
     with pytest.raises(InsufficientPaths, match=message):
         group_profits(assignment, short)
+
+
+def test_group_profits_checks_ties_through_the_last_group(fig2):
+    """Every winner of fig2 is group 1, so the pools read ranks 1 and 2;
+    at d=3 those tie, and the tie is refused."""
+    ranked = enumerate_paths(fig2, {"a": F(1), "b": F(1), "c": F(1), "d": F(3)})
+    with pytest.raises(TieError, match="^paths ranked 1 and 2 tie at cost 3$"):
+        group_profits(GroupAssignment({"a": 1, "b": 1, "c": 1}), ranked)
 
 
 def test_group_profits_fig2(fig2):

@@ -73,6 +73,13 @@ def test_generation_failure_surfaces():
         random_network(0, node_budget=2, edge_budget=2, cost_range=(1, 1), max_attempts=5)
 
 
+def test_generator_refuses_a_cost_range_below_one():
+    """A drawn zero cost is no Network, so the range is refused up front
+    rather than on whichever draw first hits it."""
+    with pytest.raises(ValueError, match="^cost_range must start at 1 or above"):
+        random_network(0, cost_range=(0, 9))
+
+
 def test_rank_agrees_with_enumeration(random_nets_200, relabelled_300):
     for net in random_nets_200 + relabelled_300:
         ranked = enumerate_paths(net, net.true_cost)

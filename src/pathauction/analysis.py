@@ -33,7 +33,9 @@ loopless paths are listed a single time, and one loop of the table
 prices the whole grid. Each profile ranks the paths lazily, only as deep
 as its rule reads, checking ties as it ranks; the winners are grouped
 once per ranking shape, and the payment formulas MechanismSpec.run uses
-(mechanisms._price) price the profile. Single-item games and networks
+(mechanisms._price) price each distinct outcome key once per call, where
+the key is the ranking shape, the ranked costs and the winners' bids.
+Nothing is cached across calls. Single-item games and networks
 past the edge guard run the game's own `run` per profile; that path is
 also the reference the compiled one is tested against. Input is checked
 where it enters: a Network holds every structural rule from
@@ -59,6 +61,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import eq, ge, gt, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -302,9 +305,12 @@ class _PathTable:
     and each winner's first absence, keys `shapes`, which holds the winners
     grouped as mechanisms._price reads them (agent positions for keys) and
     their selected mask, built the first time the shape is priced.
-    mechanisms._price, the formulas MechanismSpec.run uses, then pays the
-    profile from the ranked costs, and only the winners' utilities are
-    written.
+    A payment reads only the shape, the ranked costs and the winners' bids,
+    so `fill` keeps one dict for its own call, keyed by the three, and
+    mechanisms._price, the formulas MechanismSpec.run uses, pays each
+    distinct key once. Every profile with that key shares its outcome: the
+    winners' utilities, the mechanism's utility and the selected mask. Only
+    the winners' utilities are written.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -327,6 +333,8 @@ class _PathTable:
         self.owners = paths
         bits = [1 << i for i in range(len(values))]
         self.masks = [sum(map(bits.__getitem__, owners)) for owners in paths]
+        # Per path, its owners' bids in a profile: a tuple, or one bid alone.
+        self.winner_bids = [itemgetter(*owners) for owners in paths]
         # Per ranking shape priced so far, its winners grouped and its selected mask.
         self.shapes: dict[tuple, tuple[tuple, int]] = {}
         self.mechanism = game.spec.mechanism
@@ -347,8 +355,12 @@ class _PathTable:
         """Price every profile of the scaled grid, in product order, into the columns."""
         owners, masks, scan, bounds = self.owners, self.masks, self.scan, self.bounds
         spec, true_scaled, shapes = self.spec, self.true_scaled, self.shapes
+        winner_bids = self.winner_bids
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
+        # Per distinct outcome key of this call: the winners' (position,
+        # utility) pairs, the mechanism's utility and the selected mask.
+        outcomes: dict[tuple, tuple] = {}
         for p, bids in enumerate(itertools.product(*self.scaled)):
             bid_of = bids.__getitem__
             heap: list[tuple[int, int]] = []
@@ -387,15 +399,23 @@ class _PathTable:
                         break
             if tied:
                 continue
-            key = tuple(shape)
-            grouped = shapes.get(key)
-            if grouped is None:
-                grouped = shapes[key] = self._shape(shape)
-            pay, _ = _price(spec, bids, ranked, grouped[0])
-            for i, amount in pay.items():
-                utilities[i][p] = amount - true_scaled[i]
-            mechanism[p] = -sum(pay.values())
-            selected[p] = grouped[1]
+            # The shape's length makes the flat key injective: the ranked
+            # costs fill the rest up to the winners' bids, one entry at the end.
+            key = (len(shape), *shape, *ranked, winner_bids[shape[0]](bids))
+            outcome = outcomes.get(key)
+            if outcome is None:
+                shape_key = tuple(shape)
+                grouped = shapes.get(shape_key)
+                if grouped is None:
+                    grouped = shapes[shape_key] = self._shape(shape)
+                pay, _ = _price(spec, bids, ranked, grouped[0])
+                won = []
+                for i, amount in pay.items():
+                    won.append((i, amount - true_scaled[i]))
+                outcome = outcomes[key] = (won, -sum(pay.values()), grouped[1])
+            won, mechanism[p], selected[p] = outcome
+            for i, utility in won:
+                utilities[i][p] = utility
 
     def _shape(self, shape: list[int]) -> tuple[tuple, int]:
         """The winners of a ranking shape, [first path, rank, absent winners'
@@ -576,22 +596,20 @@ def _utility_vectors(ev: _Evaluator, agent: str) -> list[tuple]:
 def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]:
     vectors = _utility_vectors(ev, agent)
     own = range(len(vectors))
-
-    best_anywhere: set[int] = set()
-    best_everywhere: set[int] = set(own)
-    for column in zip(*vectors):
-        column_best = max(column)
-        winners = {pos for pos, u in enumerate(column) if u == column_best}
-        best_anywhere |= winners
-        best_everywhere &= winners
-
+    # Each opponent profile's best utility. An agent with one grid bid has
+    # one vector, on which map(max, v) would call max on a single utility.
+    tops = tuple(map(max, *vectors)) if len(vectors) > 1 else vectors[0]
+    best_anywhere = [pos for pos in own if any(map(eq, vectors[pos], tops))]
     if mode == "all":
-        return tuple(sorted(best_anywhere))
+        return tuple(best_anywhere)
 
-    base = best_everywhere if mode == "dominant" else best_anywhere
+    if mode == "dominant":
+        base = [pos for pos in best_anywhere if all(map(eq, vectors[pos], tops))]
+    else:
+        base = best_anywhere
     survivors = [
         pos
-        for pos in sorted(base)
+        for pos in base
         if not any(_dominates(vectors[other], vectors[pos]) for other in own if other != pos)
     ]
 
@@ -612,13 +630,7 @@ def _optimal_positions(ev: _Evaluator, agent: str, mode: str) -> tuple[int, ...]
 
 def _dominates(left: tuple, right: tuple) -> bool:
     """Weak dominance: at least as good everywhere, strictly better somewhere."""
-    strict = False
-    for lv, rv in zip(left, right):
-        if lv < rv:
-            return False
-        if lv > rv:
-            strict = True
-    return strict
+    return all(map(ge, left, right)) and left != right
 
 
 def agent_optimal_bids(
@@ -996,6 +1008,8 @@ def check_vcg_truthful(game, grid: BidGrid) -> PropertyReport:
             # The truthful bid's own line grid, its money converted to ev's units.
             line = _Evaluator(game, _line(grid, {agent: truthful}))
             honest = [Fraction(u * ev.scale, line.scale) for u in _utilities(line, agent, 0)]
+        if not any(any(map(gt, vector, honest)) for vector in vectors):
+            continue
         for opponents, truthful_u, *row in zip(ev.opponent_profiles(agent), honest, *vectors):
             for bid, u in zip(own, row):
                 if u > truthful_u:

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,20 @@ def random_small_25():
 @pytest.fixture(scope="session")
 def unit():
     return Fraction(1)
+
+
+def renamed_owners(net, seed):
+    """`net` with its owners renamed o0, o1, ... by a permutation seeded with
+    `seed`, so that edge e03 may be owned by o1. The fixtures and the
+    generator name each edge after its owner, so only such networks catch
+    code that reads an owner where it needs an edge id, or the reverse.
+    Test files import it: `from conftest import renamed_owners`."""
+    names = [f"o{i}" for i in range(len(net.edges))]
+    random.Random(seed).shuffle(names)
+    owner = {edge.owner: name for edge, name in zip(net.edges, names)}
+    edges = tuple(dataclasses.replace(edge, owner=owner[edge.owner]) for edge in net.edges)
+    costs = {owner[agent]: cost for agent, cost in net.true_cost.items()}
+    return dataclasses.replace(net, edges=edges, true_cost=costs, bid=dict(costs))
 
 
 def _parallel_pairs(stages, tied=False):

@@ -206,6 +206,55 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
+        "outcome-key-without-ranked-costs",
+        "analysis.py",
+        "            key = (len(shape), *shape, *ranked, winner_bids[shape[0]](bids))\n",
+        "            key = (len(shape), *shape, winner_bids[shape[0]](bids))\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "outcome-key-without-winner-bids",
+        "analysis.py",
+        "            key = (len(shape), *shape, *ranked, winner_bids[shape[0]](bids))\n",
+        "            key = (len(shape), *shape, *ranked)\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "vcg-skip-unless-beaten-everywhere",
+        "analysis.py",
+        "        if not any(any(map(gt, vector, honest)) for vector in vectors):\n",
+        "        if not any(all(map(gt, vector, honest)) for vector in vectors):\n",
+        ("tests/test_grid_oracle.py",),
+    ),
+    Mutant(
+        "dominant-bids-best-anywhere",
+        "analysis.py",
+        "all(map(eq, vectors[pos], tops))",
+        "any(map(eq, vectors[pos], tops))",
+        ("tests/test_grid_oracle.py",),
+    ),
+    Mutant(
+        "table-owners-from-edge-ids",
+        "analysis.py",
+        "tuple(map(index.__getitem__, route[2]))",
+        "tuple(map(index.__getitem__, route[1]))",
+        ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
+    ),
+    Mutant(
+        "partly-truthful-misses-a-rise",
+        "analysis.py",
+        "            if probs[pos + 1] > probs[pos]:\n",
+        "            if False:\n",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "strongly-critical-needs-both",
+        "analysis.py",
+        "        if lhs != rhs or not substitute_affordable:\n",
+        "        if lhs != rhs and not substitute_affordable:\n",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
         "search-stops-before-the-origin",
         "graph.py",
         "        dist[node] = d\n        if node == origin:\n            break\n",

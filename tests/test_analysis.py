@@ -335,6 +335,28 @@ def test_partly_truthful_verdicts(xsmall):
     assert any("nonpositive utility" in row[0] for row in report.counterexamples)
 
 
+def test_partly_truthful_reports_a_selection_probability_that_rises():
+    """x with a on its own edge X-Y, q1-q2 the other winners' path X-M-Y
+    and r1, r2 their alternatives at 2. At a = 5/2 a wins unless q1 = q2 =
+    1, where it ranks second and x reads no further: 3 of 4 profiles. At
+    7/2 a wins only at q1 = q2 = 2; on the other three profiles two paths
+    through M tie within the prefix x reads: 1 of 1."""
+    rows = [("a", "X", "Y", F(5, 2)), ("q1", "X", "M", 1), ("q2", "M", "Y", 1),
+            ("r1", "X", "M", 2), ("r2", "M", "Y", 2)]
+    costs = {eid: F(c) for eid, _, _, c in rows}
+    net = Network(("M", "X", "Y"), tuple(Edge(e, t, h, e) for e, t, h, _ in rows),
+                  "X", "Y", costs, dict(costs))
+    game = PathGame(net, MechanismSpec("x"))
+    grid = BidGrid({"a": (F(5, 2), F(7, 2)), "q1": (F(1), F(2)), "q2": (F(1), F(2)),
+                    "r1": (F(2),), "r2": (F(2),)})
+    assert [selection_probability(game, grid, "a", b) for b in grid.bids_for["a"]] == [
+        F(3, 4), F(1)]
+    assert check_partly_truthful(game, grid).counterexamples == (
+        ("selection probability not maximal at truthful bid", "a"),
+        ("selection probability rises with the bid", "a", F(5, 2), F(7, 2)),
+    )
+
+
 def test_critical_verdicts(example1, fig3):
     assert check_critical(fig3, MechanismSpec("x")).holds
     assert check_critical(fig3, MechanismSpec("vcg")).holds
@@ -350,6 +372,17 @@ def test_strongly_critical_identity(example1, xsmall):
     assert rows[1] == (F(3), F(3))  # 7 - (1+1+1+1)
     assert rows[3] == (F(8), F(8))  # 10 - (1+1)
     assert check_strongly_critical(xsmall, xsmall.true_cost).holds
+
+
+def test_strongly_critical_fails_where_one_unit_less_misses_the_substitute(example1):
+    """Exact shares make each prefix's payment equal its substitute's cost
+    minus the other winners' bids, so only the affordability half can fail:
+    at unit 0 each substitute is still affordable, at -1/2 none is."""
+    rows = ((1, F(3), F(3)), (3, F(8), F(8)), (4, F(14), F(14)), (5, F(16), F(16)))
+    report = check_strongly_critical(example1, unit=F(0))
+    assert (report.verdict, report.witnesses, report.counterexamples) == ("holds", rows, ())
+    report = check_strongly_critical(example1, unit=F(-1, 2))
+    assert (report.verdict, report.witnesses, report.counterexamples) == ("fails", rows, rows)
 
 
 def test_group_truthfulness_examples(example1):

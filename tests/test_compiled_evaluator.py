@@ -16,6 +16,7 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from conftest import renamed_owners
 
 from pathauction import (
     BidGrid,
@@ -34,6 +35,7 @@ from pathauction import (
     check_partly_truthful,
     check_vcg_truthful,
     default_grid,
+    enumerate_paths,
     fixture,
     random_network,
     selection_probability,
@@ -64,6 +66,10 @@ RANDOM_NETS = [
     random_network(seed, node_budget=5 + seed % 2, edge_budget=5 + seed % 3)
     for seed in range(50)
 ]
+
+#: The first 16 random networks with their owners renamed, so that an
+#: agent's position in the sorted agent order is not its edge's.
+RENAMED_NETS = [renamed_owners(net, seed) for seed, net in enumerate(RANDOM_NETS[:16])]
 
 
 def _half_grid(net):
@@ -159,6 +165,17 @@ def test_fixture_outcomes_match_reference(name, spec):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
 def test_random_outcomes_match_reference(spec):
     ties = sum(_assert_matches_reference(net, spec) for net in RANDOM_NETS)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+def test_renamed_owner_outcomes_match_reference(spec):
+    """The table indexes agents by their sorted names and paths by their
+    edge ids; where the two orders differ, the outcomes stay the run's."""
+    assert any(
+        [e.owner for e in net.edges] != sorted(e.owner for e in net.edges) for net in RENAMED_NETS
+    )
+    ties = sum(_assert_matches_reference(net, spec) for net in RENAMED_NETS)
     assert ties > 0
 
 
@@ -310,6 +327,55 @@ def test_shape_cache_holds_one_entry_per_ranking_shape(parallel_pairs, mechanism
     for net, grid in ((fig2, _half_grid(fig2)), (chain, chain_grid)):
         ev = analysis._Evaluator(PathGame(net, spec), grid)
         assert len(ev._table.shapes) == len(_reference_shapes(spec, net, ev))
+
+
+def _outcome_key(spec, net, bids):
+    """What a payment reads, from the reference run and a plain ranking of
+    every path: the chosen path, each winner's first absence (fp-path reads
+    none), the ranked costs up to the last one and the winners' bids. None
+    on a tie."""
+    try:
+        result = spec.run(net, bids)
+    except TieError:
+        return None
+    chosen = result.chosen_path
+    ranking = enumerate_paths(net, bids)
+    assert ranking.paths[0] == chosen
+    first_absence = {}
+    depth = 2
+    if spec.mechanism != "fp-path":
+        for rank, path in enumerate(ranking.paths):
+            for agent in set(chosen.owners) - set(path.owners):
+                first_absence.setdefault(agent, rank)
+            if len(first_absence) == len(chosen.owners):
+                depth = rank + 1
+                break
+        if result.groups is not None:
+            assert first_absence == result.groups
+    winner_bids = tuple(bids[a] for a in chosen.owners)
+    return chosen.edges, tuple(sorted(first_absence.items())), ranking.costs[:depth], winner_bids
+
+
+@pytest.mark.parametrize("mechanism", sorted(m for m in MECHANISM_IDS if not m.endswith("-single")))
+def test_each_distinct_outcome_is_priced_once(monkeypatch, mechanism):
+    """On fig2's cap-5 grid the table calls the pricer once per distinct
+    (shape, ranked costs, winners' bids), counted here from the reference
+    runs, and the columns are still the reference's profile by profile."""
+    net, spec = fixture("fig2"), MechanismSpec(mechanism)
+    grid = BidGrid.procurement(net.true_cost, F(1), 5)
+    price, calls = analysis._price, []
+
+    def counted(*args):
+        calls.append(args)
+        return price(*args)
+
+    monkeypatch.setattr(analysis, "_price", counted)
+    ev = analysis._Evaluator(PathGame(net, spec), grid)
+    monkeypatch.undo()
+    profiles = (dict(zip(ev.agents, bids)) for bids in itertools.product(*ev.values))
+    keys = {_outcome_key(spec, net, bids) for bids in profiles} - {None}
+    assert len(calls) == len(keys) < len(ev.selected) - ev.mechanism_utility.count(None)
+    _assert_columns_match_reference(ev)
 
 
 def _chain_grid(net, varied):

@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from conftest import renamed_owners
 
 from pathauction import (
     BidGrid,
@@ -254,6 +255,27 @@ def test_a_1024_path_chain_matches_the_per_profile_loop(parallel_pairs):
         }
     )
     _assert_consumers_match(PathGame(net, MechanismSpec("x")), grid, "undominated")
+
+
+def _renamed_four_agent_net():
+    """The first four-agent random network whose renamed owners sort in an
+    order other than their edges'."""
+    seed = 0
+    while True:
+        net = renamed_owners(random_network(seed, node_budget=5, edge_budget=5), seed)
+        owners = [edge.owner for edge in net.edges]
+        if len(owners) == 4 and owners != sorted(owners):
+            return net
+        seed += 1
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "x", "fp-path"])
+def test_renamed_owners_match_the_per_profile_loop(mechanism):
+    """Agents sort by name and paths by edge ids: where the two orders
+    differ, every consumer still gives the loop's answers."""
+    game = PathGame(_renamed_four_agent_net(), MechanismSpec(mechanism))
+    for k, grid in enumerate(_grids(game.types)):
+        _assert_consumers_match(game, grid, MODES[k % len(MODES)])
 
 
 def test_the_grids_exercise_the_orders():

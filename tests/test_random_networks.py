@@ -1,10 +1,9 @@
 """Generator determinism plus oracle agreement on the random population."""
 
-import dataclasses
-import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import renamed_owners
 
 from pathauction import (
     FIXTURES,
@@ -28,17 +27,9 @@ from pathauction import (
 
 
 def _relabelled(seed):
-    """random_network(seed, 6, 6) with its owners renamed by a seeded
-    permutation, so that edge e03 may be owned by o1. The fixtures and the
-    generator name each edge after its owner, so only such networks catch
-    code that reads an owner where it needs an edge id."""
-    net = random_network(seed, 6, 6)
-    names = [f"o{i}" for i in range(len(net.edges))]
-    random.Random(seed).shuffle(names)
-    owner = {edge.owner: name for edge, name in zip(net.edges, names)}
-    edges = tuple(dataclasses.replace(edge, owner=owner[edge.owner]) for edge in net.edges)
-    costs = {owner[agent]: cost for agent, cost in net.true_cost.items()}
-    return dataclasses.replace(net, edges=edges, true_cost=costs, bid=dict(costs))
+    """random_network(seed, 6, 6) with its owners renamed by a permutation
+    seeded with `seed`."""
+    return renamed_owners(random_network(seed, 6, 6), seed)
 
 
 _FIXTURES = [fixture(name) for name in sorted(FIXTURES)]

@@ -26,23 +26,27 @@ on enumeration order; enumeration may be parallelized freely.
 
 Every operation prices whole grids, each once its profile count passes
 PROFILE_GUARD: every profile once, in one pass, into columns read by
-stride (see _Evaluator). A query that reads one line of a grid prices the grid that is
-that line, the fixed agents narrowed to one bid. A PathGame on a
-network within ENUMERATION_EDGE_GUARD is compiled once per grid: its
-loopless paths are listed a single time, and one loop of the table
-prices the whole grid. Each profile ranks the paths lazily, only as deep
-as its rule reads, checking ties as it ranks; the winners are grouped
-once per ranking shape, and the payment formulas MechanismSpec.run uses
-(mechanisms._price) price each distinct outcome key once per call, where
-the key is the ranking shape, the ranked costs and the winners' bids.
-Nothing is cached across calls. Single-item games and networks
-past the edge guard run the game's own `run` per profile; that path is
-also the reference the compiled one is tested against. Input is checked
-where it enters: a Network holds every structural rule from
-construction; a PathGame refuses a single-item rule and any network
-`validate` rejects (disconnected, or an agent owns a cut), so no winner
-owns a cut and the table's ranking never runs out; a BidGrid refuses a
-nonpositive bid.
+stride (see _Evaluator). A query that reads one line of a grid prices
+the grid that is that line, the fixed agents narrowed to one bid. A
+PathGame on a network within ENUMERATION_EDGE_GUARD is compiled once per
+grid: its loopless paths are listed a single time, and one loop of the table
+prices the whole grid, in lines along the agent with the most grid bids:
+on a line each path the scan reaches is summed once. A profile ranks the
+paths lazily, only as deep as its rule reads, checking ties as it ranks.
+Agents on exactly the same paths form a series class and enter every
+path cost through their sum, so where some class holds two or more
+agents each vector of class sums is ranked once per call. The winners
+are grouped once per ranking shape, and the payment formulas
+MechanismSpec.run uses (mechanisms._price) price each distinct outcome
+key once per call, where the key is the ranking (its shape and ranked
+costs) and the winners' bids. Nothing is cached across calls.
+Single-item games and networks past the edge guard run the game's own
+`run` per profile; that path is also the reference the compiled one is
+tested against. Input is checked where it enters: a Network holds every
+structural rule from construction; a PathGame refuses a single-item rule
+and any network `validate` rejects (disconnected, or an agent owns a
+cut), so no winner owns a cut and the table's ranking never runs out; a
+BidGrid refuses a nonpositive bid.
 
 The compiled table prices and compares money in integers: one scale per
 operation makes every bid, cost and share a whole number of 1/scale units
@@ -55,13 +59,14 @@ converts back to a Fraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import eq, ge, gt, itemgetter
+from operator import eq, ge, gt, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -301,16 +306,33 @@ class _PathTable:
     vcg, anywhere in the prefix for the group rules) ends the ranking and
     leaves the profile's prefilled tie entries, the run's TieError. The
     ranking never runs out: a PathGame's network has no cut, so every
-    winner is absent from some path. The ranking's shape, its first path
-    and each winner's first absence, keys `shapes`, which holds the winners
-    grouped as mechanisms._price reads them (agent positions for keys) and
-    their selected mask, built the first time the shape is priced.
-    A payment reads only the shape, the ranked costs and the winners' bids,
-    so `fill` keeps one dict for its own call, keyed by the three, and
+    winner is absent from some path. The ranking is one flat tuple, (shape
+    length, *shape, *ranked costs), where the shape is its first path and
+    each winner's first absence. The shape keys `shapes`, which holds the
+    winners grouped as mechanisms._price reads them (agent positions for
+    keys) and their selected mask, built the first time the shape is
+    priced. A payment reads only the ranking and the winners' bids, so
+    `fill` keeps one dict for its own call, keyed by the two, and
     mechanisms._price, the formulas MechanismSpec.run uses, pays each
     distinct key once. Every profile with that key shares its outcome: the
     winners' utilities, the mechanism's utility and the selected mask. Only
     the winners' utilities are written.
+
+    `fill` walks the grid in lines along the line agent, the agent with the
+    most grid bids (the last such, so a procurement grid's lines run at
+    stride 1). On a line every other bid is fixed, so each path the scan
+    reaches is summed once per line, at the line agent's least bid; a path
+    the line agent lies on costs that sum plus the bid's lift over the
+    least one. Agents that lie on exactly the same paths (a series class:
+    the series edges a series-parallel reduction merges, or any agents with
+    one path set) enter every path cost through their sum alone, so the
+    vector of class sums decides the ranking. When some class holds two or
+    more agents, `fill` keeps a second dict for its own call, from that
+    vector (the classes off the line summed once per line) to the ranking,
+    or to None for a tie the rule reads, and ranks each vector once. The
+    classes are found when the table is built, by splitting the agents on
+    some path by each path in scan order; agents on no path belong to no
+    class. Nothing is cached across calls.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -350,76 +372,143 @@ class _PathTable:
         bounds = [sum(map(least.__getitem__, owners)) for owners in paths]
         self.scan = sorted(range(len(paths)), key=bounds.__getitem__)
         self.bounds = [bounds[j] for j in self.scan] + [math.inf]
+        line = max(range(len(values)), key=lambda i: (len(values[i]), i))
+        self.line = line
+        # Per scan position, 1 when the line agent lies on the path, else 0;
+        # per line bid, its lift over the least one (0 on no path).
+        scanned = [self.masks[j] for j in self.scan]
+        whole = functools.reduce(or_, scanned)
+        self.lifted = [mask >> line & 1 for mask in scanned]
+        self.lifts = [(b - least[line]) * (whole >> line & 1) for b in self.scaled[line]]
+        # The series classes, as agent masks: the agents on some path, split by
+        # each path in scan order into those on it and those off it. A
+        # one-agent class cannot split, so the walk ends once every class has
+        # one agent, often within the first scanned paths.
+        classes, unsplit = [], [whole]
+        for mask in scanned:
+            if not unsplit:
+                break
+            parts = []
+            for members in unsplit:
+                inside = members & mask
+                if inside and inside != members:
+                    parts += (inside, members ^ inside)
+                else:
+                    parts.append(members)
+            classes += [c for c in parts if not c & (c - 1)]
+            unsplit = [c for c in parts if c & (c - 1)]
+        # The line agent's class and the others, as agent positions; None
+        # when every class has one agent.
+        self.classes = None
+        if unsplit:
+            agents = range(len(values))
+            members = [tuple(i for i in agents if c >> i & 1) for c in classes + unsplit]
+            self.classes = (
+                next((c for c in members if line in c), ()),
+                tuple(c for c in members if line not in c),
+            )
 
     def fill(self, utilities: list[list], mechanism: list, selected: list[int]) -> None:
-        """Price every profile of the scaled grid, in product order, into the columns."""
+        """Price every profile of the scaled grid, line by line, into the columns."""
         owners, masks, scan, bounds = self.owners, self.masks, self.scan, self.bounds
         spec, true_scaled, shapes = self.spec, self.true_scaled, self.shapes
-        winner_bids = self.winner_bids
+        winner_bids, lifted, lifts = self.winner_bids, self.lifted, self.lifts
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
-        # Per distinct outcome key of this call: the winners' (position,
+        values, line = self.scaled, self.line
+        before_line, after_line = values[:line], values[line + 1 :]
+        stride = math.prod(map(len, after_line))
+        block = stride * len(values[line])
+        line_bids = [(b,) for b in values[line]]
+        # Per class-sum vector ranked so far: its ranking, or None on a tie.
+        rankings = None if self.classes is None else {}
+        line_class, off_classes = self.classes or ((), ())
+        # Per distinct (ranking, winners' bids): the winners' (utility column,
         # utility) pairs, the mechanism's utility and the selected mask.
         outcomes: dict[tuple, tuple] = {}
-        for p, bids in enumerate(itertools.product(*self.scaled)):
-            bid_of = bids.__getitem__
-            heap: list[tuple[int, int]] = []
-            ranked: list[int] = []
-            tied = False
-            s = 0
-            while True:
-                if heap:
-                    while bounds[s] <= heap[0][0]:
-                        j = scan[s]
-                        heappush(heap, (sum(map(bid_of, owners[j])), j))
-                        s += 1
-                    cost, j = heappop(heap)
-                else:
-                    # A path below the next bound ranks at once, without the heap.
-                    j = scan[s]
-                    cost = sum(map(bid_of, owners[j]))
-                    s += 1
-                    if bounds[s] <= cost:
-                        heappush(heap, (cost, j))
+        for h, before in enumerate(itertools.product(*before_line)):
+            for k, after in enumerate(itertools.product(*after_line)):
+                bid_of = (before + line_bids[0] + after).__getitem__
+                # Per scan position reached on this line, its path's cost at
+                # the least line bid.
+                sums: list[int] = []
+                reached = 0
+                if rankings is not None:
+                    off = tuple([sum(map(bid_of, c)) for c in off_classes])
+                    at_least = sum(map(bid_of, line_class))
+                p = h * block + k - stride
+                for lift, single in zip(lifts, line_bids):
+                    p += stride
+                    bids = before + single + after
+                    ranking = False
+                    if rankings is not None:
+                        vector = (off, at_least + lift)
+                        ranking = rankings.get(vector, False)
+                    if ranking is False:
+                        heap: list[tuple[int, int]] = []
+                        ranked: list[int] = []
+                        tied = False
+                        s = 0
+                        while True:
+                            if heap:
+                                while bounds[s] <= heap[0][0]:
+                                    if s == reached:
+                                        sums.append(sum(map(bid_of, owners[scan[s]])))
+                                        reached += 1
+                                    heappush(heap, (sums[s] + lift * lifted[s], scan[s]))
+                                    s += 1
+                                cost, j = heappop(heap)
+                            else:
+                                # A path below the next bound ranks at once, without the heap.
+                                if s == reached:
+                                    sums.append(sum(map(bid_of, owners[scan[s]])))
+                                    reached += 1
+                                j = scan[s]
+                                cost = sums[s] + lift * lifted[s]
+                                s += 1
+                                if bounds[s] <= cost:
+                                    heappush(heap, (cost, j))
+                                    continue
+                            if not ranked:
+                                ranked.append(cost)
+                                shape, remaining = [j], masks[j]
+                                continue
+                            if cost == ranked[-1] and (len(ranked) == 1 or not top_two):
+                                tied = True
+                                break
+                            ranked.append(cost)
+                            if name == "fp-path":
+                                break
+                            if gone := remaining & ~masks[j]:
+                                remaining ^= gone
+                                shape += (len(ranked) - 1, gone)
+                                if not remaining:
+                                    break
+                        ranking = None if tied else (len(shape), *shape, *ranked)
+                        if rankings is not None:
+                            rankings[vector] = ranking
+                    if ranking is None:
                         continue
-                if not ranked:
-                    ranked.append(cost)
-                    shape, remaining = [j], masks[j]
-                    continue
-                if cost == ranked[-1] and (len(ranked) == 1 or not top_two):
-                    tied = True
-                    break
-                ranked.append(cost)
-                if name == "fp-path":
-                    break
-                if gone := remaining & ~masks[j]:
-                    remaining ^= gone
-                    shape += (len(ranked) - 1, gone)
-                    if not remaining:
-                        break
-            if tied:
-                continue
-            # The shape's length makes the flat key injective: the ranked
-            # costs fill the rest up to the winners' bids, one entry at the end.
-            key = (len(shape), *shape, *ranked, winner_bids[shape[0]](bids))
-            outcome = outcomes.get(key)
-            if outcome is None:
-                shape_key = tuple(shape)
-                grouped = shapes.get(shape_key)
-                if grouped is None:
-                    grouped = shapes[shape_key] = self._shape(shape)
-                pay, _ = _price(spec, bids, ranked, grouped[0])
-                won = []
-                for i, amount in pay.items():
-                    won.append((i, amount - true_scaled[i]))
-                outcome = outcomes[key] = (won, -sum(pay.values()), grouped[1])
-            won, mechanism[p], selected[p] = outcome
-            for i, utility in won:
-                utilities[i][p] = utility
+                    key = (ranking, winner_bids[ranking[1]](bids))
+                    outcome = outcomes.get(key)
+                    if outcome is None:
+                        n = ranking[0]
+                        shape_key = ranking[1 : n + 1]
+                        grouped = shapes.get(shape_key)
+                        if grouped is None:
+                            grouped = shapes[shape_key] = self._shape(shape_key)
+                        pay, _ = _price(spec, bids, ranking[n + 1 :], grouped[0])
+                        won = []
+                        for i, amount in pay.items():
+                            won.append((utilities[i], amount - true_scaled[i]))
+                        outcome = outcomes[key] = (won, -sum(pay.values()), grouped[1])
+                    won, mechanism[p], selected[p] = outcome
+                    for column, utility in won:
+                        column[p] = utility
 
-    def _shape(self, shape: list[int]) -> tuple[tuple, int]:
-        """The winners of a ranking shape, [first path, rank, absent winners'
-        mask, rank, mask, ...], grouped for _price, and their selected mask."""
+    def _shape(self, shape: tuple[int, ...]) -> tuple[tuple, int]:
+        """The winners of a ranking shape, (first path, rank, absent winners'
+        mask, rank, mask, ...), grouped for _price, and their selected mask."""
         winners = self.owners[shape[0]]
         group_of = dict.fromkeys(winners, 0)
         for rank, gone in zip(shape[1::2], shape[2::2]):
@@ -890,6 +979,13 @@ def check_strongly_critical(
     must equal the cost of its substitute path minus the bids of the
     remaining cheapest-path agents, and one more unit must make that
     substitute affordable.
+
+    _price splits each pool exactly, so a prefix's payment is its bids
+    plus costs[q] - costs[0], which is costs[q] minus the remaining bids:
+    `lhs == rhs` is an identity for every rule and bid profile. The
+    verdict therefore turns on `unit` alone: the substitute is affordable
+    exactly when costs[q] <= costs[q] + unit, so the property holds
+    exactly when `unit >= 0`.
     """
     resolved = _resolve_bids(network, bids)
     ranked, assignment = _group_structure(network, resolved)

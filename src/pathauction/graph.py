@@ -141,6 +141,11 @@ class Network:
     _edge_of_owner: dict[str, Edge] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # What `validate` found, set by its first call: it reads only the
+    # structure, which cannot change.
+    _violations: tuple[Violation, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         nodes = set(self.nodes)
@@ -212,14 +217,21 @@ def validate(network: Network) -> list[Violation]:
     Violations are data, not failures: each one names the broken rule and
     the offending element so callers can print or collect them. Cuts are
     found by one growing search, not one search per edge, and reported in
-    edge order.
+    edge order. The search runs once per Network; each call returns a
+    fresh list.
     """
-    cuts = _cut_edge_ids(network)
-    if cuts is None:
-        return [Violation("disconnected", f"no path {network.source} -> {network.sink}")]
-    return [
-        Violation("agent owns a cut", edge.owner) for edge in network.edges if edge.id in cuts
-    ]
+    if network._violations is None:
+        cuts = _cut_edge_ids(network)
+        if cuts is None:
+            found = (Violation("disconnected", f"no path {network.source} -> {network.sink}"),)
+        else:
+            found = tuple(
+                Violation("agent owns a cut", edge.owner)
+                for edge in network.edges
+                if edge.id in cuts
+            )
+        object.__setattr__(network, "_violations", found)
+    return list(network._violations)
 
 
 def _cut_edge_ids(network: Network) -> set[str] | None:

@@ -86,8 +86,10 @@ MUTANTS = (
     Mutant(
         "tie-scores-zero",
         "analysis.py",
-        "            if tied:\n                continue\n",
-        "            if tied:\n                mechanism[p] = 0\n                continue\n",
+        "                    if ranking is None:\n                        continue\n",
+        "                    if ranking is None:\n"
+        "                        mechanism[p] = 0\n"
+        "                        continue\n",
         ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
     ),
     Mutant(
@@ -208,15 +210,53 @@ MUTANTS = (
     Mutant(
         "outcome-key-without-ranked-costs",
         "analysis.py",
-        "            key = (len(shape), *shape, *ranked, winner_bids[shape[0]](bids))\n",
-        "            key = (len(shape), *shape, winner_bids[shape[0]](bids))\n",
+        "                    key = (ranking, winner_bids[ranking[1]](bids))\n",
+        "                    key = (ranking[: ranking[0] + 1], winner_bids[ranking[1]](bids))\n",
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(
         "outcome-key-without-winner-bids",
         "analysis.py",
-        "            key = (len(shape), *shape, *ranked, winner_bids[shape[0]](bids))\n",
-        "            key = (len(shape), *shape, *ranked)\n",
+        "                    key = (ranking, winner_bids[ranking[1]](bids))\n",
+        "                    key = (ranking,)\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "ranking-key-without-line-class-sum",
+        "analysis.py",
+        "                        vector = (off, at_least + lift)\n",
+        "                        vector = (off, at_least)\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "line-path-not-lifted",
+        "analysis.py",
+        "heappush(heap, (sums[s] + lift * lifted[s], scan[s]))",
+        "heappush(heap, (sums[s], scan[s]))",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "classes-grouped-by-path-count",
+        "analysis.py",
+        "        for mask in scanned:\n"
+        "            if not unsplit:\n"
+        "                break\n"
+        "            parts = []\n"
+        "            for members in unsplit:\n"
+        "                inside = members & mask\n"
+        "                if inside and inside != members:\n"
+        "                    parts += (inside, members ^ inside)\n"
+        "                else:\n"
+        "                    parts.append(members)\n"
+        "            classes += [c for c in parts if not c & (c - 1)]\n"
+        "            unsplit = [c for c in parts if c & (c - 1)]\n",
+        "        by_count = {}\n"
+        "        for i in range(len(values)):\n"
+        "            if whole >> i & 1:\n"
+        "                count = sum(mask >> i & 1 for mask in scanned)\n"
+        "                by_count[count] = by_count.get(count, 0) | 1 << i\n"
+        "        classes = [c for c in by_count.values() if not c & (c - 1)]\n"
+        "        unsplit = [c for c in by_count.values() if c & (c - 1)]\n",
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(

@@ -424,6 +424,66 @@ def test_tied_paths_rank_by_edge_ids_across_the_scan():
         assert _assert_columns_match_reference(ev) == 0
 
 
+def _split_class_network():
+    """e1 and e4 lie on the same two paths, e1-e2-e4 and e1-e3-e4, with e2
+    and e3 between them, so their series class is not a chain of adjacent
+    edges. At truthful bids e1-e3-e4 and e5 tie at cost 4."""
+    return _net(
+        [("e1", "X", "M", 1), ("e2", "M", "N", 1), ("e3", "M", "N", 2), ("e4", "N", "Y", 1),
+         ("e5", "X", "Y", 4)]
+    )
+
+
+def _assert_every_rule_matches_reference(net, grid):
+    """The columns of every spec against the reference; the tie count."""
+    ties = 0
+    for spec in SPECS:
+        ev = analysis._Evaluator(PathGame(net, spec), grid)
+        assert ev._table is not None
+        ties += _assert_columns_match_reference(ev)
+    return ties
+
+
+def test_a_series_class_that_is_not_a_chain_matches_the_reference():
+    net = _split_class_network()
+    grid = BidGrid.procurement(net.true_cost, HALF, 2)
+    table = analysis._Evaluator(PathGame(net, MechanismSpec("x")), grid)._table
+    line_class, off_classes = table.classes
+    assert table.line == 4 and line_class == (4,) and (0, 3) in off_classes
+    assert _assert_every_rule_matches_reference(net, grid) > 0
+
+
+@pytest.mark.parametrize("name", ["fig2", "split-class"])
+def test_lines_along_an_agent_that_is_not_the_last_match_the_reference(name):
+    """The first agent has the most bids and the last one a single bid, so
+    the lines run at a stride of the middle agents' bid counts."""
+    net = fixture("fig2") if name == "fig2" else _split_class_network()
+    first, *middle, last = net.agents
+    grid = {first: tuple(net.true_cost[first] + HALF * i for i in range(4))}
+    grid |= {a: (net.true_cost[a], net.true_cost[a] + HALF) for a in middle}
+    grid[last] = (net.true_cost[last] - 1,)
+    ev = analysis._Evaluator(PathGame(net, MechanismSpec("x")), BidGrid(grid))
+    assert ev._table.line == 0 and ev.strides[0] == 2 ** len(middle)
+    assert _assert_every_rule_matches_reference(net, BidGrid(grid)) > 0
+
+
+def test_one_profile_grids_match_the_reference():
+    """fig2 at its types, and with d at 3, where d ties the series route."""
+    net = fixture("fig2")
+    ties = 0
+    for d in (net.true_cost["d"], F(3)):
+        grid = BidGrid({a: (b,) for a, b in dict(net.true_cost, d=d).items()})
+        ties += _assert_every_rule_matches_reference(net, grid)
+    assert ties == len(SPECS)
+
+
+def test_fixtures_with_renamed_owners_match_the_reference():
+    nets = [renamed_owners(fixture(name), seed) for name in ("fig2", "xsmall", "fig3")
+            for seed in range(3)]
+    assert any([e.owner for e in net.edges] != sorted(e.owner for e in net.edges) for net in nets)
+    assert sum(_assert_every_rule_matches_reference(net, _half_grid(net)) for net in nets) > 0
+
+
 @pytest.mark.parametrize(
     "threshold, branch, total", [(F(2, 5), "vcg", 10), (F(2, 5) - F(1, 100), "x", 6)]
 )

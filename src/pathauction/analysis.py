@@ -63,11 +63,11 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import eq, ge, gt, itemgetter, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     Disconnected,
@@ -89,6 +89,8 @@ from .mechanisms import (
     _price,
     _resolve_bids,
     _run_single_item,
+    _unit_scale,
+    _units,
 )
 from .rational import format_cost
 
@@ -263,26 +265,6 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 # ---------------------------------------------------------------------------
 # Profile evaluation
 # ---------------------------------------------------------------------------
-
-
-def _units(value: Fraction, scale: int) -> int:
-    """`value` in units of 1/scale, for a scale its denominator divides."""
-    return value.numerator * (scale // value.denominator)
-
-
-def _unit_scale(
-    spec: MechanismSpec, money: Iterable[Fraction], factor: int
-) -> tuple[int, MechanismSpec]:
-    """The least scale at which every value in `money`, and the rule delta of
-    x and tradeoff1, is a whole number of 1/scale units, times `factor`;
-    and `spec` with that delta in those units."""
-    delta = spec.rule.delta if spec.mechanism in ("x", "tradeoff1") else None
-    if delta is not None:
-        money = itertools.chain(money, (delta,))
-    scale = math.lcm(*(v.denominator for v in money)) * factor
-    if delta is not None:
-        spec = replace(spec, rule=DistributionRule(spec.rule.kind, _units(delta, scale)))
-    return scale, spec
 
 
 class _PathTable:

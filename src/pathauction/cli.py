@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .analysis import check_partly_truthful, check_strongly_critical, check_vcg_
 from .errors import FormatError, GridTooLarge, PathAuctionError, TieError, TooLarge
 from .fixtures import FIXTURES, fixture
 from .graph import Network, Violation, bids_from_json, network_from_json, network_to_json
-from .graph import rank_paths, validate
+from .graph import _to_json, rank_paths, validate
 from .mechanisms import DistributionRule, MechanismSpec, PaymentResult
 from .rational import approx_suffix, format_cost, parse_cost
 
@@ -217,7 +216,7 @@ def _result_json(spec: MechanismSpec, result: PaymentResult) -> str:
         "mechanism_utility": format_cost(result.mechanism_utility),
         "branch": result.branch,
     }
-    return json.dumps(payload, indent=2)
+    return _to_json(payload)
 
 
 def _print_result_table(spec: MechanismSpec, bids: dict[str, Fraction],
@@ -283,7 +282,7 @@ def cmd_analyze(args) -> int:
     grid = _procurement_grid(network, parse_cost(args.unit), args.cap)
     report = alignment_report(game, grid, args.mode)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_to_json(report.to_json_dict()))
         return EXIT_OK
     print(f"mechanism: {args.mechanism}   mode: {args.mode}")
     for agent in report.agents:

@@ -646,6 +646,64 @@ def detour_cost(
 # File format
 # ---------------------------------------------------------------------------
 
+# Each ASCII character a JSON string escapes, as json.dumps escapes it: the
+# control characters and DEL by code, the quote, the backslash and five
+# controls by a letter.
+_ESCAPES = {c: "\\u%04x" % c for c in (*range(0x20), 0x7F)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')})
+
+
+def _escape_non_ascii(char: str) -> str:
+    code = ord(char)
+    if code < 0x80:
+        return char
+    if code < 0x10000:
+        return "\\u%04x" % code
+    code -= 0x10000
+    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+
+
+def _json_string(text: str) -> str:
+    if text.isprintable() and text.isascii() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    text = text.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join(map(_escape_non_ascii, text))
+    return f'"{text}"'
+
+
+def _to_json(value, indent: str = "\n") -> str:
+    """`value` byte for byte as json.dumps writes it at an indent of two
+    spaces, non-ASCII escaped, for dicts with str keys, lists, strs, ints
+    and None, nested in any way; any other type raises TypeError. `indent`
+    is a newline and the enclosing container's indentation. Every JSON
+    text the package writes comes from here: json's encoder falls back to
+    pure Python whenever it indents, and this writer is faster. A str item
+    is quoted in place, saving a call per item."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [
+            f"{_json_string(k)}: {_json_string(v) if type(v) is str else _to_json(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json_string(v) if type(v) is str else _to_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 _NETWORK_KEYS = {"nodes", "edges", "source", "sink"}
 _EDGE_REQUIRED = {"id", "from", "to", "owner", "true_cost"}
 _EDGE_KEYS = _EDGE_REQUIRED | {"bid"}
@@ -731,7 +789,7 @@ def network_to_json(network: Network) -> str:
         "source": network.source,
         "sink": network.sink,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _to_json(payload) + "\n"
 
 
 def load_network(path: str) -> Network:
@@ -761,4 +819,4 @@ def bids_from_json(text: str, network: Network | None = None) -> dict[str, Fract
 
 
 def bids_to_json(bids: Mapping[str, Fraction]) -> str:
-    return json.dumps({a: format_cost(v) for a, v in sorted(bids.items())}, indent=2) + "\n"
+    return _to_json({a: format_cost(v) for a, v in sorted(bids.items())}) + "\n"

@@ -23,7 +23,9 @@ TieError rather than guessing a tie-break with unknown incentive effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -351,6 +353,37 @@ def distribute(
 # ---------------------------------------------------------------------------
 
 
+def _units(value: Fraction, scale: int) -> int:
+    """`value` in units of 1/scale, for a scale its denominator divides."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _unit_scale(
+    spec: MechanismSpec, money: Iterable[Fraction], factor: int
+) -> tuple[int, MechanismSpec]:
+    """The one scale of integer pricing, for MechanismSpec.run, the compiled
+    grid table and the group-truthfulness trials: the least scale at which
+    every value in `money`, and the rule delta of x and tradeoff1, is a
+    whole number of 1/scale units, times `factor`; and `spec` with that
+    delta in those units. A path cost is a sum of bids, so with the bids
+    in `money` every path cost is whole in those units too."""
+    delta = spec.rule.delta if spec.mechanism in ("x", "tradeoff1") else None
+    if delta is not None:
+        money = itertools.chain(money, (delta,))
+    scale = math.lcm(*(v.denominator for v in money)) * factor
+    if delta is not None:
+        spec = replace(spec, rule=DistributionRule(spec.rule.kind, _units(delta, scale)))
+    return scale, spec
+
+
+def _money(units, scale: int) -> Fraction:
+    """Units of 1/scale as a Fraction: an int count, or the exact Fraction
+    count a reverse-rank or uneven share leaves."""
+    if type(units) is int:
+        return Fraction(units, scale)
+    return units / scale
+
+
 def _pools(costs: Sequence, groups: tuple, telescoping: bool) -> dict:
     """Pool per group q of `groups`, grouped winners as _price reads them, in
     increasing q: the cost gap to q's own substitute path (rank q+1) from
@@ -395,10 +428,11 @@ def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[d
     winners come grouped, as _grouped builds them: `groups` holds (q, keys)
     pairs in increasing q, and `bids[k]` is winner k's bid. Keys are
     opaque: agent ids in MechanismSpec.run, positions in the sorted agent
-    order in the table, which sort as the ids do. Money may be Fractions,
-    or integers in a common unit (the rule's delta in that unit too).
-    costs[0] is the cheapest path's cost and costs[q] the cost of the
-    cheapest path without the keys of group q. For the group rules costs
+    order in the table, which sort as the ids do. Its callers pass money
+    as integers in units of 1/scale, at the scale _unit_scale gives (the
+    rule's delta in those units too); Fractions price the same. costs[0]
+    is the cheapest path's cost and costs[q] the cost of the cheapest path
+    without the keys of group q. For the group rules costs
     is the ranked prefix, strictly increasing, and q the rank of its
     members' first absence; fp-path reads only the keys.
 
@@ -444,33 +478,6 @@ def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[d
 
 # Fractions are immutable, so one zero serves every unpaid agent.
 _ZERO = Fraction(0)
-
-
-def _path_result(
-    network: Network,
-    chosen: Path,
-    payments_on_path: Mapping[str, Fraction],
-    groups: Mapping[str, int] | None = None,
-    branch: str | None = None,
-) -> PaymentResult:
-    agents = network.agents
-    payments = dict.fromkeys(agents, _ZERO)
-    utilities = dict.fromkeys(agents, _ZERO)
-    for agent, amount in payments_on_path.items():
-        payments[agent] = amount
-        utilities[agent] = amount - network.true_cost[agent]
-    # Every other agent is paid zero.
-    total = sum(payments_on_path.values(), _ZERO)
-    return PaymentResult(
-        payments=payments,
-        utilities=utilities,
-        total=total,
-        mechanism_utility=-total,
-        selected=tuple(sorted(payments_on_path)),
-        chosen_path=chosen,
-        groups=dict(groups) if groups is not None else None,
-        branch=branch,
-    )
 
 
 def group_structure(
@@ -553,6 +560,14 @@ class MechanismSpec:
     reverse) and `lam` and `threshold` (within [0, 1] when given). `run`
     checks the bids; the network needs no check, since a Network holds
     one edge and one cost per owner and each rule prices an agent by it.
+
+    A path rule's run prices in integers: it scales the bids, the true
+    costs and the delta of x and tradeoff1 once, to units of 1/S for S the
+    least common multiple of their denominators (times lcm(1..m), m the
+    winners, for x, tradeoff1 and tradeoff3, whose splits then stay whole
+    but for reverse-rank's), so that every ranked cost and vcg detour is a
+    whole number of units. Each payment, utility and the total converts
+    to a Fraction once, in the PaymentResult.
     """
 
     mechanism: str
@@ -589,6 +604,31 @@ class MechanismSpec:
         else:
             ranked, assignment = _group_structure(network, resolved)
             chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of
-            groups = group_of
-        pay, branch = _price(self, resolved, costs, _grouped(group_of))
-        return _path_result(network, chosen, pay, groups, branch)
+            groups = dict(group_of)
+        # Price in integer units of 1/scale, and convert each amount once.
+        # As in the grid table, the splitting rules' scale is a multiple of
+        # every group size, so only a reverse-rank share can be a Fraction.
+        factor = 1
+        if name in ("x", "tradeoff1", "tradeoff3"):
+            factor = math.lcm(*range(1, len(group_of) + 1))
+        true_cost = network.true_cost
+        money = itertools.chain(resolved.values(), true_cost.values())
+        scale, spec = _unit_scale(self, money, factor)
+        units = {a: _units(resolved[a], scale) for a in group_of}
+        pay, branch = _price(spec, units, [_units(c, scale) for c in costs], _grouped(group_of))
+        payments = dict.fromkeys(network.agents, _ZERO)
+        utilities = payments.copy()
+        for agent, amount in pay.items():
+            payments[agent] = _money(amount, scale)
+            utilities[agent] = _money(amount - _units(true_cost[agent], scale), scale)
+        total = _money(sum(pay.values()), scale)
+        return PaymentResult(
+            payments=payments,
+            utilities=utilities,
+            total=total,
+            mechanism_utility=-total,
+            selected=tuple(sorted(pay)),
+            chosen_path=chosen,
+            groups=groups,
+            branch=branch,
+        )

@@ -1,10 +1,11 @@
 """Exact currency values and their canonical string form.
 
-All money in this package is a :class:`fractions.Fraction`: arithmetic is
-exact, results are always in lowest terms and denominators are always
-positive. Files and reports carry costs as strings, either an integer
-literal ("7") or a fraction in lowest terms ("3/2"); this module owns the
-parsing and formatting of that encoding.
+All money that enters or leaves this package is a
+:class:`fractions.Fraction`: exact, in lowest terms, with a positive
+denominator. Inside, the pricers may count it in integer units of a
+common denominator instead. Files and reports carry costs as strings,
+either an integer literal ("7") or a fraction in lowest terms ("3/2");
+this module owns the parsing and formatting of that encoding.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ FIXTURE_NAMES = ("example1", "fig2", "fig3", "xsmall")
 _EDGE = '{{"id": "{0}", "from": "X", "to": "Y", "owner": "{0}", "true_cost": "{1}"}}'
 
 
-def _parallel(costs: dict[str, int]) -> str:
+def _parallel(costs: dict[str, int | str]) -> str:
     edges = ", ".join(_EDGE.format(edge, cost) for edge, cost in costs.items())
     return f'{{"nodes": ["X", "Y"], "edges": [{edges}], "source": "X", "sink": "Y"}}'
 
@@ -42,7 +42,9 @@ def _parallel(costs: dict[str, int]) -> str:
 # Inputs besides the four fixtures: a tied network, one whose only edge is
 # a cut (invalid), a truncated file (malformed), two files no Network can
 # hold (a repeated edge id, a zero cost), a 25-edge network (past the
-# enumeration guard) and bid files, one of them tied.
+# enumeration guard) and bid files, one of them tied; then a network tied
+# at a fractional cost, one with fractional true costs and whole bids, one
+# whose agent ids are not ASCII, and example1 bids in halves and thirds.
 INPUTS = {
     "tie.json": _parallel({"a": 2, "b": 2}),
     "cut.json": _parallel({"a": 1}),
@@ -57,7 +59,37 @@ INPUTS = {
         | {"K": "2", "H": "2", "I": "3", "J": "4", "P": "4", "M": "6", "L": "7",
            "N": "16", "O": "16"}
     ),
+    "tie72.json": _parallel({"a": "7/2", "b": "7/2"}),
+    "halves.json": json.dumps({
+        "nodes": ["X", "M", "Y"],
+        "edges": [
+            {"id": "a", "from": "X", "to": "M", "owner": "a", "true_cost": "1/2", "bid": "1"},
+            {"id": "b", "from": "M", "to": "Y", "owner": "b", "true_cost": "4/3", "bid": "2"},
+            {"id": "c", "from": "X", "to": "M", "owner": "c", "true_cost": "5/3", "bid": "3"},
+            {"id": "d", "from": "X", "to": "Y", "owner": "d", "true_cost": "7/2", "bid": "6"},
+        ],
+        "source": "X",
+        "sink": "Y",
+    }),
+    "unicode.json": json.dumps({
+        "nodes": ["X", "M", "Y"],
+        "edges": [
+            {"id": "\u00e9", "from": "X", "to": "M", "owner": "\u00e9", "true_cost": "1"},
+            {"id": "\u03a9", "from": "M", "to": "Y", "owner": "\u03a9", "true_cost": "2"},
+            {"id": "\U0001f680", "from": "X", "to": "Y", "owner": "\U0001f680", "true_cost": "5"},
+            {"id": "d\"q\\", "from": "X", "to": "Y", "owner": "d\"q\\", "true_cost": "7"},
+        ],
+        "source": "X",
+        "sink": "Y",
+    }, ensure_ascii=False),
+    "example1.thirds.json": json.dumps(
+        {"A": "1/2", "B": "2/3", "C": "1/3", "D": "3/2", "E": "4/3", "F": "1/2", "G": "1",
+         "K": "5/2", "H": "2", "I": "7/3", "J": "9/2", "P": "11/3", "M": "6", "L": "13/2",
+         "N": "16", "O": "31/2"}
+    ),
 }
+
+PATH_MECHANISMS = ("fp-path", "vcg", "x", "tradeoff1", "tradeoff2", "tradeoff3")
 
 
 def write_inputs(directory: Path) -> None:
@@ -222,6 +254,27 @@ def requests():
         yield ["validate", _f(name)]
         yield ["rank", _f(name)]
         yield ["run", _f(name), "--mechanism", "x"]
+
+    # run on fractional money: example1 bids in halves and thirds, fractional
+    # true costs with whole bids, a tie at a fractional cost, and agent ids
+    # that JSON output escapes
+    thirds = _f("example1.thirds")
+    for mechanism in PATH_MECHANISMS:
+        yield ["run", ex1, "--mechanism", mechanism, "--bids", thirds, "--format", "json"]
+    for mechanism in ("x", "tradeoff1"):
+        for flags in (["--rule", "waterfall", "--delta", "1/3"], ["--rule", "reverse-rank"]):
+            yield ["run", ex1, "--mechanism", mechanism, *flags, "--bids", thirds,
+                   "--format", "json"]
+    for mechanism in PATH_MECHANISMS:
+        for fmt in ("table", "json"):
+            yield ["run", _f("halves"), "--mechanism", mechanism, "--format", fmt]
+    yield ["run", _f("halves"), "--mechanism", "x", "--bids", "truthful", "--format", "json"]
+    for mechanism in ("fp-path", "vcg", "x"):
+        yield ["run", _f("tie72"), "--mechanism", mechanism]
+    for mechanism in PATH_MECHANISMS:
+        yield ["run", _f("unicode"), "--mechanism", mechanism, "--format", "json"]
+    yield ["run", _f("unicode"), "--mechanism", "fp-single", "--format", "json"]
+    yield ["rank", _f("unicode"), "-k", "3"]
 
 
 def answer(argv: list[str], directory: Path) -> dict:

@@ -301,6 +301,34 @@ MUTANTS = (
         "        if node == origin:\n            break\n        dist[node] = d\n",
         ("tests/test_graph.py",),
     ),
+    Mutant(
+        "run-scale-without-delta",
+        "mechanisms.py",
+        "        money = itertools.chain(money, (delta,))\n",
+        "        pass\n",
+        ("tests/test_run_units.py",),
+    ),
+    Mutant(
+        "run-scale-without-true-costs",
+        "mechanisms.py",
+        "        money = itertools.chain(resolved.values(), true_cost.values())\n",
+        "        money = resolved.values()\n",
+        ("tests/test_run_units.py",),
+    ),
+    Mutant(
+        "run-fraction-share-not-rescaled",
+        "mechanisms.py",
+        "    return units / scale\n",
+        "    return units\n",
+        ("tests/test_run_units.py",),
+    ),
+    Mutant(
+        "json-writer-raw-non-ascii",
+        "graph.py",
+        '        text = "".join(map(_escape_non_ascii, text))\n',
+        "        pass\n",
+        ("tests/test_json_writer.py",),
+    ),
 )
 
 

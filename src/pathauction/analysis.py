@@ -77,7 +77,7 @@ from .errors import (
     TooLarge,
 )
 from .graph import ENUMERATION_EDGE_GUARD, Edge, Network, enumerate_paths, validate
-from .graph import _walk_all
+from .graph import _scaled_costs, _walk_all
 from .mechanisms import (
     EQUAL_SPLIT,
     DistributionRule,
@@ -87,6 +87,7 @@ from .mechanisms import (
     _group_structure,
     _grouped,
     _price,
+    _ranked_groups,
     _resolve_bids,
     _run_single_item,
     _unit_scale,
@@ -970,7 +971,7 @@ def check_strongly_critical(
     exactly when `unit >= 0`.
     """
     resolved = _resolve_bids(network, bids)
-    ranked, assignment = _group_structure(network, resolved)
+    ranked, assignment = _ranked_groups(network, resolved)
     costs = ranked.costs
     pay, _ = _price(MechanismSpec("x", rule=rule), resolved, costs, _grouped(assignment.group_of))
     rows = []
@@ -1019,24 +1020,25 @@ def check_group_truthfulness(
     if trials > _TRIALS_GUARD:
         raise TooLarge(f"{trials} trials exceed the trials guard of {_TRIALS_GUARD}")
     resolved = _resolve_bids(network, bids)
-    ranked, assignment = _group_structure(network, resolved)
-    grouped = _grouped(assignment.group_of)
+    # Rank at the bids' own scale, then price at a multiple of it.
+    ranking_units, ranking_scale = _scaled_costs(network, resolved)
+    read, group_of = _group_structure(network, ranking_units, ranking_scale)
+    grouped = _grouped(group_of)
     groups = dict(grouped)
     # Each trial's delta k/d, d in 2..5, is a whole number of units, and
     # so is a delta's mean over any present group.
     factor = 60 * math.lcm(*range(1, max(map(len, groups.values())) + 1))
     scale, spec = _unit_scale(MechanismSpec("x", rule=rule), resolved.values(), factor)
     units = {agent: _units(v, scale) for agent, v in resolved.items()}
-    prefix = assignment.max_group + 1
-    base, _ = _price(spec, units, [_units(c, scale) for c in ranked.costs], grouped)
+    prefix = len(read)
+    base, _ = _price(spec, units, [c * (scale // ranking_scale) for c, _, _ in read], grouped)
     before = {q: sum(base[a] for a in members) for q, members in groups.items()}
     paths = [(p.edges, p.owners) for p in enumerate_paths(network, resolved)]
     rng = random.Random(seed)
     accepted = 0
     counterexamples = []
     for _ in range(trials):
-        q = rng.choice(assignment.present_groups)
-        members = groups[q]
+        q, members = rng.choice(grouped)
         # Drawn k first, then d, as Fraction(randint, choice) draws them.
         deltas = [rng.randint(-3, 3) * (scale // rng.choice((2, 3, 4, 5))) for _ in members]
         if len(members) > 1 and rng.random() < 0.5:
@@ -1109,7 +1111,7 @@ def check_degenerate_vickrey(
     winner's payment from an `x` run and from a `vcg` run, which prices
     with its own detour search."""
     resolved = _resolve_bids(network, bids)
-    ranked, _ = _group_structure(network, resolved)
+    ranked, _ = _ranked_groups(network, resolved)
     chosen = ranked.paths[0]
     if len(chosen.edges) != 1:
         return PropertyReport(

@@ -15,8 +15,7 @@ This module provides:
   path joins source to sink, and no single agent's edge is a cut,
 * deterministic shortest and k-shortest loopless path computation
   (Dijkstra plus Yen-style deviations with Lawler's refinement, ties
-  broken by the lexicographically smallest edge-id sequence), run in
-  integers scaled by the cost map's least common denominator; a ranking
+  broken by the lexicographically smallest edge-id sequence); a ranking
   reads its spurs off one unrestricted reverse shortest-path tree and
   runs a restricted search only for a spur the tree does not settle,
 * a brute-force enumeration oracle for all loopless paths, used to
@@ -24,6 +23,14 @@ This module provides:
 * detour costs (cheapest path avoiding an agent, cheapest path with an
   agent's cost zeroed) that marginal-pricing rules are built from,
 * the normative JSON file format for networks.
+
+Every search runs in integers. The ranking (`_ranked_routes`) and the
+detour (`_detour_units`) take costs a caller has already scaled to
+positive whole units and answer in those units; the mechanism layer calls
+them at its own pricing scale. The public views (`shortest_path`,
+`iter_ranked_paths`, `rank_paths`, `detour_cost`, `enumerate_paths`)
+scale their cost map once by its least common denominator and build a
+`Fraction` only for what they return.
 
 Every function here is pure; results depend only on arguments and are
 safe to share between threads. Values are immutable, except a Network's
@@ -33,6 +40,7 @@ two cost maps: shared dicts, which nothing here mutates.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -290,9 +298,9 @@ def _scaled_costs(
     """The cost map in integers, and the scale it was multiplied by.
 
     The scale is the least common denominator of the map, so a sum of
-    scaled costs over the scale is the exact rational sum. Searches add and
-    compare these integers; the paths they return carry
-    `Fraction(cost, scale)`. A cost that is not positive is a ValueError.
+    scaled costs over the scale is the exact rational sum. The public
+    views search with these integers and return `Fraction(cost, scale)`.
+    A cost that is not positive is a ValueError.
     """
     resolved = network.bid if costs is None else costs
     scale = math.lcm(*(value.denominator for value in resolved.values()))
@@ -479,14 +487,16 @@ def shortest_path(network: Network, costs: Mapping[str, Fraction] | None = None)
     return _path(route, scale)
 
 
-def iter_ranked_paths(
-    network: Network, costs: Mapping[str, Fraction] | None = None
-) -> Iterator[Path]:
-    """Yield loopless paths in nondecreasing cost order (Yen-style deviations).
+def _ranked_routes(network: Network, scaled: Mapping[str, int]) -> Iterator[_Route]:
+    """Yield loopless routes in nondecreasing cost order (Yen-style deviations).
 
-    The iterator is exhaustive: run to completion it produces every loopless
-    source-to-sink path exactly once. Candidate deviations are ordered by
-    (cost, edge-id sequence), matching the enumeration oracle's sort.
+    `scaled` maps every agent to a positive whole number of units, at a
+    scale of the caller's choosing; each route's cost is in those units.
+    The iterator is exhaustive: run to completion it produces every
+    loopless source-to-sink route exactly once. Candidate deviations are
+    ordered by (cost, edge-id sequence), matching the enumeration oracle's
+    sort. Raises Disconnected on the first `next` when no path joins
+    source and sink.
 
     Lawler's refinement: a path that deviated from an earlier one at index
     d shares that path's first d edges, and those roots were spurred when
@@ -499,10 +509,9 @@ def iter_ranked_paths(
     walk under the unrestricted distances to the sink, and each spur is
     read off the same tree (`_ReverseTree.spur`, after Feng's node
     classification). Only a spur the tree does not settle, which needs a
-    cycle through a root node, runs its own restricted search. Costs must
-    be positive (ValueError otherwise), so no search here is exhaustive.
+    cycle through a root node, runs its own restricted search. With
+    positive costs no search here is exhaustive.
     """
-    scaled, scale = _scaled_costs(network, costs)
     tree = _ReverseTree(network, scaled)
     if network.source not in tree.dist:
         raise Disconnected(f"no path {network.source} -> {network.sink}")
@@ -514,7 +523,7 @@ def iter_ranked_paths(
     branches: dict[tuple[str, ...], set[str]] = {}
     while heap:
         cost, edges, owners, deviation = heapq.heappop(heap)
-        yield Path(edges, owners, Fraction(cost, scale))
+        yield cost, edges, owners
         nodes = _node_sequence(network, edges)
         root_cost = sum(scaled[owner] for owner in owners[:deviation])
         blocked = set(nodes[:deviation])
@@ -542,18 +551,33 @@ def iter_ranked_paths(
             root_cost += scaled[owners[i]]
 
 
+def iter_ranked_paths(
+    network: Network, costs: Mapping[str, Fraction] | None = None
+) -> Iterator[Path]:
+    """Yield loopless paths in nondecreasing cost order, ties broken by the
+    smaller edge-id sequence, until every loopless source-to-sink path has
+    been yielded once.
+
+    A view of `_ranked_routes`: the cost map (None means the declared
+    bids) is scaled once by its least common denominator, and each route
+    becomes a `Path` with a `Fraction` cost as it is yielded. Costs must be
+    positive (ValueError otherwise); Disconnected when no path exists.
+    Both are raised on the first `next`.
+    """
+    scaled, scale = _scaled_costs(network, costs)
+    for route in _ranked_routes(network, scaled):
+        yield _path(route, scale)
+
+
 def rank_paths(
     network: Network, costs: Mapping[str, Fraction] | None = None, k: int = 1
 ) -> RankedPaths:
     """The first min(k, total) loopless paths in nondecreasing cost order."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    out: list[Path] = []
-    for path in iter_ranked_paths(network, costs):
-        out.append(path)
-        if len(out) == k:
-            break
-    return RankedPaths(tuple(out))
+    scaled, scale = _scaled_costs(network, costs)
+    routes = itertools.islice(_ranked_routes(network, scaled), k)
+    return RankedPaths(tuple(_path(route, scale) for route in routes))
 
 
 def _node_sequence(network: Network, edges: tuple[str, ...]) -> tuple[str, ...]:
@@ -610,6 +634,27 @@ def enumerate_paths(
 # ---------------------------------------------------------------------------
 
 
+def _detour_units(
+    network: Network, agent: str, mode: str, scaled: Mapping[str, int]
+) -> int:
+    """Cost, in the units of `scaled`, of the cheapest path after sidelining
+    `agent`, an owner of `network`; `scaled` is as `_ranked_routes` takes
+    it and is not mutated. The modes are `detour_cost`'s."""
+    if mode == "excluded":
+        route = _best_path(
+            network, scaled, excluded_edges=frozenset({network.edge_of(agent).id})
+        )
+        if route is None:
+            raise Disconnected(f"removing agent {agent} disconnects the network")
+        return route[0]
+    if mode == "zeroed":
+        route = _best_path(network, {**scaled, agent: 0})
+        if route is None:
+            raise Disconnected(f"no path {network.source} -> {network.sink}")
+        return route[0]
+    raise ValueError(f"unknown detour mode {mode!r}")
+
+
 def detour_cost(
     network: Network,
     agent: str,
@@ -622,24 +667,12 @@ def detour_cost(
     not own a cut). mode "zeroed": the agent's edge is kept but priced at
     zero, the one zero a search ever sees. An agent that owns no edge is a
     ValueError (the Network holds one per owner), as is a nonpositive cost.
+    A view of `_detour_units` at the cost map's least common denominator.
     """
     if agent not in network._edge_of_owner:
         raise ValueError(f"unknown agent {agent!r}")
     scaled, scale = _scaled_costs(network, costs)
-    if mode == "excluded":
-        route = _best_path(
-            network, scaled, excluded_edges=frozenset({network.edge_of(agent).id})
-        )
-        if route is None:
-            raise Disconnected(f"removing agent {agent} disconnects the network")
-        return Fraction(route[0], scale)
-    if mode == "zeroed":
-        scaled[agent] = 0
-        route = _best_path(network, scaled)
-        if route is None:
-            raise Disconnected(f"no path {network.source} -> {network.sink}")
-        return Fraction(route[0], scale)
-    raise ValueError(f"unknown detour mode {mode!r}")
+    return Fraction(_detour_units(network, agent, mode, scaled), scale)
 
 
 # ---------------------------------------------------------------------------

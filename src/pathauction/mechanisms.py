@@ -36,7 +36,7 @@ from .errors import (
     NotSelected,
     TieError,
 )
-from .graph import Network, Path, RankedPaths, detour_cost, iter_ranked_paths
+from .graph import Network, Path, RankedPaths, _detour_units, _ranked_routes, _scaled_costs
 
 RULE_KINDS = ("equal", "reverse-rank", "waterfall", "compound")
 
@@ -143,8 +143,9 @@ def _check_bids(bids: Mapping[str, Fraction], bidders: Iterable[str], who: str) 
     the message) and every bid is positive."""
     if set(bids) != set(bidders):
         raise ValueError(f"bid profile must cover exactly the {who}")
-    for agent, value in bids.items():
-        if value <= 0:
+    for agent, bid in bids.items():
+        # A Fraction's sign is its numerator's; an int compares far faster.
+        if bid.numerator <= 0:
             raise ValueError(f"nonpositive bid for {agent}")
 
 
@@ -202,42 +203,61 @@ def _resolve_bids(network: Network, bids: Mapping[str, Fraction] | None) -> dict
     return resolved
 
 
-def _read_prefix(paths: Iterable[Path], depth: int | None = None) -> tuple:
-    """Read a ranking once: `depth` paths, or with no depth until every agent
-    of the cheapest path has been absent once, recording each first absence
-    as that agent's group (0 while it is present). Returns the paths read,
-    the groups and, when the paths ran out first, the agents still present
-    in cheapest-path order, whose error the caller words; otherwise TieError
-    unless costs strictly increase over the paths read."""
+def _read_prefix(routes: Iterable[tuple], depth: int | None = None, scale: int = 1) -> tuple:
+    """Read a ranking once: `depth` routes, or with no depth until every
+    agent of the cheapest route has been absent once, recording each first
+    absence as that agent's group (0 while it is present). A route is
+    (cost, edge ids, owners), its cost in units of 1/scale. Returns the
+    routes read, the groups and, when the routes ran out first, the agents
+    still present in cheapest-route order, whose error the caller words;
+    otherwise TieError, its cost a Fraction, unless costs strictly
+    increase over the routes read."""
     read, group_of = [], {}
-    for rank, path in enumerate(paths):
-        read.append(path)
+    for rank, route in enumerate(routes):
+        read.append(route)
         if not rank:
-            group_of = dict.fromkeys(path.owners, 0)
+            group_of = dict.fromkeys(route[2], 0)
         elif depth is None:
-            for agent in group_of.keys() - path.owner_set:
-                if not group_of[agent]:
+            owners = route[2]
+            for agent, q in group_of.items():
+                if not q and agent not in owners:
                     group_of[agent] = rank
         if len(read) == depth or all(group_of.values()):
             break
     stuck = [a for a, q in group_of.items() if not q] if depth is None else []
     if not stuck:
         for j in range(1, len(read)):
-            if read[j - 1].cost == read[j].cost:
-                raise TieError(f"paths ranked {j} and {j + 1} tie at cost {read[j].cost}")
+            if read[j - 1][0] == read[j][0]:
+                cost = Fraction(read[j][0], scale)
+                raise TieError(f"paths ranked {j} and {j + 1} tie at cost {cost}")
     return read, group_of, stuck
 
 
-def _group_structure(
-    network: Network, bids: Mapping[str, Fraction]
-) -> tuple[RankedPaths, GroupAssignment]:
-    """Ranked prefix and survival groups for bids that _resolve_bids has
-    checked, ranked over the shortest prefix in which every cheapest-path
+def _group_structure(network: Network, units: Mapping[str, int], scale: int) -> tuple:
+    """The ranked prefix, as routes in units of 1/scale, and each
+    cheapest-path agent's survival group, for checked bids given in those
+    units, ranked over the shortest prefix in which every cheapest-path
     agent is absent once."""
-    read, group_of, stuck = _read_prefix(iter_ranked_paths(network, bids))
+    read, group_of, stuck = _read_prefix(_ranked_routes(network, units), scale=scale)
     if stuck:
         raise InsufficientPaths(f"agents {sorted(stuck)} appear on every source-to-sink path")
-    return RankedPaths(tuple(read)), GroupAssignment(group_of)
+    return read, group_of
+
+
+def _ranked_groups(
+    network: Network, bids: Mapping[str, Fraction]
+) -> tuple[RankedPaths, GroupAssignment]:
+    """_group_structure for bids _resolve_bids has checked, its routes as
+    `Path`s with `Fraction` costs."""
+    units, scale = _scaled_costs(network, bids)
+    read, group_of = _group_structure(network, units, scale)
+    paths = tuple(Path(edges, owners, Fraction(cost, scale)) for cost, edges, owners in read)
+    return RankedPaths(paths), GroupAssignment(group_of)
+
+
+def _routes(ranked: RankedPaths) -> list[tuple]:
+    """Supplied paths as the routes _read_prefix reads, at scale 1."""
+    return [(p.cost, p.edges, p.owners) for p in ranked.paths]
 
 
 def classify_groups(ranked: RankedPaths) -> GroupAssignment:
@@ -250,7 +270,7 @@ def classify_groups(ranked: RankedPaths) -> GroupAssignment:
     """
     if not ranked.paths:
         raise InsufficientPaths("no ranked paths supplied")
-    _, group_of, stuck = _read_prefix(ranked.paths)
+    _, group_of, stuck = _read_prefix(_routes(ranked))
     if stuck:
         raise InsufficientPaths(f"agent {stuck[0]} appears in every supplied path")
     return GroupAssignment(group_of)
@@ -264,7 +284,7 @@ def group_profits(assignment: GroupAssignment, ranked: RankedPaths) -> dict[int,
     cheapest path itself standing in below the first present group. The
     pools telescope: they sum to cost(rank max+1) - cost(rank 1).
     """
-    paths = ranked.paths
+    paths = _routes(ranked)
     if len(paths) <= assignment.max_group:
         raise InsufficientPaths(
             f"need {assignment.max_group + 1} ranked paths, got {len(paths)}"
@@ -484,7 +504,7 @@ def group_structure(
     network: Network, bids: Mapping[str, Fraction] | None = None
 ) -> tuple[RankedPaths, GroupAssignment, dict[int, Fraction]]:
     """Ranked prefix, survival groups and pooled profits for the cheapest path."""
-    ranked, assignment = _group_structure(network, _resolve_bids(network, bids))
+    ranked, assignment = _ranked_groups(network, _resolve_bids(network, bids))
     pools = _pools(ranked.costs, _grouped(assignment.group_of), telescoping=True)
     return ranked, assignment, pools
 
@@ -505,7 +525,7 @@ def member_gap_schedule(
     if raise_by < 0:
         raise ValueError("raise_by must be nonnegative")
     resolved = _resolve_bids(network, bids)
-    ranked, assignment = _group_structure(network, resolved)
+    ranked, assignment = _ranked_groups(network, resolved)
     if agent not in assignment.group_of:
         raise NotSelected(f"agent {agent} is not on the cheapest path")
     k = assignment.group_of[agent]
@@ -561,13 +581,15 @@ class MechanismSpec:
     checks the bids; the network needs no check, since a Network holds
     one edge and one cost per owner and each rule prices an agent by it.
 
-    A path rule's run prices in integers: it scales the bids, the true
-    costs and the delta of x and tradeoff1 once, to units of 1/S for S the
-    least common multiple of their denominators (times lcm(1..m), m the
-    winners, for x, tradeoff1 and tradeoff3, whose splits then stay whole
-    but for reverse-rank's), so that every ranked cost and vcg detour is a
-    whole number of units. Each payment, utility and the total converts
-    to a Fraction once, in the PaymentResult.
+    A path rule's run ranks and prices in integers: it scales the bids,
+    the true costs and the delta of x and tradeoff1 once, to units of 1/S
+    for S the least common multiple of their denominators, and ranks and
+    takes vcg's detours with the bids in those units. Once the winners
+    are known, x, tradeoff1 and tradeoff3 multiply the units by lcm(1..m),
+    m the winners, so that their splits stay whole but for reverse-rank's.
+    No Path or Fraction is built per ranked path: the chosen path, each
+    payment, each utility and the total are built once, in the
+    PaymentResult, and a tie message prints its cost as a Fraction.
     """
 
     mechanism: str
@@ -593,29 +615,38 @@ class MechanismSpec:
         name = self.mechanism
         if name.endswith("-single"):
             return _run_single_item(self, resolved, network.true_cost)
-        if name in ("fp-path", "vcg"):
-            read, _, _ = _read_prefix(iter_ranked_paths(network, resolved), 2)
-            # The cheapest path's cost, then each winner's excluded detour.
-            chosen, groups = read[0], None
-            group_of = {a: r for r, a in enumerate(chosen.owners, 1)}
-            costs = [chosen.cost]
-            if name == "vcg":
-                costs += [detour_cost(network, a, "excluded", resolved) for a in chosen.owners]
-        else:
-            ranked, assignment = _group_structure(network, resolved)
-            chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of
-            groups = dict(group_of)
-        # Price in integer units of 1/scale, and convert each amount once.
-        # As in the grid table, the splitting rules' scale is a multiple of
-        # every group size, so only a reverse-rank share can be a Fraction.
-        factor = 1
-        if name in ("x", "tradeoff1", "tradeoff3"):
-            factor = math.lcm(*range(1, len(group_of) + 1))
+        # Rank and price in integer units of 1/scale; build each Fraction
+        # once, in the PaymentResult.
         true_cost = network.true_cost
         money = itertools.chain(resolved.values(), true_cost.values())
-        scale, spec = _unit_scale(self, money, factor)
-        units = {a: _units(resolved[a], scale) for a in group_of}
-        pay, branch = _price(spec, units, [_units(c, scale) for c in costs], _grouped(group_of))
+        scale, spec = _unit_scale(self, money, 1)
+        units = {a: _units(v, scale) for a, v in resolved.items()}
+        if name in ("fp-path", "vcg"):
+            read, _, _ = _read_prefix(_ranked_routes(network, units), 2, scale)
+            # The cheapest path's cost, then each winner's excluded detour.
+            cost, edges, owners = read[0]
+            group_of, groups = {a: r for r, a in enumerate(owners, 1)}, None
+            costs = [cost]
+            if name == "vcg":
+                costs += [_detour_units(network, a, "excluded", units) for a in owners]
+        else:
+            read, group_of = _group_structure(network, units, scale)
+            cost, edges, owners = read[0]
+            costs, groups = [route[0] for route in read], dict(group_of)
+        chosen = Path(edges, owners, Fraction(cost, scale))
+        if name in ("x", "tradeoff1", "tradeoff3"):
+            # As in the grid table, the splitting rules' scale is a multiple
+            # of every group size, lcm(1..m) for m winners, so only a
+            # reverse-rank share can be a Fraction of units.
+            factor = math.lcm(*range(1, len(group_of) + 1))
+            if factor > 1:
+                scale *= factor
+                costs = [c * factor for c in costs]
+                units = {a: units[a] * factor for a in group_of}
+                if name != "tradeoff3" and spec.rule.delta is not None:
+                    rule = DistributionRule(spec.rule.kind, spec.rule.delta * factor)
+                    spec = replace(spec, rule=rule)
+        pay, branch = _price(spec, units, costs, _grouped(group_of))
         payments = dict.fromkeys(network.agents, _ZERO)
         utilities = payments.copy()
         for agent, amount in pay.items():

@@ -44,7 +44,8 @@ def _parallel(costs: dict[str, int | str]) -> str:
 # hold (a repeated edge id, a zero cost), a 25-edge network (past the
 # enumeration guard) and bid files, one of them tied; then a network tied
 # at a fractional cost, one with fractional true costs and whole bids, one
-# whose agent ids are not ASCII, and example1 bids in halves and thirds.
+# whose agent ids are not ASCII, example1 bids in halves and thirds, and a
+# network whose ranks 2 and 3 tie at a fractional cost.
 INPUTS = {
     "tie.json": _parallel({"a": 2, "b": 2}),
     "cut.json": _parallel({"a": 1}),
@@ -87,6 +88,20 @@ INPUTS = {
          "K": "5/2", "H": "2", "I": "7/3", "J": "9/2", "P": "11/3", "M": "6", "L": "13/2",
          "N": "16", "O": "31/2"}
     ),
+    # Cheapest a-b at 2, then a-e and d both at 7/2: b leaves at rank 2 and
+    # a at rank 3, so the group rules read the tie and fp-path and vcg do not.
+    "tie23.json": json.dumps({
+        "nodes": ["X", "M", "Y"],
+        "edges": [
+            {"id": "a", "from": "X", "to": "M", "owner": "a", "true_cost": "1"},
+            {"id": "b", "from": "M", "to": "Y", "owner": "b", "true_cost": "1"},
+            {"id": "c", "from": "X", "to": "M", "owner": "c", "true_cost": "5"},
+            {"id": "d", "from": "X", "to": "Y", "owner": "d", "true_cost": "7/2"},
+            {"id": "e", "from": "M", "to": "Y", "owner": "e", "true_cost": "5/2"},
+        ],
+        "source": "X",
+        "sink": "Y",
+    }),
 }
 
 PATH_MECHANISMS = ("fp-path", "vcg", "x", "tradeoff1", "tradeoff2", "tradeoff3")
@@ -275,6 +290,15 @@ def requests():
         yield ["run", _f("unicode"), "--mechanism", mechanism, "--format", "json"]
     yield ["run", _f("unicode"), "--mechanism", "fp-single", "--format", "json"]
     yield ["rank", _f("unicode"), "-k", "3"]
+
+    # a tie deeper than the first two ranks, read only by the group rules
+    tie23 = _f("tie23")
+    for mechanism in ("x", "tradeoff2", "tradeoff3", "tradeoff1"):
+        yield ["run", tie23, "--mechanism", mechanism]
+    for mechanism in ("fp-path", "vcg"):
+        yield ["run", tie23, "--mechanism", mechanism, "--format", "json"]
+    for prop in ("strongly-critical", "group-truthful"):
+        yield ["check", tie23, "--property", prop]
 
 
 def answer(argv: list[str], directory: Path) -> dict:

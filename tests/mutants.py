@@ -55,11 +55,11 @@ MUTANTS = (
     Mutant(
         "tradeoff1-ranks-again",
         "mechanisms.py",
-        "            chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of\n",
-        "            chosen, costs, group_of = ranked.paths[0], ranked.costs, assignment.group_of\n"
+        "            costs, groups = [route[0] for route in read], dict(group_of)\n",
+        "            costs, groups = [route[0] for route in read], dict(group_of)\n"
         '            if name == "tradeoff1":\n'
-        "                _group_structure(network, resolved)\n"
-        '                [detour_cost(network, a, "excluded", resolved) for a in chosen.owners]\n',
+        "                _group_structure(network, units, scale)\n"
+        '                [_detour_units(network, a, "excluded", units) for a in owners]\n',
         ("tests/test_tradeoffs.py",),
     ),
     Mutant(
@@ -72,7 +72,7 @@ MUTANTS = (
     Mutant(
         "bid-sign-unchecked",
         "mechanisms.py",
-        "        if value <= 0:\n",
+        "        if bid.numerator <= 0:\n",
         "        if False:\n",
         ("tests/test_analysis.py", "tests/test_mechanisms_single.py"),
     ),
@@ -320,6 +320,27 @@ MUTANTS = (
         "mechanisms.py",
         "    return units / scale\n",
         "    return units\n",
+        ("tests/test_run_units.py",),
+    ),
+    Mutant(
+        "run-tie-message-in-units",
+        "mechanisms.py",
+        "                cost = Fraction(read[j][0], scale)\n",
+        "                cost = read[j][0]\n",
+        ("tests/test_golden_cli.py",),
+    ),
+    Mutant(
+        "run-costs-skip-split-factor",
+        "mechanisms.py",
+        "                costs = [c * factor for c in costs]\n",
+        "                pass\n",
+        ("tests/test_run_units.py",),
+    ),
+    Mutant(
+        "ranked-routes-unit-drift",
+        "graph.py",
+        "    heap = [(tree.dist[network.source], edges, owners, 0)]\n",
+        "    heap = [(tree.dist[network.source] + 1, edges, owners, 0)]\n",
         ("tests/test_run_units.py",),
     ),
     Mutant(

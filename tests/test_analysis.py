@@ -591,8 +591,8 @@ def test_degenerate_vickrey_checker(fig3, example1):
 def test_degenerate_vickrey_checks_the_vcg_run_against_the_ranking(monkeypatch, fig3):
     """The vcg payment comes from a run with its own detour search, so a
     detour one unit too dear breaks the check on a one-edge cheapest path."""
-    detour = mechanisms.detour_cost
-    monkeypatch.setattr(mechanisms, "detour_cost", lambda *args: detour(*args) + 1)
+    detour = mechanisms._detour_units
+    monkeypatch.setattr(mechanisms, "_detour_units", lambda *args: detour(*args) + 1)
     report = check_degenerate_vickrey(fig3)
     assert report.verdict == "fails" and not report.holds
     assert report.detail == "winner e paid 5"

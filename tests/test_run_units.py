@@ -1,7 +1,9 @@
-"""MechanismSpec.run prices in integer units; here it meets an oracle that
-ranks by enumeration and prices in Fractions."""
+"""MechanismSpec.run ranks and prices in integer units; here it meets an
+oracle that ranks by enumeration and prices in Fractions, and the integer
+ranking and detour it calls meet the public Fraction views."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,9 +20,12 @@ from pathauction import (
     Network,
     PaymentResult,
     TieError,
+    detour_cost,
     enumerate_paths,
     fixture,
 )
+from pathauction import graph
+from pathauction.graph import _detour_units, _ranked_routes
 from pathauction.mechanisms import _grouped, _price
 
 PATH_MECHANISMS = ("fp-path", "vcg", "x", "tradeoff1", "tradeoff2", "tradeoff3")
@@ -160,3 +165,53 @@ def test_run_is_the_fraction_oracle_on_fixed_profiles(net, bids):
     """Whole bids with a delta of 1/3 or 5/2, whole bids over fractional true
     costs, and reverse-rank shares that are not whole in the run's units."""
     _assert_runs_as_the_oracle(net, dict(net.bid) if bids is None else bids)
+
+
+def _assert_integer_searches_match_the_views(net, bids):
+    """At scales S, 2S and 6S, S the bids' least common denominator, the
+    integer ranking is the enumeration with each cost times the scale,
+    route for route, and each integer detour is detour_cost times the
+    scale (or both raise the same Disconnected)."""
+    every = enumerate_paths(net, bids).paths
+    lowest = math.lcm(*(bid.denominator for bid in bids.values()))
+    for scale in (lowest, 2 * lowest, 6 * lowest):
+        units = {agent: int(bid * scale) for agent, bid in bids.items()}
+        kept = dict(units)
+        routes = list(_ranked_routes(net, units))
+        assert routes == [(p.cost * scale, p.edges, p.owners) for p in every], scale
+        assert all(type(cost) is int for cost, _, _ in routes)
+        for agent, mode in itertools.product(sorted(net.agents), ("excluded", "zeroed")):
+            got = _outcome(lambda: _detour_units(net, agent, mode, units))
+            want = _outcome(lambda: detour_cost(net, agent, mode, bids) * scale)
+            assert got == want, (scale, agent, mode)
+        assert units == kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(_priced_multigraphs())
+def test_integer_ranking_and_detours_are_the_views_on_multigraphs(case):
+    _assert_integer_searches_match_the_views(*case)
+
+
+@pytest.mark.parametrize("name", ["example1", "fig2", "fig3", "xsmall"])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_integer_ranking_and_detours_are_the_views_on_fixtures(name, seed):
+    net = fixture(name) if seed is None else renamed_owners(fixture(name), seed)
+    _assert_integer_searches_match_the_views(net, net.bid)
+
+
+def test_integer_ranking_runs_the_restricted_spur_on_a_cycle(monkeypatch):
+    """The cheapest way on from M runs back through X by b, so the spur from
+    X off the edge d walks through the blocked root node X and the tree
+    cannot settle it; a restricted search from X must, and the ranking
+    still equals the enumeration."""
+    net = _net([("d", "X", "Y", 1), ("a", "X", "M", 1), ("b", "M", "X", 1),
+                ("c", "M", "Y", 1)])
+    spurs = []
+    search = graph._best_path
+    monkeypatch.setattr(
+        graph, "_best_path", lambda *a, **k: spurs.append(k.get("start")) or search(*a, **k)
+    )
+    bids = {a: Fraction(v, 3) for a, v in zip("abcd", (2, 1, 30, 4))}
+    _assert_integer_searches_match_the_views(net, bids)
+    assert "X" in spurs

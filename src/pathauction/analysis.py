@@ -37,9 +37,10 @@ Agents on exactly the same paths form a series class and enter every
 path cost through their sum, so where some class holds two or more
 agents each vector of class sums is ranked once per call. The winners
 are grouped once per ranking shape, and the payment formulas
-MechanismSpec.run uses (mechanisms._price) price each distinct outcome
-key once per call, where the key is the ranking (its shape and ranked
-costs) and the winners' bids. Nothing is cached across calls.
+MechanismSpec.run uses (mechanisms._price) price each distinct ranking
+(its shape and ranked costs) once per call, where the rule's profits do
+not read the bids, and each distinct (ranking, winners' bids) once where
+they do. Nothing is cached across calls.
 Single-item games and networks past the edge guard run the game's own
 `run` per profile; that path is also the reference the compiled one is
 tested against. Input is checked where it enters: a Network holds every
@@ -87,6 +88,7 @@ from .mechanisms import (
     _group_structure,
     _grouped,
     _price,
+    _profits_bid_free,
     _ranked_groups,
     _resolve_bids,
     _run_single_item,
@@ -294,12 +296,19 @@ class _PathTable:
     each winner's first absence. The shape keys `shapes`, which holds the
     winners grouped as mechanisms._price reads them (agent positions for
     keys) and their selected mask, built the first time the shape is
-    priced. A payment reads only the ranking and the winners' bids, so
-    `fill` keeps one dict for its own call, keyed by the two, and
-    mechanisms._price, the formulas MechanismSpec.run uses, pays each
-    distinct key once. Every profile with that key shares its outcome: the
-    winners' utilities, the mechanism's utility and the selected mask. Only
-    the winners' utilities are written.
+    priced. `fill` keeps one record per distinct ranking for its own call.
+    Where the rule's profits are bid-free (mechanisms._profits_bid_free:
+    every rule but the reverse-rank, waterfall and compound splits of x and
+    tradeoff1), a winner's payment is its bid plus an amount the ranking
+    fixes, and the winners' bids sum to the cheapest cost. So
+    mechanisms._price, the formulas MechanismSpec.run uses, prices each
+    ranking once, and its record is the outcome: per winner its utility
+    column and its profit less its true cost, the mechanism's utility and
+    the selected mask. The other rules read the winners' bids, so their
+    record holds the ranking and a dict from the winners' bids to the
+    outcome, and each distinct (ranking, winners' bids) is priced once.
+    Every profile writes its winners' utilities, each its bid plus that
+    constant, and shares the rest of the outcome.
 
     `fill` walks the grid in lines along the line agent, the agent with the
     most grid bids (the last such, so a procurement grid's lines run at
@@ -310,9 +319,10 @@ class _PathTable:
     the series edges a series-parallel reduction merges, or any agents with
     one path set) enter every path cost through their sum alone, so the
     vector of class sums decides the ranking. When some class holds two or
-    more agents, `fill` keeps a second dict for its own call, from that
-    vector (the classes off the line summed once per line) to the ranking,
-    or to None for a tie the rule reads, and ranks each vector once. The
+    more agents, `fill` keeps a second dict for its own call, from the
+    sums of the classes off the line (summed once per line) to a dict from
+    the line class's sum to the ranking's record, or to None for a tie the
+    rule reads, and ranks each vector once; a hit hashes one int. The
     classes are found when the table is built, by splitting the agents on
     some path by each path in scan order; agents on no path belong to no
     class. Nothing is cached across calls.
@@ -394,21 +404,22 @@ class _PathTable:
     def fill(self, utilities: list[list], mechanism: list, selected: list[int]) -> None:
         """Price every profile of the scaled grid, line by line, into the columns."""
         owners, masks, scan, bounds = self.owners, self.masks, self.scan, self.bounds
-        spec, true_scaled, shapes = self.spec, self.true_scaled, self.shapes
         winner_bids, lifted, lifts = self.winner_bids, self.lifted, self.lifts
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
+        bid_free = _profits_bid_free(self.spec)
         values, line = self.scaled, self.line
         before_line, after_line = values[:line], values[line + 1 :]
         stride = math.prod(map(len, after_line))
         block = stride * len(values[line])
         line_bids = [(b,) for b in values[line]]
-        # Per class-sum vector ranked so far: its ranking, or None on a tie.
+        # Per off-line class sums ranked so far, per line class sum: the
+        # ranking's record, or None on a tie.
         rankings = None if self.classes is None else {}
         line_class, off_classes = self.classes or ((), ())
-        # Per distinct (ranking, winners' bids): the winners' (utility column,
-        # utility) pairs, the mechanism's utility and the selected mask.
-        outcomes: dict[tuple, tuple] = {}
+        # Per distinct ranking, its record: the outcome, where the profits
+        # are bid-free; else (ranking, {winners' bids: outcome}).
+        records: dict[tuple, tuple] = {}
         for h, before in enumerate(itertools.product(*before_line)):
             for k, after in enumerate(itertools.product(*after_line)):
                 bid_of = (before + line_bids[0] + after).__getitem__
@@ -419,15 +430,17 @@ class _PathTable:
                 if rankings is not None:
                     off = tuple([sum(map(bid_of, c)) for c in off_classes])
                     at_least = sum(map(bid_of, line_class))
+                    by_sum = rankings.get(off)
+                    if by_sum is None:
+                        by_sum = rankings[off] = {}
                 p = h * block + k - stride
                 for lift, single in zip(lifts, line_bids):
                     p += stride
                     bids = before + single + after
-                    ranking = False
+                    record = False
                     if rankings is not None:
-                        vector = (off, at_least + lift)
-                        ranking = rankings.get(vector, False)
-                    if ranking is False:
+                        record = by_sum.get(at_least + lift, False)
+                    if record is False:
                         heap: list[tuple[int, int]] = []
                         ranked: list[int] = []
                         tied = False
@@ -467,27 +480,44 @@ class _PathTable:
                                 shape += (len(ranked) - 1, gone)
                                 if not remaining:
                                     break
-                        ranking = None if tied else (len(shape), *shape, *ranked)
+                        record = None
+                        if not tied:
+                            ranking = (len(shape), *shape, *ranked)
+                            record = records.get(ranking)
+                            if record is None:
+                                record = records[ranking] = (
+                                    self._outcome(ranking, bids, utilities)
+                                    if bid_free
+                                    else (ranking, {})
+                                )
                         if rankings is not None:
-                            rankings[vector] = ranking
-                    if ranking is None:
+                            by_sum[at_least + lift] = record
+                    if record is None:
                         continue
-                    key = (ranking, winner_bids[ranking[1]](bids))
-                    outcome = outcomes.get(key)
-                    if outcome is None:
-                        n = ranking[0]
-                        shape_key = ranking[1 : n + 1]
-                        grouped = shapes.get(shape_key)
-                        if grouped is None:
-                            grouped = shapes[shape_key] = self._shape(shape_key)
-                        pay, _ = _price(spec, bids, ranking[n + 1 :], grouped[0])
-                        won = []
-                        for i, amount in pay.items():
-                            won.append((utilities[i], amount - true_scaled[i]))
-                        outcome = outcomes[key] = (won, -sum(pay.values()), grouped[1])
+                    outcome = record
+                    if not bid_free:
+                        ranking, priced = record
+                        key = winner_bids[ranking[1]](bids)
+                        outcome = priced.get(key)
+                        if outcome is None:
+                            outcome = priced[key] = self._outcome(ranking, bids, utilities)
                     won, mechanism[p], selected[p] = outcome
-                    for column, utility in won:
-                        column[p] = utility
+                    for column, i, profit in won:
+                        column[p] = bids[i] + profit
+
+    def _outcome(self, ranking: tuple, bids: tuple, utilities: list[list]) -> tuple:
+        """A ranking's outcome priced at `bids`: per winner its utility
+        column, position and profit less true cost, the mechanism's utility
+        and the selected mask."""
+        n = ranking[0]
+        shape = ranking[1 : n + 1]
+        grouped = self.shapes.get(shape)
+        if grouped is None:
+            grouped = self.shapes[shape] = self._shape(shape)
+        pay, _ = _price(self.spec, bids, ranking[n + 1 :], grouped[0])
+        true_scaled = self.true_scaled
+        won = [(utilities[i], i, amount - bids[i] - true_scaled[i]) for i, amount in pay.items()]
+        return won, -sum(pay.values()), grouped[1]
 
     def _shape(self, shape: tuple[int, ...]) -> tuple[tuple, int]:
         """The winners of a ranking shape, (first path, rank, absent winners'
@@ -621,18 +651,35 @@ def selection_probability(game, grid: BidGrid, agent: str, bid: Fraction) -> Fra
     """
     _require_cover(game, grid, agent)
     ev = _Evaluator(game, _line(grid, {agent: bid}))
-    return _selection_probability(ev, agent, 0)
+    return _selection_probabilities(ev, agent)[0]
 
 
-def _selection_probability(ev: _Evaluator, agent: str, pos: int) -> Fraction:
-    """The share of the tie-free profiles with `agent` at `pos` that select it."""
-    mechanism = ev.section(ev.mechanism_utility, agent, pos)
-    admissible = len(mechanism) - mechanism.count(None)
-    if admissible == 0:
-        return Fraction(0)
-    bit = 1 << ev.index[agent]
-    selected = list(map(bit.__and__, ev.section(ev.selected, agent, pos))).count(bit)
-    return Fraction(selected, admissible)
+def _selection_probabilities(ev: _Evaluator, agent: str) -> list[Fraction]:
+    """Per position of `agent`, the share of the tie-free profiles with it
+    there that select it.
+
+    The columns hold the profiles at one position in runs of the agent's
+    stride, a run per position in each block of stride * (its bid count)
+    profiles. The counts are summed over the runs, or, where a block holds
+    fewer profiles than the columns hold runs, over the slices that take
+    one offset of every block.
+    """
+    i = ev.index[agent]
+    stride, n = ev.strides[i], ev.sizes[i]
+    block = stride * n
+    size = len(ev.selected)
+    if stride * block < size:
+        pieces = [(o // stride, slice(o, None, block)) for o in range(block)]
+    else:
+        pieces = [(r % n, slice(r * stride, (r + 1) * stride)) for r in range(size // stride)]
+    bit = 1 << i
+    hits = list(map(bit.__and__, ev.selected))
+    admissible, selected = [0] * n, [0] * n
+    for pos, piece in pieces:
+        run = ev.mechanism_utility[piece]
+        admissible[pos] += len(run) - run.count(None)
+        selected[pos] += hits[piece].count(bit)
+    return [Fraction(s, a) if a else Fraction(0) for s, a in zip(selected, admissible)]
 
 
 def best_response_set(
@@ -890,7 +937,7 @@ def check_partly_truthful(game, grid: BidGrid) -> PropertyReport:
     for agent in ev.agents:
         truthful = game.types[agent]
         own = grid.bids_for[agent]
-        probs = [_selection_probability(ev, agent, pos) for pos in range(len(own))]
+        probs = _selection_probabilities(ev, agent)
         if truthful not in own or probs[own.index(truthful)] != max(probs):
             counterexamples.append(
                 ("selection probability not maximal at truthful bid", agent)

@@ -460,6 +460,14 @@ def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[d
     cheapest path P the zeroed detour is cost(P) - bid in closed form:
     zeroing the bid lowers every path by at most the bid, and P, the
     cheapest, by exactly that.
+
+    A winner's profit, its payment minus its bid, reads the winners' bids
+    only under the reverse-rank, waterfall and compound splits of x and
+    tradeoff1. Under fp-path, vcg, tradeoff2, tradeoff3 and the equal
+    split of x and tradeoff1 it is a cost gap, or an equal share of one,
+    fixed by `costs` and `groups`. So is tradeoff1's branch: it compares
+    the two totals, and the vcg total is costs[0], the winners' bids
+    summed, plus the gaps. _profits_bid_free tells the two kinds apart.
     """
     name = spec.mechanism
     if name == "tradeoff3":
@@ -494,6 +502,12 @@ def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[d
     if saving * threshold.denominator > threshold.numerator * marginal_total:
         return shared, "x"
     return pay, "vcg"
+
+
+def _profits_bid_free(spec: MechanismSpec) -> bool:
+    """Whether _price gives each winner of `spec` a profit (payment minus
+    bid) that `costs` and `groups` fix, whatever the winners' bids."""
+    return spec.rule.kind == "equal" or spec.mechanism not in ("x", "tradeoff1")
 
 
 # Fractions are immutable, so one zero serves every unpaid agent.

@@ -86,8 +86,8 @@ MUTANTS = (
     Mutant(
         "tie-scores-zero",
         "analysis.py",
-        "                    if ranking is None:\n                        continue\n",
-        "                    if ranking is None:\n"
+        "                    if record is None:\n                        continue\n",
+        "                    if record is None:\n"
         "                        mechanism[p] = 0\n"
         "                        continue\n",
         ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
@@ -210,22 +210,40 @@ MUTANTS = (
     Mutant(
         "outcome-key-without-ranked-costs",
         "analysis.py",
-        "                    key = (ranking, winner_bids[ranking[1]](bids))\n",
-        "                    key = (ranking[: ranking[0] + 1], winner_bids[ranking[1]](bids))\n",
+        "                            record = records.get(ranking)\n"
+        "                            if record is None:\n"
+        "                                record = records[ranking] = (\n",
+        "                            record = records.get(ranking[: ranking[0] + 1])\n"
+        "                            if record is None:\n"
+        "                                record = records[ranking[: ranking[0] + 1]] = (\n",
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(
         "outcome-key-without-winner-bids",
         "analysis.py",
-        "                    key = (ranking, winner_bids[ranking[1]](bids))\n",
-        "                    key = (ranking,)\n",
+        "                        key = winner_bids[ranking[1]](bids)\n",
+        "                        key = ()\n",
         ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "every-rule-bid-free",
+        "mechanisms.py",
+        '    return spec.rule.kind == "equal" or spec.mechanism not in ("x", "tradeoff1")\n',
+        "    return True\n",
+        ("tests/test_compiled_evaluator.py", "tests/test_mechanisms_path.py"),
+    ),
+    Mutant(
+        "utility-without-the-bid",
+        "analysis.py",
+        "                        column[p] = bids[i] + profit\n",
+        "                        column[p] = profit\n",
+        ("tests/test_compiled_evaluator.py", "tests/test_grid_oracle.py"),
     ),
     Mutant(
         "ranking-key-without-line-class-sum",
         "analysis.py",
-        "                        vector = (off, at_least + lift)\n",
-        "                        vector = (off, at_least)\n",
+        "record = by_sum.get(at_least + lift, False)",
+        "record = by_sum.get(at_least, False)",
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(

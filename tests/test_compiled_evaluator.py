@@ -356,12 +356,27 @@ def _outcome_key(spec, net, bids):
     return chosen.edges, tuple(sorted(first_absence.items())), ranking.costs[:depth], winner_bids
 
 
-@pytest.mark.parametrize("mechanism", sorted(m for m in MECHANISM_IDS if not m.endswith("-single")))
-def test_each_distinct_outcome_is_priced_once(monkeypatch, mechanism):
+#: Each path rule's default spec and tradeoff1 at a threshold where both
+#: branches occur, whose profits the bids never move, and two splits of x
+#: whose profits read the winners' bids.
+PRICED_SPECS = [
+    *((m, MechanismSpec(m), False) for m in sorted(MECHANISM_IDS) if not m.endswith("-single")),
+    ("tradeoff1-threshold", MechanismSpec("tradeoff1", threshold=F(1, 4)), False),
+    ("x-waterfall", MechanismSpec("x", rule=DistributionRule("waterfall", HALF)), True),
+    ("x-reverse-rank", MechanismSpec("x", rule=DistributionRule("reverse-rank")), True),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, reads_bids", [s[1:] for s in PRICED_SPECS], ids=[s[0] for s in PRICED_SPECS]
+)
+def test_each_distinct_outcome_is_priced_once(monkeypatch, spec, reads_bids):
     """On fig2's cap-5 grid the table calls the pricer once per distinct
-    (shape, ranked costs, winners' bids), counted here from the reference
-    runs, and the columns are still the reference's profile by profile."""
-    net, spec = fixture("fig2"), MechanismSpec(mechanism)
+    ranking (shape, ranked costs) where the profits are bid-free, and once
+    per distinct (ranking, winners' bids) where they read the bids, counted
+    here from the reference runs; the columns are still the reference's
+    profile by profile."""
+    net = fixture("fig2")
     grid = BidGrid.procurement(net.true_cost, F(1), 5)
     price, calls = analysis._price, []
 
@@ -374,7 +389,10 @@ def test_each_distinct_outcome_is_priced_once(monkeypatch, mechanism):
     monkeypatch.undo()
     profiles = (dict(zip(ev.agents, bids)) for bids in itertools.product(*ev.values))
     keys = {_outcome_key(spec, net, bids) for bids in profiles} - {None}
-    assert len(calls) == len(keys) < len(ev.selected) - ev.mechanism_utility.count(None)
+    rankings = {key[:3] for key in keys}
+    assert len(rankings) < len(keys)
+    expected = keys if reads_bids else rankings
+    assert len(calls) == len(expected) < len(ev.selected) - ev.mechanism_utility.count(None)
     _assert_columns_match_reference(ev)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from pathauction import (
     group_structure,
     rank_paths,
 )
+from pathauction.mechanisms import _grouped, _price, _profits_bid_free
 
 
 def test_vcg_example1_payments(example1):
@@ -269,3 +271,57 @@ def test_deterministic_outputs(example1):
     a = MechanismSpec("x").run(example1, example1.true_cost)
     b = MechanismSpec("x").run(example1, example1.true_cost)
     assert a == b
+
+
+#: Specs whose profits (payment minus bid) the winners' bids never move, at
+#: fixed ranked costs and groups, and specs whose profits read them.
+PROFITS_BID_FREE = (
+    *(MechanismSpec(m) for m in ("fp-path", "vcg", "x", "tradeoff1", "tradeoff2", "tradeoff3")),
+    *(MechanismSpec("tradeoff1", threshold=t) for t in (F(1, 4), F(1, 2), F(1))),
+    MechanismSpec("tradeoff3", rule=DistributionRule("waterfall", F(1, 2))),
+)
+PROFITS_READ_BIDS = (
+    MechanismSpec("x", rule=DistributionRule("waterfall", F(1, 2))),
+    MechanismSpec("x", rule=DistributionRule("compound", F(1, 7))),
+    MechanismSpec("x", rule=DistributionRule("reverse-rank")),
+    MechanismSpec("tradeoff1", rule=DistributionRule("waterfall", F(1)), threshold=F(1, 2)),
+    MechanismSpec("tradeoff1", rule=DistributionRule("reverse-rank")),
+)
+
+
+def _bids_summing_to(rng, count, total):
+    """`count` positive integer bids that sum to `total`, drawn uniformly."""
+    cuts = sorted(rng.sample(range(1, total), count - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def test_profits_read_the_bids_only_under_the_uneven_splits():
+    """The pricer at fixed ranked costs and groups, with the winners' bids
+    redrawn: costs[0] is the winning path's cost, so every draw keeps their
+    sum. Each profit stays put under the bid-free specs, and under each
+    reverse-rank, waterfall and compound split some draw moves one."""
+    rng = random.Random(2005)
+    moved = dict.fromkeys(PROFITS_READ_BIDS, 0)
+    for _ in range(300):
+        winners = rng.randint(1, 4)
+        depth = rng.randint(1, winners)
+        group_of = {k: rng.randint(1, depth) for k in range(winners)}
+        groups = _grouped(group_of)
+        costs = [rng.randint(winners, 4 * winners + 4)]
+        for _ in range(max(group_of.values())):
+            costs.append(costs[-1] + rng.randint(1, 6))
+        draws = [_bids_summing_to(rng, winners, costs[0]) for _ in range(3)]
+
+        def profits(spec, bids):
+            pay, _ = _price(spec, bids, costs, groups)
+            return {k: pay[k] - bids[k] for k in pay}
+
+        for spec in PROFITS_BID_FREE:
+            first = profits(spec, draws[0])
+            assert all(profits(spec, bids) == first for bids in draws[1:]), (spec, draws)
+        for spec in PROFITS_READ_BIDS:
+            first = profits(spec, draws[0])
+            moved[spec] += any(profits(spec, bids) != first for bids in draws[1:])
+    assert all(moved.values()), moved
+    assert all(map(_profits_bid_free, PROFITS_BID_FREE))
+    assert not any(map(_profits_bid_free, PROFITS_READ_BIDS))

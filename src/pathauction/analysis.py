@@ -36,11 +36,13 @@ paths lazily, only as deep as its rule reads, checking ties as it ranks.
 Agents on exactly the same paths form a series class and enter every
 path cost through their sum, so where some class holds two or more
 agents each vector of class sums is ranked once per call. The winners
-are grouped once per ranking shape, and the payment formulas
-MechanismSpec.run uses (mechanisms._price) price each distinct ranking
-(its shape and ranked costs) once per call, where the rule's profits do
-not read the bids, and each distinct (ranking, winners' bids) once where
-they do. Nothing is cached across calls.
+are grouped once per ranking shape. The payment formulas
+MechanismSpec.run uses (mechanisms._price) price each distinct (shape,
+gaps of the ranked costs to the cheapest) once per call where the rule's
+profits read neither the bids nor the cheapest cost; tradeoff1's branch
+reads that cost, so it keys by it too, and where the profits read the
+bids each distinct (shape, gaps, winners' bids) is priced once. Nothing
+is cached across calls.
 Single-item games and networks past the edge guard run the game's own
 `run` per profile; that path is also the reference the compiled one is
 tested against. Input is checked where it enters: a Network holds every
@@ -270,6 +272,10 @@ def default_grid(game, unit: Fraction = Fraction(1), cap: int = 3) -> BidGrid:
 # ---------------------------------------------------------------------------
 
 
+# The class-sum memo's answer for a vector of class sums not yet ranked.
+_UNRANKED = (False, 0)
+
+
 class _PathTable:
     """A path game compiled once into its loopless paths, ranked lazily.
 
@@ -291,24 +297,29 @@ class _PathTable:
     vcg, anywhere in the prefix for the group rules) ends the ranking and
     leaves the profile's prefilled tie entries, the run's TieError. The
     ranking never runs out: a PathGame's network has no cut, so every
-    winner is absent from some path. The ranking is one flat tuple, (shape
-    length, *shape, *ranked costs), where the shape is its first path and
-    each winner's first absence. The shape keys `shapes`, which holds the
+    winner is absent from some path. The ranking keeps each ranked cost as
+    its gap to the cheapest one, `low`, and its key is one flat tuple,
+    (shape length, *shape, *gaps), where the shape is its first path and
+    each winner's first absence. For tradeoff1 the first gap, always 0, is
+    replaced by `low` itself. The shape keys `shapes`, which holds the
     winners grouped as mechanisms._price reads them (agent positions for
     keys) and their selected mask, built the first time the shape is
-    priced. `fill` keeps one record per distinct ranking for its own call.
-    Where the rule's profits are bid-free (mechanisms._profits_bid_free:
-    every rule but the reverse-rank, waterfall and compound splits of x and
-    tradeoff1), a winner's payment is its bid plus an amount the ranking
-    fixes, and the winners' bids sum to the cheapest cost. So
-    mechanisms._price, the formulas MechanismSpec.run uses, prices each
-    ranking once, and its record is the outcome: per winner its utility
-    column and its profit less its true cost, the mechanism's utility and
-    the selected mask. The other rules read the winners' bids, so their
-    record holds the ranking and a dict from the winners' bids to the
-    outcome, and each distinct (ranking, winners' bids) is priced once.
-    Every profile writes its winners' utilities, each its bid plus that
-    constant, and shares the rest of the outcome.
+    priced. Every rule pays a winner its bid plus a cost gap or a share of
+    one, and the winners' bids sum to `low`. So where the profits are
+    bid-free (mechanisms._profits_bid_free: every rule but the
+    reverse-rank, waterfall and compound splits of x and tradeoff1) they
+    read only the shape and the gaps; tradeoff1's branch compares totals
+    and reads `low` too, hence its key. `fill` keeps one record per
+    distinct key for its own call, and for a bid-free rule the record is
+    the outcome, priced once by _price, the formulas MechanismSpec.run
+    uses, at the real costs (`low` plus the gaps) and the bids of the
+    first profile with that key: per winner its utility column and its
+    profit less its true cost, the mechanism's utility plus `low`, and the
+    selected mask. The other rules read the winners' bids, which fix `low`,
+    so their record holds the key and a dict from the winners' bids to the
+    outcome, and each distinct (key, winners' bids) is priced once. Every
+    profile writes its winners' utilities, each its bid plus that constant,
+    and the mechanism's utility less its own `low`, and shares the mask.
 
     `fill` walks the grid in lines along the line agent, the agent with the
     most grid bids (the last such, so a procurement grid's lines run at
@@ -321,11 +332,11 @@ class _PathTable:
     vector of class sums decides the ranking. When some class holds two or
     more agents, `fill` keeps a second dict for its own call, from the
     sums of the classes off the line (summed once per line) to a dict from
-    the line class's sum to the ranking's record, or to None for a tie the
-    rule reads, and ranks each vector once; a hit hashes one int. The
-    classes are found when the table is built, by splitting the agents on
-    some path by each path in scan order; agents on no path belong to no
-    class. Nothing is cached across calls.
+    the line class's sum to the ranking's record and `low`, the record None
+    for a tie the rule reads, and ranks each vector once; a hit hashes one
+    int. The classes are found when the table is built, by splitting the
+    agents on some path by each path in scan order; agents on no path
+    belong to no class. Nothing is cached across calls.
 
     All money is in integers counting units of 1/scale. The scale is the
     least common multiple of every value's denominator (with the
@@ -408,17 +419,18 @@ class _PathTable:
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
         bid_free = _profits_bid_free(self.spec)
+        by_low = name == "tradeoff1"
         values, line = self.scaled, self.line
         before_line, after_line = values[:line], values[line + 1 :]
         stride = math.prod(map(len, after_line))
         block = stride * len(values[line])
         line_bids = [(b,) for b in values[line]]
         # Per off-line class sums ranked so far, per line class sum: the
-        # ranking's record, or None on a tie.
+        # ranking's record (None on a tie) and its cheapest cost.
         rankings = None if self.classes is None else {}
         line_class, off_classes = self.classes or ((), ())
-        # Per distinct ranking, its record: the outcome, where the profits
-        # are bid-free; else (ranking, {winners' bids: outcome}).
+        # Per distinct ranking key, its record: the outcome, where the
+        # profits are bid-free; else (key, {winners' bids: outcome}).
         records: dict[tuple, tuple] = {}
         for h, before in enumerate(itertools.product(*before_line)):
             for k, after in enumerate(itertools.product(*after_line)):
@@ -439,9 +451,10 @@ class _PathTable:
                     bids = before + single + after
                     record = False
                     if rankings is not None:
-                        record = by_sum.get(at_least + lift, False)
+                        record, low = by_sum.get(at_least + lift, _UNRANKED)
                     if record is False:
                         heap: list[tuple[int, int]] = []
+                        # Each ranked cost's gap to the cheapest, low.
                         ranked: list[int] = []
                         tied = False
                         s = 0
@@ -466,9 +479,11 @@ class _PathTable:
                                     heappush(heap, (cost, j))
                                     continue
                             if not ranked:
-                                ranked.append(cost)
+                                low = cost
+                                ranked.append(0)
                                 shape, remaining = [j], masks[j]
                                 continue
+                            cost -= low
                             if cost == ranked[-1] and (len(ranked) == 1 or not top_two):
                                 tied = True
                                 break
@@ -482,16 +497,18 @@ class _PathTable:
                                     break
                         record = None
                         if not tied:
+                            if by_low:
+                                ranked[0] = low
                             ranking = (len(shape), *shape, *ranked)
                             record = records.get(ranking)
                             if record is None:
                                 record = records[ranking] = (
-                                    self._outcome(ranking, bids, utilities)
+                                    self._outcome(ranking, low, bids, utilities)
                                     if bid_free
                                     else (ranking, {})
                                 )
                         if rankings is not None:
-                            by_sum[at_least + lift] = record
+                            by_sum[at_least + lift] = record, low
                     if record is None:
                         continue
                     outcome = record
@@ -500,24 +517,27 @@ class _PathTable:
                         key = winner_bids[ranking[1]](bids)
                         outcome = priced.get(key)
                         if outcome is None:
-                            outcome = priced[key] = self._outcome(ranking, bids, utilities)
-                    won, mechanism[p], selected[p] = outcome
+                            outcome = priced[key] = self._outcome(ranking, low, bids, utilities)
+                    won, spent, selected[p] = outcome
+                    mechanism[p] = spent - low
                     for column, i, profit in won:
                         column[p] = bids[i] + profit
 
-    def _outcome(self, ranking: tuple, bids: tuple, utilities: list[list]) -> tuple:
-        """A ranking's outcome priced at `bids`: per winner its utility
-        column, position and profit less true cost, the mechanism's utility
-        and the selected mask."""
+    def _outcome(self, ranking: tuple, low: int, bids: tuple, utilities: list[list]) -> tuple:
+        """A ranking key's outcome priced at `bids`, whose cheapest path
+        costs `low`: per winner its utility column, position and profit less
+        true cost, the mechanism's utility plus `low`, and the selected mask."""
         n = ranking[0]
         shape = ranking[1 : n + 1]
         grouped = self.shapes.get(shape)
         if grouped is None:
             grouped = self.shapes[shape] = self._shape(shape)
-        pay, _ = _price(self.spec, bids, ranking[n + 1 :], grouped[0])
+        costs = [low + gap for gap in ranking[n + 1 :]]
+        costs[0] = low  # tradeoff1's key holds low in place of the first gap, 0
+        pay, _ = _price(self.spec, bids, costs, grouped[0])
         true_scaled = self.true_scaled
         won = [(utilities[i], i, amount - bids[i] - true_scaled[i]) for i, amount in pay.items()]
-        return won, -sum(pay.values()), grouped[1]
+        return won, low - sum(pay.values()), grouped[1]
 
     def _shape(self, shape: tuple[int, ...]) -> tuple[tuple, int]:
         """The winners of a ranking shape, (first path, rank, absent winners'

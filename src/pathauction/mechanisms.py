@@ -465,9 +465,14 @@ def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[d
     only under the reverse-rank, waterfall and compound splits of x and
     tradeoff1. Under fp-path, vcg, tradeoff2, tradeoff3 and the equal
     split of x and tradeoff1 it is a cost gap, or an equal share of one,
-    fixed by `costs` and `groups`. So is tradeoff1's branch: it compares
-    the two totals, and the vcg total is costs[0], the winners' bids
-    summed, plus the gaps. _profits_bid_free tells the two kinds apart.
+    fixed by `groups` and the gaps costs[q] - costs[0]. So is tradeoff1's
+    branch at fixed costs: it compares the two totals, and the vcg total
+    is costs[0], the winners' bids summed, plus the gaps. _profits_bid_free
+    tells the two kinds apart. Adding one amount to every cost (the
+    winners' bids then sum to the new costs[0]) keeps each bid-free profit
+    but tradeoff1's: at a positive threshold its saving is weighed against
+    the vcg total, which grows with costs[0], so the same gaps can take
+    the other branch.
     """
     name = spec.mechanism
     if name == "tradeoff3":
@@ -506,7 +511,9 @@ def _price(spec: MechanismSpec, bids, costs: Sequence, groups: tuple) -> tuple[d
 
 def _profits_bid_free(spec: MechanismSpec) -> bool:
     """Whether _price gives each winner of `spec` a profit (payment minus
-    bid) that `costs` and `groups` fix, whatever the winners' bids."""
+    bid) that `costs` and `groups` fix, whatever the winners' bids. Every
+    such profit reads only the gaps of `costs` to costs[0], but tradeoff1's,
+    whose branch reads costs[0] too."""
     return spec.rule.kind == "equal" or spec.mechanism not in ("x", "tradeoff1")
 
 

@@ -208,7 +208,7 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
-        "outcome-key-without-ranked-costs",
+        "gap-key-without-gaps",
         "analysis.py",
         "                            record = records.get(ranking)\n"
         "                            if record is None:\n"
@@ -216,6 +216,13 @@ MUTANTS = (
         "                            record = records.get(ranking[: ranking[0] + 1])\n"
         "                            if record is None:\n"
         "                                record = records[ranking[: ranking[0] + 1]] = (\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "gap-key-without-cheapest-cost",
+        "analysis.py",
+        '        by_low = name == "tradeoff1"\n',
+        "        by_low = False\n",
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(
@@ -242,8 +249,8 @@ MUTANTS = (
     Mutant(
         "ranking-key-without-line-class-sum",
         "analysis.py",
-        "record = by_sum.get(at_least + lift, False)",
-        "record = by_sum.get(at_least, False)",
+        "record, low = by_sum.get(at_least + lift, _UNRANKED)",
+        "record, low = by_sum.get(at_least, _UNRANKED)",
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(

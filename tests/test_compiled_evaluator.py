@@ -55,12 +55,21 @@ SPECS = (
     MechanismSpec("x", rule=DistributionRule("compound", F(1, 7))),
     MechanismSpec("tradeoff2"),
     MechanismSpec("tradeoff3"),
-    # tradeoff1: thresholds 0, 1/4, 1/2 and 1, one split rule each.
+    # tradeoff1: thresholds 0, 1/4, 1/2 and 1, one split rule each, and the
+    # equal split at 1/4 too, where its branch reads the cheapest cost.
     MechanismSpec("tradeoff1"),
+    MechanismSpec("tradeoff1", threshold=F(1, 4)),
     MechanismSpec("tradeoff1", rule=DistributionRule("reverse-rank"), threshold=F(1, 4)),
     MechanismSpec("tradeoff1", rule=DistributionRule("waterfall", HALF), threshold=HALF),
     MechanismSpec("tradeoff1", rule=DistributionRule("compound", F(1, 7)), threshold=F(1)),
 )
+
+
+def _spec_id(spec):
+    """mechanism-split, and -threshold for an equal split with a threshold."""
+    threshold = "-threshold" if spec.threshold and spec.rule.kind == "equal" else ""
+    return f"{spec.mechanism}-{spec.rule.kind}{threshold}"
+
 
 RANDOM_NETS = [
     random_network(seed, node_budget=5 + seed % 2, edge_budget=5 + seed % 3)
@@ -156,19 +165,19 @@ def _boundary_tie_network():
 
 
 @pytest.mark.parametrize("name", ["fig2", "xsmall", "fig3", "boundary-tie"])
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_fixture_outcomes_match_reference(name, spec):
     net = _boundary_tie_network() if name == "boundary-tie" else fixture(name)
     _assert_matches_reference(net, spec)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_random_outcomes_match_reference(spec):
     ties = sum(_assert_matches_reference(net, spec) for net in RANDOM_NETS)
     assert ties > 0
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_renamed_owner_outcomes_match_reference(spec):
     """The table indexes agents by their sorted names and paths by their
     edge ids; where the two orders differ, the outcomes stay the run's."""
@@ -232,7 +241,7 @@ def _unequal_grid(net):
     return BidGrid({a: tuple(net.true_cost[a] + HALF * i for i in range(n)) for n, a in sizes})
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.mechanism}-{s.rule.kind}")
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_grid_is_the_outcomes_profile_by_profile(spec):
     """A section of each column of the one-pass grid at each bid holds, in
     opponent-product order, the column of the grid that is that bid's line."""
@@ -372,10 +381,10 @@ PRICED_SPECS = [
 )
 def test_each_distinct_outcome_is_priced_once(monkeypatch, spec, reads_bids):
     """On fig2's cap-5 grid the table calls the pricer once per distinct
-    ranking (shape, ranked costs) where the profits are bid-free, and once
-    per distinct (ranking, winners' bids) where they read the bids, counted
-    here from the reference runs; the columns are still the reference's
-    profile by profile."""
+    (shape, gaps to the cheapest cost), with the cheapest cost too for
+    tradeoff1 and the winners' bids where the profits read them, counted
+    here from the reference runs. The gaps merge rankings; the columns are
+    still the reference's profile by profile."""
     net = fixture("fig2")
     grid = BidGrid.procurement(net.true_cost, F(1), 5)
     price, calls = analysis._price, []
@@ -390,9 +399,20 @@ def test_each_distinct_outcome_is_priced_once(monkeypatch, spec, reads_bids):
     profiles = (dict(zip(ev.agents, bids)) for bids in itertools.product(*ev.values))
     keys = {_outcome_key(spec, net, bids) for bids in profiles} - {None}
     rankings = {key[:3] for key in keys}
-    assert len(rankings) < len(keys)
-    expected = keys if reads_bids else rankings
+    gaps = {key: tuple(c - key[2][0] for c in key[2]) for key in keys}
+    assert len({(*key[:2], gaps[key]) for key in keys}) < len(rankings) < len(keys)
+    expected = {
+        (
+            *key[:2],
+            gaps[key],
+            key[2][0] if spec.mechanism == "tradeoff1" else None,
+            key[3] if reads_bids else None,
+        )
+        for key in keys
+    }
     assert len(calls) == len(expected) < len(ev.selected) - ev.mechanism_utility.count(None)
+    if spec.mechanism != "tradeoff1" and not reads_bids:
+        assert len(calls) < len(rankings)
     _assert_columns_match_reference(ev)
 
 
@@ -602,7 +622,7 @@ def _analysis_results(net, spec):
 @pytest.mark.parametrize(
     "spec",
     SPECS,
-    ids=lambda s: s.mechanism if s.rule.kind == "equal" else f"{s.mechanism}-{s.rule.kind}",
+    ids=lambda s: _spec_id(s).replace("-equal", ""),
 )
 def test_analysis_is_unchanged_without_the_table(monkeypatch, spec):
     nets = [fixture("fig2"), _boundary_tie_network(), *RANDOM_NETS[:4]]

@@ -295,6 +295,23 @@ def _bids_summing_to(rng, count, total):
     return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
 
 
+def _ranking(rng):
+    """A random winner count, its winners grouped, and strictly increasing
+    ranked costs as deep as the groups read."""
+    winners = rng.randint(1, 4)
+    depth = rng.randint(1, winners)
+    group_of = {k: rng.randint(1, depth) for k in range(winners)}
+    costs = [rng.randint(winners, 4 * winners + 4)]
+    for _ in range(max(group_of.values())):
+        costs.append(costs[-1] + rng.randint(1, 6))
+    return winners, _grouped(group_of), costs
+
+
+def _profits(spec, bids, costs, groups):
+    pay, _ = _price(spec, bids, costs, groups)
+    return {k: pay[k] - bids[k] for k in pay}
+
+
 def test_profits_read_the_bids_only_under_the_uneven_splits():
     """The pricer at fixed ranked costs and groups, with the winners' bids
     redrawn: costs[0] is the winning path's cost, so every draw keeps their
@@ -303,25 +320,40 @@ def test_profits_read_the_bids_only_under_the_uneven_splits():
     rng = random.Random(2005)
     moved = dict.fromkeys(PROFITS_READ_BIDS, 0)
     for _ in range(300):
-        winners = rng.randint(1, 4)
-        depth = rng.randint(1, winners)
-        group_of = {k: rng.randint(1, depth) for k in range(winners)}
-        groups = _grouped(group_of)
-        costs = [rng.randint(winners, 4 * winners + 4)]
-        for _ in range(max(group_of.values())):
-            costs.append(costs[-1] + rng.randint(1, 6))
+        winners, groups, costs = _ranking(rng)
         draws = [_bids_summing_to(rng, winners, costs[0]) for _ in range(3)]
-
-        def profits(spec, bids):
-            pay, _ = _price(spec, bids, costs, groups)
-            return {k: pay[k] - bids[k] for k in pay}
-
         for spec in PROFITS_BID_FREE:
-            first = profits(spec, draws[0])
-            assert all(profits(spec, bids) == first for bids in draws[1:]), (spec, draws)
+            first = _profits(spec, draws[0], costs, groups)
+            same = all(_profits(spec, bids, costs, groups) == first for bids in draws[1:])
+            assert same, (spec, draws)
         for spec in PROFITS_READ_BIDS:
-            first = profits(spec, draws[0])
-            moved[spec] += any(profits(spec, bids) != first for bids in draws[1:])
+            first = _profits(spec, draws[0], costs, groups)
+            moved[spec] += any(_profits(spec, bids, costs, groups) != first for bids in draws[1:])
     assert all(moved.values()), moved
     assert all(map(_profits_bid_free, PROFITS_BID_FREE))
     assert not any(map(_profits_bid_free, PROFITS_READ_BIDS))
+
+
+def test_profits_read_the_cheapest_cost_only_in_tradeoff1s_branch():
+    """The pricer with every ranked cost shifted by d, and the winners' bids
+    redrawn to sum to the shifted costs[0]: the gaps stay, the cheapest cost
+    moves. Each profit stays put under the bid-free specs but tradeoff1, and
+    at thresholds 1/4 and 1/2 some shift moves tradeoff1's branch."""
+    rng = random.Random(2005)
+    switches = {t: MechanismSpec("tradeoff1", threshold=t) for t in (F(1, 4), F(1, 2))}
+    moved = dict.fromkeys(switches, 0)
+    for _ in range(300):
+        winners, groups, costs = _ranking(rng)
+        draws = []
+        for _ in range(3):
+            shift = rng.randint(winners - costs[0], 12)
+            total = costs[0] + shift
+            draws.append(([c + shift for c in costs], _bids_summing_to(rng, winners, total)))
+        for spec in PROFITS_BID_FREE:
+            if spec.mechanism != "tradeoff1":
+                first = _profits(spec, draws[0][1], draws[0][0], groups)
+                assert all(_profits(spec, b, c, groups) == first for c, b in draws[1:]), draws
+        for t, spec in switches.items():
+            branches = {_price(spec, bids, shifted, groups)[1] for shifted, bids in draws}
+            moved[t] += len(branches) > 1
+    assert all(moved.values()), moved

@@ -10,11 +10,12 @@ from fractions import Fraction as F
 
 from pathauction import (
     DistributionRule,
+    MechanismSpec,
+    TieError,
     distribute,
     fixture,
     format_cost,
     group_structure,
-    member_gap_schedule,
 )
 
 
@@ -53,13 +54,18 @@ def main() -> None:
     print("  (21,21,31) -> (22,22,31).")
 
     print()
-    print("payment schedule for agent E under the per-member gap rule, as E")
+    print("payment to agent E under the per-member gap rule (tradeoff2), as E")
     print("alone raises its bid above its true cost of 1:")
-    for raise_by in (F(0), F(3), F(5), F(6), F(8), F(9), F(10)):
-        payment = member_gap_schedule(net, "E", raise_by, net.true_cost)
-        print(f"  raise {format_cost(raise_by):>2}: payment {format_cost(payment)}")
+    for raise_by in (F(0), F(3), F(5), F(11, 2), F(13, 2), F(17, 2), F(19, 2)):
+        bids = {**net.true_cost, "E": net.true_cost["E"] + raise_by}
+        try:
+            payment = format_cost(MechanismSpec("tradeoff2").run(net, bids).payments["E"])
+        except TieError:
+            payment = "tie (TieError: two ranked routes cost the same)"
+        print(f"  raise {format_cost(raise_by):>4}: payment {payment}")
     print("flat within the adjacent gap, stepped above it, zero once E prices")
-    print("itself past the cheapest alternative route.")
+    print("itself past the cheapest alternative route; each whole raise from")
+    print("5 to 10 ties two routes.")
 
 
 if __name__ == "__main__":

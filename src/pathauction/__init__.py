@@ -15,7 +15,6 @@ from .analysis import (
     PathGame,
     PropertyReport,
     SingleItemGame,
-    agent_optimal_bids,
     alignment_report,
     best_response_set,
     check_critical,
@@ -26,7 +25,6 @@ from .analysis import (
     check_vcg_truthful,
     classify_consistency,
     default_grid,
-    mechanism_optimal_profiles,
     random_network,
     selection_probability,
 )
@@ -38,7 +36,6 @@ from .errors import (
     GridTooLarge,
     InsufficientPaths,
     NonpositiveProfit,
-    NotSelected,
     PathAuctionError,
     TieError,
     TooLarge,
@@ -55,12 +52,10 @@ from .graph import (
     detour_cost,
     enumerate_paths,
     iter_ranked_paths,
-    load_network,
     network_from_json,
     network_to_json,
     rank_paths,
     save_network,
-    shortest_path,
     validate,
 )
 from .mechanisms import (
@@ -73,7 +68,6 @@ from .mechanisms import (
     distribute,
     group_profits,
     group_structure,
-    member_gap_schedule,
 )
 from .rational import format_cost, parse_cost
 

@@ -40,9 +40,9 @@ are grouped once per ranking shape. The payment formulas
 MechanismSpec.run uses (mechanisms._price) price each distinct (shape,
 gaps of the ranked costs to the cheapest) once per call where the rule's
 profits read neither the bids nor the cheapest cost; tradeoff1's branch
-reads that cost, so it keys by it too, and where the profits read the
-bids each distinct (shape, gaps, winners' bids) is priced once. Nothing
-is cached across calls.
+reads that cost at a positive threshold, so there it keys by it too, and
+where the profits read the bids each distinct (shape, gaps, winners'
+bids) is priced once. Nothing is cached across calls.
 Single-item games and networks past the edge guard run the game's own
 `run` per profile; that path is also the reference the compiled one is
 tested against. Input is checked where it enters: a Network holds every
@@ -300,18 +300,19 @@ class _PathTable:
     winner is absent from some path. The ranking keeps each ranked cost as
     its gap to the cheapest one, `low`, and its key is one flat tuple,
     (shape length, *shape, *gaps), where the shape is its first path and
-    each winner's first absence. For tradeoff1 the first gap, always 0, is
-    replaced by `low` itself. The shape keys `shapes`, which holds the
-    winners grouped as mechanisms._price reads them (agent positions for
-    keys) and their selected mask, built the first time the shape is
-    priced. Every rule pays a winner its bid plus a cost gap or a share of
+    each winner's first absence. For tradeoff1 at a positive threshold the
+    first gap, always 0, is replaced by `low` itself. The shape keys
+    `shapes`, which holds the winners grouped as mechanisms._price reads
+    them (agent positions for keys) and their selected mask, built the
+    first time the shape is priced. Every rule pays a winner its bid plus a cost gap or a share of
     one, and the winners' bids sum to `low`. So where the profits are
     bid-free (mechanisms._profits_bid_free: every rule but the
     reverse-rank, waterfall and compound splits of x and tradeoff1) they
-    read only the shape and the gaps; tradeoff1's branch compares totals
-    and reads `low` too, hence its key. `fill` keeps one record per
-    distinct key for its own call, and for a bid-free rule the record is
-    the outcome, priced once by _price, the formulas MechanismSpec.run
+    read only the shape and the gaps; tradeoff1's branch at a positive
+    threshold compares the saving with the marginal total and reads `low`
+    too, hence its key. At threshold 0 the branch is `saving > 0`, which
+    the gaps alone fix. `fill` keeps one record per distinct key for its
+    own call, and for a bid-free rule the record is the outcome, priced once by _price, the formulas MechanismSpec.run
     uses, at the real costs (`low` plus the gaps) and the bids of the
     first profile with that key: per winner its utility column and its
     profit less its true cost, the mechanism's utility plus `low`, and the
@@ -419,7 +420,7 @@ class _PathTable:
         name = self.mechanism
         top_two = name in ("fp-path", "vcg")
         bid_free = _profits_bid_free(self.spec)
-        by_low = name == "tradeoff1"
+        by_low = name == "tradeoff1" and bool(self.spec.threshold)
         values, line = self.scaled, self.line
         before_line, after_line = values[:line], values[line + 1 :]
         stride = math.prod(map(len, after_line))
@@ -772,24 +773,6 @@ def _dominates(left: tuple, right: tuple) -> bool:
     return all(map(ge, left, right)) and left != right
 
 
-def agent_optimal_bids(
-    game, grid: BidGrid, agent: str, mode: str = "undominated"
-) -> tuple[Fraction, ...]:
-    """The agent's rational bid set under the chosen refinement.
-
-    "all": every bid that is a best response to at least one opponent
-    profile. "undominated": those of them not weakly dominated by another
-    grid bid, with exact-tie indifference resolved toward the truthful
-    bid. "dominant": bids that are best responses to every profile, same
-    indifference resolution.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown strategy mode {mode!r}")
-    _require_cover(game, grid, agent)
-    ev = _Evaluator(game, grid)
-    return tuple(grid.bids_for[agent][p] for p in _optimal_positions(ev, agent, mode))
-
-
 # ---------------------------------------------------------------------------
 # Profile sets and the alignment report
 # ---------------------------------------------------------------------------
@@ -838,12 +821,6 @@ def _joint_optimal(
     mechanism, strides = ev.mechanism_utility, ev.strides
     product = itertools.product(*(per_agent[a] for a in ev.agents))
     return tuple(p for p in product if mechanism[sum(map(int.__mul__, p, strides))] is not None)
-
-
-def mechanism_optimal_profiles(game, grid: BidGrid) -> tuple[tuple[Fraction, ...], ...]:
-    """Admissible profiles maximizing the mechanism's own utility, exactly."""
-    ev = _Evaluator(game, grid)
-    return tuple(map(ev.bids, _mechanism_optimal(ev)))
 
 
 def _mechanism_optimal(ev: _Evaluator) -> tuple[tuple[int, ...], ...]:

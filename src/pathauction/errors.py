@@ -33,10 +33,6 @@ class NonpositiveProfit(PathAuctionError):
     """A profit share was requested for a nonpositive pool."""
 
 
-class NotSelected(PathAuctionError):
-    """The agent is not part of the winning path at the baseline bids."""
-
-
 class GridTooLarge(PathAuctionError):
     """The bid-grid product space exceeds the enumeration guard."""
 

@@ -27,10 +27,10 @@ This module provides:
 Every search runs in integers. The ranking (`_ranked_routes`) and the
 detour (`_detour_units`) take costs a caller has already scaled to
 positive whole units and answer in those units; the mechanism layer calls
-them at its own pricing scale. The public views (`shortest_path`,
-`iter_ranked_paths`, `rank_paths`, `detour_cost`, `enumerate_paths`)
-scale their cost map once by its least common denominator and build a
-`Fraction` only for what they return.
+them at its own pricing scale. The public views (`iter_ranked_paths`,
+`rank_paths`, `detour_cost`, `enumerate_paths`) scale their cost map once
+by its least common denominator and build a `Fraction` only for what they
+return.
 
 Every function here is pure; results depend only on arguments and are
 safe to share between threads. Values are immutable, except a Network's
@@ -470,23 +470,6 @@ class _ReverseTree:
         return True, (best_cost, (best.id,) + walk[0], (best.owner,) + walk[1])
 
 
-def shortest_path(network: Network, costs: Mapping[str, Fraction] | None = None) -> Path:
-    """Minimum-cost loopless source-to-sink path under the given cost map.
-
-    `costs` maps agent id to a positive cost; None means the declared
-    bids. Ties at the minimum are resolved toward the lexicographically
-    smallest edge-id sequence, so the result is deterministic.
-
-    Raises Disconnected when the sink is unreachable, and ValueError for a
-    cost that is not positive.
-    """
-    scaled, scale = _scaled_costs(network, costs)
-    route = _best_path(network, scaled)
-    if route is None:
-        raise Disconnected(f"no path {network.source} -> {network.sink}")
-    return _path(route, scale)
-
-
 def _ranked_routes(network: Network, scaled: Mapping[str, int]) -> Iterator[_Route]:
     """Yield loopless routes in nondecreasing cost order (Yen-style deviations).
 
@@ -823,11 +806,6 @@ def network_to_json(network: Network) -> str:
         "sink": network.sink,
     }
     return _to_json(payload) + "\n"
-
-
-def load_network(path: str) -> Network:
-    with open(path, "r", encoding="utf-8") as handle:
-        return network_from_json(handle.read())
 
 
 def save_network(network: Network, path: str) -> None:

@@ -33,7 +33,6 @@ from .errors import (
     EmptyGroup,
     InsufficientPaths,
     NonpositiveProfit,
-    NotSelected,
     TieError,
 )
 from .graph import Network, Path, RankedPaths, _detour_units, _ranked_routes, _scaled_costs
@@ -528,41 +527,6 @@ def group_structure(
     ranked, assignment = _ranked_groups(network, _resolve_bids(network, bids))
     pools = _pools(ranked.costs, _grouped(assignment.group_of), telescoping=True)
     return ranked, assignment, pools
-
-
-def member_gap_schedule(
-    network: Network,
-    agent: str,
-    raise_by: Fraction,
-    bids: Mapping[str, Fraction] | None = None,
-) -> Fraction:
-    """Payment to `agent` under tradeoff2 after it alone raises its bid.
-
-    The schedule is bracketed by the baseline ranking: within the adjacent
-    gap the payment is flat; past it the payment jumps to successively
-    wider gaps; past the gap to the cheapest path the agent is priced out
-    and paid nothing. All brackets use the baseline group index and costs.
-    """
-    if raise_by < 0:
-        raise ValueError("raise_by must be nonnegative")
-    resolved = _resolve_bids(network, bids)
-    ranked, assignment = _ranked_groups(network, resolved)
-    if agent not in assignment.group_of:
-        raise NotSelected(f"agent {agent} is not on the cheapest path")
-    k = assignment.group_of[agent]
-    costs = ranked.costs
-    own = resolved[agent]
-
-    def gap(j: int) -> Fraction:
-        # cost(rank k+1) - cost(rank j), ranks 1-based, costs 0-based.
-        return costs[k] - costs[j - 1]
-
-    if raise_by <= gap(k):
-        return gap(k) + own
-    for j in range(k - 1, 0, -1):
-        if gap(j) >= raise_by > gap(j + 1):
-            return gap(j) + own
-    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------

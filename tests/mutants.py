@@ -221,8 +221,15 @@ MUTANTS = (
     Mutant(
         "gap-key-without-cheapest-cost",
         "analysis.py",
-        '        by_low = name == "tradeoff1"\n',
+        '        by_low = name == "tradeoff1" and bool(self.spec.threshold)\n',
         "        by_low = False\n",
+        ("tests/test_compiled_evaluator.py",),
+    ),
+    Mutant(
+        "gap-key-with-cheapest-cost-always",
+        "analysis.py",
+        '        by_low = name == "tradeoff1" and bool(self.spec.threshold)\n',
+        '        by_low = name == "tradeoff1"\n',
         ("tests/test_compiled_evaluator.py",),
     ),
     Mutant(

@@ -9,6 +9,8 @@ a minute on a desktop.
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+import pytest
+
 from pathauction import (
     BidGrid,
     DistributionRule,
@@ -16,6 +18,7 @@ from pathauction import (
     MechanismSpec,
     PathGame,
     SingleItemGame,
+    TieError,
     alignment_report,
     check_strongly_critical,
     check_vcg_truthful,
@@ -25,7 +28,6 @@ from pathauction import (
     enumerate_paths,
     fixture,
     group_structure,
-    member_gap_schedule,
     rank_paths,
 )
 
@@ -254,13 +256,20 @@ def test_marginal_pricing_truthfulness_exhaustive(random_small_25):
 
 def test_raise_schedule_brackets(example1):
     with reported("raise schedule: flat across the first bracket, zero past the widest gap"):
-        bids = example1.true_cost
-        base = member_gap_schedule(example1, "E", F(0), bids)
+
+        def paid(raise_by):
+            bids = {**example1.true_cost, "E": example1.true_cost["E"] + raise_by}
+            return MechanismSpec("tradeoff2").run(example1, bids).payments["E"]
+
+        base = paid(F(0))
         assert base == F(6)
         value = F(0)
-        while value <= F(5):  # adjacent gap for E is 15 - 10 = 5
-            assert member_gap_schedule(example1, "E", value, bids) == base
+        while value < F(5):  # adjacent gap for E is 15 - 10 = 5
+            assert paid(value) == base
             value += F(1, 4)
+        for tie in (F(5), F(10)):  # integer raises from 5 to 10 tie two ranked paths
+            with pytest.raises(TieError):
+                paid(tie)
         beyond = F(9)  # widest gap for E is 15 - 6 = 9
-        assert member_gap_schedule(example1, "E", beyond + F(1, 4), bids) == F(0)
-        assert member_gap_schedule(example1, "E", F(100), bids) == F(0)
+        assert paid(beyond + F(1, 4)) == F(0)
+        assert paid(F(100)) == F(0)

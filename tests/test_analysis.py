@@ -20,7 +20,6 @@ from pathauction import (
     SingleItemGame,
     TieError,
     TooLarge,
-    agent_optimal_bids,
     alignment_report,
     best_response_set,
     check_critical,
@@ -33,7 +32,6 @@ from pathauction import (
     default_grid,
     enumerate_paths,
     group_structure,
-    mechanism_optimal_profiles,
     random_network,
     selection_probability,
 )
@@ -116,28 +114,30 @@ def test_first_price_optimal_bids_shave_the_type():
     grid = BidGrid.forward(types)
     # Bidding the full type is weakly dominated; bidding 1 can never win
     # strictly on a unit grid, so the undominated set is 2..6.
-    assert agent_optimal_bids(game, grid, "b1") == (F(2), F(3), F(4), F(5), F(6))
+    assert alignment_report(game, grid).agent_optimal["b1"] == (F(2), F(3), F(4), F(5), F(6))
 
 
 def test_second_price_optimal_bid_is_truthful():
     for types in TYPE_VECTORS:
         game = SingleItemGame(types, MechanismSpec("vickrey-single", orientation="forward"))
         grid = BidGrid.forward(types)
+        agent_optimal = alignment_report(game, grid).agent_optimal
         for agent in game.agents:
-            assert agent_optimal_bids(game, grid, agent) == (types[agent],)
+            assert agent_optimal[agent] == (types[agent],)
 
 
 def test_marginal_pricing_optimal_bid_is_truthful(fig2, fig3):
     for net in (fig2, fig3):
         game, grid = _vcg_game(net, cap=1 if net.agents == fig2.agents else 3)
+        agent_optimal = alignment_report(game, grid).agent_optimal
         for agent in net.agents:
-            assert agent_optimal_bids(game, grid, agent) == (net.true_cost[agent],)
+            assert agent_optimal[agent] == (net.true_cost[agent],)
 
 
 def test_group_share_keeps_overbids_in_play(xsmall):
     game = PathGame(xsmall, MechanismSpec("x"))
     grid = BidGrid.procurement(xsmall.true_cost, F(1), 3)
-    bids = agent_optimal_bids(game, grid, "r")
+    bids = alignment_report(game, grid).agent_optimal["r"]
     assert xsmall.true_cost["r"] in bids
     assert any(b > xsmall.true_cost["r"] for b in bids)
 
@@ -146,11 +146,12 @@ def test_mode_containment(fig3, xsmall):
     for net, mech in ((fig3, "vcg"), (xsmall, "x")):
         game = PathGame(net, MechanismSpec(mech))
         grid = BidGrid.procurement(net.true_cost, F(1), 3)
+        dominant, undominated, everything = (
+            alignment_report(game, grid, mode).agent_optimal
+            for mode in ("dominant", "undominated", "all")
+        )
         for agent in net.agents:
-            dominant = set(agent_optimal_bids(game, grid, agent, "dominant"))
-            undominated = set(agent_optimal_bids(game, grid, agent, "undominated"))
-            everything = set(agent_optimal_bids(game, grid, agent, "all"))
-            assert dominant <= undominated <= everything
+            assert set(dominant[agent]) <= set(undominated[agent]) <= set(everything[agent])
 
 
 # -- profile sets -------------------------------------------------------------
@@ -171,7 +172,7 @@ def test_series_parallel_mechanism_argmax_flips_the_path(fig2):
     """Overbidding all three series agents hands the job to the parallel
     edge at a spend of 6, below any profile that keeps the series route."""
     game, grid = _vcg_game(fig2, cap=1)
-    argmax = mechanism_optimal_profiles(game, grid)
+    argmax = alignment_report(game, grid).mechanism_optimal
     assert argmax == ((F(2), F(2), F(2), F(5)),)
     # Independent oracle: walk the grid by hand and track the best spend.
     best = None
@@ -629,7 +630,6 @@ _BUDGETS = "need room for at least two parallel edges"
     "call, message",
     [
         (lambda game, grid: best_response_set(game, grid, "nobody", dict(game.types)), _NOBODY),
-        (lambda game, grid: agent_optimal_bids(game, grid, "nobody"), _NOBODY),
         (lambda game, grid: selection_probability(game, grid, "nobody", F(2)), _NOBODY),
         (lambda game, grid: selection_probability(game, BidGrid({"a": (F(1),)}), "a", F(1)),
          "grid must cover exactly the game's agents"),
@@ -637,8 +637,6 @@ _BUDGETS = "need room for at least two parallel edges"
          "opponent profile must cover exactly the other agents"),
         (lambda game, grid: best_response_set(game, grid, "a", {"b": F(9), "c": F(1), "d": F(5)}),
          "bid 9 for b is off the grid"),
-        (lambda game, grid: agent_optimal_bids(game, grid, "a", "sideways"),
-         "unknown strategy mode 'sideways'"),
         (lambda game, grid: alignment_report(game, grid, "sideways"),
          "unknown strategy mode 'sideways'"),
         (lambda game, grid: classify_consistency([]), "need at least one instance"),
@@ -653,8 +651,8 @@ _BUDGETS = "need room for at least two parallel edges"
         (lambda game, grid: random_network(0, edge_budget=1), _BUDGETS),
         (lambda game, grid: MechanismSpec("nope"), "unknown mechanism 'nope'"),
     ],
-    ids=["best-response-agent", "optimal-bids-agent", "selection-agent", "grid-cover",
-         "opponent-cover", "opponent-off-grid", "optimal-bids-mode", "report-mode",
+    ids=["best-response-agent", "selection-agent", "grid-cover",
+         "opponent-cover", "opponent-off-grid", "report-mode",
          "empty-suite", "inadmissible-suite", "grid-order", "forward-unit", "forward-type",
          "node-budget", "edge-budget", "mechanism-id"],
 )

@@ -382,9 +382,9 @@ PRICED_SPECS = [
 def test_each_distinct_outcome_is_priced_once(monkeypatch, spec, reads_bids):
     """On fig2's cap-5 grid the table calls the pricer once per distinct
     (shape, gaps to the cheapest cost), with the cheapest cost too for
-    tradeoff1 and the winners' bids where the profits read them, counted
-    here from the reference runs. The gaps merge rankings; the columns are
-    still the reference's profile by profile."""
+    tradeoff1 at a positive threshold and the winners' bids where the
+    profits read them, counted here from the reference runs. The gaps merge
+    rankings; the columns are still the reference's profile by profile."""
     net = fixture("fig2")
     grid = BidGrid.procurement(net.true_cost, F(1), 5)
     price, calls = analysis._price, []
@@ -401,17 +401,18 @@ def test_each_distinct_outcome_is_priced_once(monkeypatch, spec, reads_bids):
     rankings = {key[:3] for key in keys}
     gaps = {key: tuple(c - key[2][0] for c in key[2]) for key in keys}
     assert len({(*key[:2], gaps[key]) for key in keys}) < len(rankings) < len(keys)
+    reads_low = spec.mechanism == "tradeoff1" and bool(spec.threshold)
     expected = {
         (
             *key[:2],
             gaps[key],
-            key[2][0] if spec.mechanism == "tradeoff1" else None,
+            key[2][0] if reads_low else None,
             key[3] if reads_bids else None,
         )
         for key in keys
     }
     assert len(calls) == len(expected) < len(ev.selected) - ev.mechanism_utility.count(None)
-    if spec.mechanism != "tradeoff1" and not reads_bids:
+    if not reads_low and not reads_bids:
         assert len(calls) < len(rankings)
     _assert_columns_match_reference(ev)
 

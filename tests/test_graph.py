@@ -27,15 +27,17 @@ from pathauction import (
     enumerate_paths,
     iter_ranked_paths,
     fixture,
-    load_network,
     network_from_json,
     network_to_json,
     random_network,
     rank_paths,
     save_network,
-    shortest_path,
     validate,
 )
+
+
+def _shortest(net, costs=None):
+    return rank_paths(net, costs, k=1).paths[0]
 
 
 def _net(rows, source, sink, bids=None):
@@ -190,7 +192,7 @@ def test_negative_costs_are_rejected_by_every_search(example1):
     """Zero is refused too: a search only ever sees the one zero that a
     zeroed detour puts on its agent's edge."""
     searches = (
-        shortest_path,
+        _shortest,
         enumerate_paths,
         lambda net, c: next(iter_ranked_paths(net, c)),
         lambda net, c: rank_paths(net, c, k=3),
@@ -205,7 +207,7 @@ def test_negative_costs_are_rejected_by_every_search(example1):
 
 
 def test_shortest_path_example1(example1):
-    path = shortest_path(example1, example1.true_cost)
+    path = _shortest(example1, example1.true_cost)
     assert path.edges == ("A", "B", "C", "D", "E", "F")
     assert path.cost == 6
 
@@ -214,20 +216,20 @@ def test_shortest_path_avoiding_best_route(example1):
     """With A priced out of reach, the best remaining route is J P E F."""
     costs = dict(example1.true_cost)
     costs["A"] = Fraction(10**6)
-    path = shortest_path(example1, costs)
+    path = _shortest(example1, costs)
     assert path.edges == ("J", "P", "E", "F")
     assert sum(example1.true_cost[a] for a in path.owners) == 10
 
 
 def test_shortest_path_fig3(fig3):
-    path = shortest_path(fig3, fig3.true_cost)
+    path = _shortest(fig3, fig3.true_cost)
     assert path.edges == ("e",)
     assert path.cost == 1
 
 
 def test_shortest_path_tie_breaks_lexicographically():
     net = _net([("b", "X", "Y", 3), ("a", "X", "Y", 3), ("c", "X", "Y", 4)], "X", "Y")
-    assert shortest_path(net).edges == ("a",)
+    assert _shortest(net).edges == ("a",)
 
 
 def test_search_settles_nodes_at_the_origin_distance():
@@ -251,9 +253,9 @@ def test_rank_paths_fig2(fig2):
 
 def test_rank_k1_equals_shortest(example1, fig2, fig3, xsmall):
     for net in (example1, fig2, fig3, xsmall):
-        assert rank_paths(net, net.true_cost, k=1).paths[0] == shortest_path(
+        assert rank_paths(net, net.true_cost, k=1).paths[0] == enumerate_paths(
             net, net.true_cost
-        )
+        ).paths[0]
 
 
 def test_enumerate_counts(example1, fig2, fig3):
@@ -504,7 +506,7 @@ def test_only_enumeration_refuses_a_network_past_the_guard():
     rows += [(f"p{i:02d}", "S", "T", 5) for i in range(22)]
     net = _net(rows, "S", "T")
     assert len(net.edges) == 25
-    assert shortest_path(net).edges == ("e02",)
+    assert _shortest(net).edges == ("e02",)
     assert [p.edges for p in rank_paths(net, k=3)] == [("e02",), ("p00",), ("p01",)]
     assert detour_cost(net, "e02", "excluded") == 5
     assert detour_cost(net, "e02", "zeroed") == 0
@@ -531,7 +533,7 @@ def test_enumeration_leaves_no_cyclic_garbage(example1):
 def test_disconnected_raises():
     net = _net([("e1", "X", "M", 1), ("e2", "Y", "M", 1), ("e3", "X", "M", 2)], "X", "Y")
     with pytest.raises(Disconnected):
-        shortest_path(net)
+        _shortest(net)
 
 
 @pytest.mark.parametrize(
@@ -573,7 +575,7 @@ def test_json_round_trip_is_byte_exact(example1):
 def test_files_round_trip(example1, tmp_path):
     path = tmp_path / "net.json"
     save_network(example1, str(path))
-    assert network_to_json(load_network(str(path))) == network_to_json(example1)
+    assert network_to_json(network_from_json(path.read_text())) == network_to_json(example1)
     bids = {**example1.bid, "A": Fraction(7, 3)}
     assert bids_from_json(bids_to_json(bids), example1) == bids
 

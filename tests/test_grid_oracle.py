@@ -21,7 +21,6 @@ from pathauction import (
     PathGame,
     SingleItemGame,
     TieError,
-    agent_optimal_bids,
     alignment_report,
     check_partly_truthful,
     check_vcg_truthful,
@@ -214,9 +213,8 @@ def _game_id(game):
     return f"{game.spec.mechanism}-{where}"
 
 
-def _assert_consumers_match(game, grid, mode):
-    """Every consumer against the oracle; agent_optimal_bids in `mode` only,
-    since alignment_report covers every mode."""
+def _assert_consumers_match(game, grid):
+    """Every consumer against the oracle, alignment_report in every mode."""
     oracle = Oracle(game, grid)
     for report_mode in MODES:
         report = alignment_report(game, grid, report_mode)
@@ -226,8 +224,6 @@ def _assert_consumers_match(game, grid, mode):
         assert report.mechanism_optimal == mech, grid
         assert report.aligned == aligned, (report_mode, grid)
         assert report.verdict == verdict, (report_mode, grid)
-    for agent in game.agents:
-        assert agent_optimal_bids(game, grid, agent, mode) == oracle.optimal_bids(agent, mode)
     assert list(check_partly_truthful(game, grid).counterexamples) == oracle.partly_truthful()
     assert list(check_vcg_truthful(game, grid).counterexamples) == oracle.vcg_truthful()
     for agent, bids in grid.bids_for.items():
@@ -238,8 +234,8 @@ def _assert_consumers_match(game, grid, mode):
 
 @pytest.mark.parametrize("game", GAMES, ids=_game_id)
 def test_consumers_match_the_per_profile_loop(game):
-    for k, grid in enumerate(_grids(game.types)):
-        _assert_consumers_match(game, grid, MODES[k % len(MODES)])
+    for grid in _grids(game.types):
+        _assert_consumers_match(game, grid)
 
 
 def test_a_1024_path_chain_matches_the_per_profile_loop(parallel_pairs):
@@ -254,7 +250,7 @@ def test_a_1024_path_chain_matches_the_per_profile_loop(parallel_pairs):
             for a, t in net.true_cost.items()
         }
     )
-    _assert_consumers_match(PathGame(net, MechanismSpec("x")), grid, "undominated")
+    _assert_consumers_match(PathGame(net, MechanismSpec("x")), grid)
 
 
 def _renamed_four_agent_net():
@@ -274,8 +270,8 @@ def test_renamed_owners_match_the_per_profile_loop(mechanism):
     """Agents sort by name and paths by edge ids: where the two orders
     differ, every consumer still gives the loop's answers."""
     game = PathGame(_renamed_four_agent_net(), MechanismSpec(mechanism))
-    for k, grid in enumerate(_grids(game.types)):
-        _assert_consumers_match(game, grid, MODES[k % len(MODES)])
+    for grid in _grids(game.types):
+        _assert_consumers_match(game, grid)
 
 
 def test_the_grids_exercise_the_orders():

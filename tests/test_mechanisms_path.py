@@ -260,6 +260,7 @@ def test_unselected_agents_pay_and_earn_nothing(example1):
         MechanismSpec("vcg").run(example1, example1.true_cost),
         MechanismSpec("x").run(example1, example1.true_cost),
         MechanismSpec("fp-path").run(example1, example1.true_cost),
+        MechanismSpec("tradeoff2").run(example1, example1.true_cost),
     ):
         for agent in example1.agents:
             if agent not in result.selected:

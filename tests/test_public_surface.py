@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "MechanismSpec",
     "Network",
     "NonpositiveProfit",
-    "NotSelected",
     "Path",
     "PathAuctionError",
     "PathGame",
@@ -34,7 +33,6 @@ PUBLIC_NAMES = [
     "TieError",
     "TooLarge",
     "Violation",
-    "agent_optimal_bids",
     "alignment_report",
     "best_response_set",
     "bids_from_json",
@@ -56,9 +54,6 @@ PUBLIC_NAMES = [
     "group_profits",
     "group_structure",
     "iter_ranked_paths",
-    "load_network",
-    "mechanism_optimal_profiles",
-    "member_gap_schedule",
     "network_from_json",
     "network_to_json",
     "parse_cost",
@@ -66,7 +61,6 @@ PUBLIC_NAMES = [
     "rank_paths",
     "save_network",
     "selection_probability",
-    "shortest_path",
     "validate",
 ]
 

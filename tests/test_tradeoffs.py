@@ -12,12 +12,10 @@ from pathauction import (
     InsufficientPaths,
     MechanismSpec,
     Network,
-    NotSelected,
     SingleItemGame,
     TieError,
     enumerate_paths,
     fixture,
-    member_gap_schedule,
 )
 from pathauction import graph as graph_module
 
@@ -145,37 +143,56 @@ def test_member_gap_equals_group_share_for_consecutive_singletons():
     assert gap.payments == share.payments == {"r": F(2), "s": F(4), "w": F(0), "u": F(0)}
 
 
+def _raised_payment(net, agent, raise_by):
+    """tradeoff2's payment to `agent` after it alone raises its bid from
+    its true cost by `raise_by`."""
+    bids = {**net.true_cost, agent: net.true_cost[agent] + raise_by}
+    return MechanismSpec("tradeoff2").run(net, bids).payments[agent]
+
+
+def _raise_brackets(raise_by):
+    """E's tradeoff2 payment on example1 after raising its bid of 1 by
+    `raise_by`, or None where the run ties. The path ranked just past E's
+    group costs 15, so its gaps to ranks 4, 3, 2 and 1 (costs 10, 9, 7
+    and 6) are 5, 6, 8 and 9. Each integer raise from 5 to 10 makes two
+    ranked paths tie: 7 inside the (6, 8) bracket and 10 past the last."""
+    if raise_by.denominator == 1 and 5 <= raise_by <= 10:
+        return None
+    for top, payment in ((5, 6), (6, 7), (8, 9), (9, 10)):
+        if raise_by < top:
+            return payment
+    return 0
+
+
 @pytest.mark.parametrize(
     "raise_by,expected",
     [
         (F(0), 6),
         (F(3), 6),
-        (F(5), 6),  # top of the flat bracket
-        (F(6), 7),
-        (F(7), 9),  # lands in the gap-to-rank-2 bracket (6, 8]
-        (F(17, 2), 10),  # 8.5 lands in the widest bracket (8, 9]
-        (F(9), 10),
-        (F(10), 0),
+        (F(19, 4), 6),  # top of the flat bracket
+        (F(11, 2), 7),
+        (F(13, 2), 9),  # lands in the gap-to-rank-2 bracket (6, 8)
+        (F(17, 2), 10),  # 8.5 lands in the widest bracket (8, 9)
+        (F(35, 4), 10),
+        (F(19, 2), 0),
     ],
 )
 def test_member_gap_schedule_brackets(example1, raise_by, expected):
-    assert member_gap_schedule(example1, "E", raise_by, example1.true_cost) == expected
+    assert _raised_payment(example1, "E", raise_by) == expected
 
 
 def test_member_gap_schedule_flat_bracket_everywhere(example1):
-    base = member_gap_schedule(example1, "E", F(0), example1.true_cost)
-    step = F(1, 4)
+    """Every quarter step from 0 to 12: flat within each bracket, and a
+    TieError at each integer raise from 5 to 10."""
     value = F(0)
-    while value <= 5:
-        assert member_gap_schedule(example1, "E", value, example1.true_cost) == base
-        value += step
-
-
-def test_member_gap_schedule_rejects_unselected(example1):
-    with pytest.raises(NotSelected):
-        member_gap_schedule(example1, "N", F(1), example1.true_cost)
-    with pytest.raises(ValueError):
-        member_gap_schedule(example1, "E", F(-1), example1.true_cost)
+    while value <= 12:
+        expected = _raise_brackets(value)
+        if expected is None:
+            with pytest.raises(TieError):
+                _raised_payment(example1, "E", value)
+        else:
+            assert _raised_payment(example1, "E", value) == expected, value
+        value += F(1, 4)
 
 
 def test_shared_gap_to_best_example1(example1):
